@@ -17,13 +17,13 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import __version__, experiments, lockin as lockin_mod, strongfield
+from . import __version__, experiments, kernels, lockin as lockin_mod, strongfield
 from .config import JunctionConfig, LaserConfig
 from .grid import DESK_ABSORBER, AbsorberSpec, GridSpec, desk_grid, reference_grid
 from .laser import effective_keldysh, field_crest_time
 from .potential import mean_image_magnitude, sample_static_profile, static_potential, laser_interaction
 from .results import record_to_csv, read_csv, save_scan, state_to_json, write_csv, write_json
-from .solver import MapSpec, SolverError, initial_state, propagate
+from .solver import MapSpec, SolverError, propagate
 from .strongfield import SaddleConvergenceError
 
 EXIT_OK = 0
@@ -77,7 +77,6 @@ _SCHEMA = {
     },
     "potential": {"snapshot_times_fs": list},
     "output_dir": str,
-    "workers": int,
 }
 
 
@@ -170,12 +169,7 @@ def resolved_config(data, preset_override=None) -> dict:
             "grid": asdict(grid),
             "absorber": None if absorber is None else asdict(absorber),
             "output_dir": data.get("output_dir", "out"),
-            "workers": data.get("workers", 1),
             "code_version": __version__}
-
-
-def _sidecar(path, payload):
-    write_json(path, payload)
 
 
 def cmd_potential(data, out_dir, args) -> int:
@@ -198,8 +192,8 @@ def cmd_potential(data, out_dir, args) -> int:
         "mean_image_eV": mean_image_magnitude(cfg),
         "all_finite": bool(np.all(np.isfinite(profile.values))),
     }
-    _sidecar(out_dir / "potential_profile.json",
-             {"config": resolved_config(data, args.preset), "checks": checks})
+    write_json(out_dir / "potential_profile.json",
+               {"config": resolved_config(data, args.preset), "checks": checks})
     print(f"wrote {out_dir / 'potential_profile.csv'}")
     return EXIT_OK
 
@@ -239,13 +233,13 @@ def cmd_propagate(data, out_dir, args) -> int:
                   {"code_version": __version__})
     if p.get("snapshot_final_state", True):
         state_to_json(res.final_state, out_dir / "final_state.json")
-    _sidecar(out_dir / "propagation.json", {
+    write_json(out_dir / "propagation.json", {
         "config": resolved_config(data, args.preset),
         "t_start_fs": t0, "t_end_fs": t1,
         "norm_initial": res.norm_initial, "norm_final": res.norm_final,
         "norm_deficit": abs(1.0 - res.norm_final),
         "max_solve_residual": res.max_residual,
-        "backend": res.backend,
+        "backend": kernels.default_backend_name(),
         "wall_time_s": time.perf_counter() - started})
     print(f"wrote {len(res.records)} record(s) to {out_dir}")
     return EXIT_OK
@@ -277,34 +271,30 @@ def cmd_scan(data, out_dir, args) -> int:
         raise ConfigError("scan.kind must be one of delay, power, width, "
                           f"ratio, robustness (got {kind!r})")
     values = _sweep_values(scan, kind)
-    workers = args.workers or data.get("workers", 1)
     started = time.perf_counter()
     try:
         if kind == "delay":
             result = experiments.delay_scan_tdse(cfg, laser, grid, values,
-                                                 absorber=absorber,
-                                                 workers=workers)
+                                                 absorber=absorber)
         elif kind == "power":
             enh = (scan.get("enhancement_fund", 1.0),
                    scan.get("enhancement_sh", 1.0))
             result = experiments.power_scan(cfg, laser, grid, values,
                                             enhancement=enh,
                                             n_delays=scan.get("n_delays", 12),
-                                            absorber=absorber, workers=workers)
+                                            absorber=absorber)
         elif kind == "width":
             result = experiments.width_scan(cfg, laser, grid, values,
                                             n_delays=scan.get("n_delays", 12),
-                                            absorber=absorber, workers=workers)
+                                            absorber=absorber)
         elif kind == "ratio":
             result = experiments.directionality(cfg, laser, grid, values,
-                                                absorber=absorber,
-                                                workers=workers)
+                                                absorber=absorber)
         else:
             parameter = scan.get("parameter", "field")
             result = experiments.robustness_sweep(parameter, values, cfg,
                                                   laser, grid,
-                                                  absorber=absorber,
-                                                  workers=workers)
+                                                  absorber=absorber)
     except (SolverError, SaddleConvergenceError, experiments.BurstError,
             experiments.DirectionalityError) as exc:
         print(f"scan failed: {exc}", file=sys.stderr)
@@ -358,7 +348,7 @@ def cmd_saddle(data, out_dir, args) -> int:
         write_csv(out_dir / f"trajectory_E{e:.2f}eV.csv",
                   {"time_fs": tr.times, "z_nm": tr.positions},
                   {"final_energy_eV": repr(e)})
-    _sidecar(out_dir / "saddle.json", {
+    write_json(out_dir / "saddle.json", {
         "config": resolved_config(data, args.preset),
         "binding_eV": binding, "mean_image_eV": vbar,
         "gamma_modified": gamma_mod, "gamma_standard_eta0": gamma_std,
@@ -437,7 +427,6 @@ def make_parser() -> argparse.ArgumentParser:
                        help="YAML config path or recipe name "
                             f"({', '.join(RECIPES)})")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--preset", choices=("reference", "desk"), default=None)
         p.add_argument("--dry-run", action="store_true",
                        help="validate and print the resolved config only")

@@ -58,11 +58,12 @@ class JunctionConfig:
 class LaserConfig:
     """Two-colour pulse: fundamental plus second harmonic (SH).
 
-    Field strengths are the enhanced near-fields in V/nm; durations are
-    intensity FWHM in fs. base_delay_tau0 shifts the SH pulse (envelope and
-    carrier) as a delay stage would; phase_phi is an additional carrier
-    phase of the SH. field_sign = -1 negates the full waveform, modelling
-    the polarisation flip of the near field.
+    Field strengths are the enhanced near-fields in V/nm. Durations are
+    FWHM in fs of the field envelope exp(-4 ln2 t^2/tau^2), not of the
+    intensity: the intensity FWHM is tau/sqrt(2). base_delay_tau0 shifts
+    the SH pulse (envelope and carrier) as a delay stage would; phase_phi
+    is an additional carrier phase of the SH. field_sign = -1 negates the
+    full waveform, modelling the polarisation flip of the near field.
     """
 
     field_F1: float = 8.0

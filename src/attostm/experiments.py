@@ -1,12 +1,10 @@
 """Parameter sweeps over the solver and strong-field model.
 
-Every sweep point owns its propagation; points run concurrently in a
-bounded thread pool (the stepping kernels release the GIL) and results are
-collected in parameter order, so outputs are bit-identical for any worker
-count. ScanResult metadata snapshots all inputs for exact re-runs.
+Every sweep point owns its propagation; points run one after another in
+parameter order, and results are returned in that order. ScanResult
+metadata snapshots all inputs for exact re-runs.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -103,15 +101,8 @@ def _metadata(kind, cfg, laser, grid, absorber, **extra):
     return md
 
 
-def _pmap(fn, items, workers):
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _wall_charges(cfg, laser, grid, *, absorber=None, initial=None,
-                  backend=None) -> list[tuple[float, float]]:
+def _wall_charges(cfg, laser, grid, *, absorber=None,
+                  initial=None) -> list[tuple[float, float]]:
     """[(Q(0), Q(d)) under laser, (Q(0), Q(d)) under its negation]: each
     run's signed transferred charge through the tip wall z = 0 and the
     sample wall z = d."""
@@ -119,14 +110,14 @@ def _wall_charges(cfg, laser, grid, *, absorber=None, initial=None,
     out = []
     for las in (laser, laser.flipped()):
         res = propagate(cfg, las, grid, t0, t1, probes=(0.0, None),
-                        absorber=absorber, initial=initial, backend=backend)
+                        absorber=absorber, initial=initial)
         out.append((transferred_charge(res.records[0]),
                     transferred_charge(res.records[1])))
     return out
 
 
-def directional_transfers(cfg, laser, grid, *, absorber=None, initial=None,
-                          backend=None) -> tuple[float, float]:
+def directional_transfers(cfg, laser, grid, *, absorber=None,
+                          initial=None) -> tuple[float, float]:
     """(J+, J-): total tip->sample and sample->tip transferred charge.
 
     Both electrodes carry a Fermi sea; in the symmetric zero-bias junction
@@ -137,13 +128,12 @@ def directional_transfers(cfg, laser, grid, *, absorber=None, initial=None,
     which may exceed the transfer itself.
     """
     (q0p, qdp), (q0m, qdm) = _wall_charges(cfg, laser, grid,
-                                           absorber=absorber,
-                                           initial=initial, backend=backend)
+                                           absorber=absorber, initial=initial)
     return 0.5 * (q0p + qdp), 0.5 * (q0m + qdm)
 
 
-def net_delay_charge(cfg, laser, grid, *, absorber=None, initial=None,
-                     backend=None) -> float:
+def net_delay_charge(cfg, laser, grid, *, absorber=None,
+                     initial=None) -> float:
     """Net laser-induced charge per pulse: tip->sample minus sample->tip.
 
     This is what the experiment's delay scans measure: symmetric around
@@ -151,50 +141,41 @@ def net_delay_charge(cfg, laser, grid, *, absorber=None, initial=None,
     Single-electrode quantities (the Fig-4c-style bursts) use one run.
     """
     j_fwd, j_bwd = directional_transfers(cfg, laser, grid, absorber=absorber,
-                                         initial=initial, backend=backend)
+                                         initial=initial)
     return j_fwd - j_bwd
 
 
 def delay_scan_tdse(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
-                    tau0_values, *, absorber: AbsorberSpec | None = None,
-                    workers: int = 1, backend: str | None = None) -> ScanResult:
+                    tau0_values, *,
+                    absorber: AbsorberSpec | None = None) -> ScanResult:
     """Net laser-induced charge versus two-colour base delay."""
     tau0_values = np.asarray(tau0_values, dtype=float)
     shared = initial_state(cfg, grid)
-
-    def one(tau0):
-        las = replace(laser, base_delay_tau0=float(tau0))
-        return net_delay_charge(cfg, las, grid, absorber=absorber,
-                                initial=shared, backend=backend)
-
-    charges = _pmap(one, tau0_values, workers)
+    charges = [net_delay_charge(cfg, replace(laser, base_delay_tau0=float(tau0)),
+                                grid, absorber=absorber, initial=shared)
+               for tau0 in tau0_values]
     return ScanResult("tau0", "fs", tau0_values, "net_charge", "electrons",
                       np.asarray(charges),
                       _metadata("delay", cfg, laser, grid, absorber,
-                                tau0_values=tau0_values.tolist(),
-                                workers_independent=True))
+                                tau0_values=tau0_values.tolist()))
 
 
 def modulation_amplitude(cfg, laser, grid, *, n_delays: int = 12,
-                         absorber=None, workers: int = 1,
-                         backend=None) -> float:
+                         absorber=None) -> float:
     """Half the peak-to-peak of a one-SH-period delay scan."""
     taus = np.arange(n_delays) * (laser.sh_period / n_delays)
-    scan = delay_scan_tdse(cfg, laser, grid, taus, absorber=absorber,
-                           workers=workers, backend=backend)
+    scan = delay_scan_tdse(cfg, laser, grid, taus, absorber=absorber)
     return float(0.5 * (np.max(scan.results) - np.min(scan.results)))
 
 
 def power_scan(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
                field_values, *, enhancement: tuple = (1.0, 1.0),
-               n_delays: int = 12, absorber=None, workers: int = 1,
-               backend=None) -> ScanResult:
+               n_delays: int = 12, absorber=None) -> ScanResult:
     """Two-colour modulation amplitude versus field strength, with an
     equivalent incident-power axis (F1/enhancement)^2."""
     field_values = np.asarray(field_values, dtype=float)
     amps = [modulation_amplitude(cfg, replace(laser, field_F1=float(f)), grid,
-                                 n_delays=n_delays, absorber=absorber,
-                                 workers=workers, backend=backend)
+                                 n_delays=n_delays, absorber=absorber)
             for f in field_values]
     power = (field_values / enhancement[0]) ** 2
     return ScanResult(
@@ -213,15 +194,14 @@ def loglog_slopes(power, amplitude) -> np.ndarray:
 
 
 def width_scan(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
-               d_values, *, n_delays: int = 12, absorber=None,
-               workers: int = 1, backend=None) -> ScanResult:
+               d_values, *, n_delays: int = 12,
+               absorber=None) -> ScanResult:
     """Modulation amplitude versus junction width at fixed field, with a
     least-squares exponential fit A0 exp(-d/L) in the metadata."""
     d_values = np.asarray(d_values, dtype=float)
     amps = np.asarray(
         [modulation_amplitude(replace(cfg, width_d=float(d)), laser, grid,
-                              n_delays=n_delays, absorber=absorber,
-                              workers=workers, backend=backend)
+                              n_delays=n_delays, absorber=absorber)
          for d in d_values])
     fit = exponential_fit(d_values, amps)
     return ScanResult(
@@ -243,8 +223,7 @@ def exponential_fit(x, y) -> dict:
 
 
 def directionality(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
-                   ratio_values, *, absorber=None, workers: int = 1,
-                   backend=None) -> ScanResult:
+                   ratio_values, *, absorber=None) -> ScanResult:
     """Directionality Delta = |(J+ - J-)/(J+ + J-)| versus SH/fundamental
     intensity ratio (eta = sqrt(ratio)).
 
@@ -269,7 +248,7 @@ def directionality(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     def one(ratio):
         las = replace(laser, ratio_eta=float(np.sqrt(ratio)))
         (_, jp), (_, jm) = _wall_charges(cfg, las, grid, absorber=absorber,
-                                         initial=shared, backend=backend)
+                                         initial=shared)
         for direction, q in (("tip->sample", jp), ("sample->tip", jm)):
             if q < 0.0:
                 raise DirectionalityError(
@@ -279,7 +258,7 @@ def directionality(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
                     "grid or enable the absorber")
         return abs(jp - jm) / (jp + jm) if jp + jm > 0 else 0.0
 
-    deltas = _pmap(one, ratio_values, workers)
+    deltas = [one(ratio) for ratio in ratio_values]
     return ScanResult("intensity_ratio", "dimensionless", ratio_values,
                       "directionality", "dimensionless", np.asarray(deltas),
                       _metadata("ratio", cfg, laser, grid, absorber,
@@ -290,8 +269,8 @@ ROBUSTNESS_PARAMETERS = ("field", "ratio", "width", "workfunction")
 
 
 def robustness_sweep(parameter: str, values, cfg: JunctionConfig,
-                     laser: LaserConfig, grid: GridSpec, *, absorber=None,
-                     workers: int = 1, backend=None) -> ScanResult:
+                     laser: LaserConfig, grid: GridSpec, *,
+                     absorber=None) -> ScanResult:
     """Burst FWHM at the vacuum-sample boundary versus one parameter
     around the anchor point (field / intensity ratio / width / tip
     workfunction)."""
@@ -311,12 +290,12 @@ def robustness_sweep(parameter: str, values, cfg: JunctionConfig,
             c = replace(cfg, workfunction_tip=float(v))
         t0, t1 = default_time_span(l, burst_only=True)
         res = propagate(c, l, grid, t0, t1, probes=(None,),
-                        absorber=absorber, backend=backend)
+                        absorber=absorber)
         bm = burst_metrics(res.records[0], crest_time=field_crest_time(l),
                            cycle_fs=2.0 * np.pi / l.omega)
         return bm.fwhm
 
-    fwhms = _pmap(one, values, workers)
+    fwhms = [one(v) for v in values]
     units = {"field": "V_per_nm", "ratio": "dimensionless", "width": "nm",
              "workfunction": "eV"}
     return ScanResult(parameter, units[parameter], values, "burst_fwhm", "as",
@@ -344,33 +323,27 @@ def _configs_from_metadata(md):
     return cfg, laser, grid, absorber
 
 
-def rerun_from_metadata(scan: ScanResult, *, workers: int = 1,
-                        backend: str | None = None) -> ScanResult:
+def rerun_from_metadata(scan: ScanResult) -> ScanResult:
     """Re-execute a scan from its own metadata snapshot."""
     md = scan.metadata
     kind = md["kind"]
     cfg, laser, grid, absorber = _configs_from_metadata(md)
     if kind == "delay":
         return delay_scan_tdse(cfg, laser, grid, md["tau0_values"],
-                               absorber=absorber, workers=workers,
-                               backend=backend)
+                               absorber=absorber)
     if kind == "power":
         return power_scan(cfg, laser, grid, md["field_values"],
                           enhancement=tuple(md["enhancement"]),
-                          n_delays=md["n_delays"], absorber=absorber,
-                          workers=workers, backend=backend)
+                          n_delays=md["n_delays"], absorber=absorber)
     if kind == "width":
         return width_scan(cfg, laser, grid, md["d_values"],
-                          n_delays=md["n_delays"], absorber=absorber,
-                          workers=workers, backend=backend)
+                          n_delays=md["n_delays"], absorber=absorber)
     if kind == "ratio":
         return directionality(cfg, laser, grid, md["ratio_values"],
-                              absorber=absorber, workers=workers,
-                              backend=backend)
+                              absorber=absorber)
     if kind == "robustness":
         return robustness_sweep(md["parameter"], md["values"], cfg, laser,
-                                grid, absorber=absorber, workers=workers,
-                                backend=backend)
+                                grid, absorber=absorber)
     if kind == "delay_sf":
         return delay_scan_strongfield(cfg, laser, md["tau0_values"])
     raise ValueError(f"unknown scan kind {kind!r}")

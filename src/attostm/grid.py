@@ -70,19 +70,6 @@ def desk_grid(max_bandwidth: float = 50.0) -> GridSpec:
     return GridSpec(-60.0, 60.0, dz, dt, max_bandwidth)
 
 
-def tall_tip_grid(max_bandwidth: float = 50.0) -> GridSpec:
-    """Charge-scan grid: paper-scale tip electrode (-300 nm), absorber-sized
-    sample side (+60 nm).
-
-    Transferred-charge observables integrate to ~200 fs after the crest;
-    electrons reflected inside a +-60 nm tip electrode return through the
-    junction within that window and swamp weak low-field signals, while the
-    sample side can stay short because its absorber eats transmitted flux.
-    """
-    dz, dt = bandwidth_steps(max_bandwidth)
-    return GridSpec(-300.0, 60.0, dz, dt, max_bandwidth)
-
-
 @dataclass(frozen=True)
 class AbsorberSpec:
     """Complex absorbing layer -i*W(z), quadratic ramp in the outer fraction

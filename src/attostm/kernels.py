@@ -1,49 +1,40 @@
-"""Crank-Nicolson stepping kernels.
+"""Crank-Nicolson stepping kernel.
 
-Two interchangeable backends advance the wavefunction chunk-wise: a numba
-jit Thomas-elimination kernel (default) and a numpy/scipy path built on
-LAPACK's pivoted tridiagonal solver, which doubles as the partial-pivot
-fallback when the plain elimination hits a small pivot. Select with the
-ATTOSTM_BACKEND environment variable ("numba" or "numpy") or per call;
-semantics are identical. benchmarks/bench_solver.py compares throughput.
+One chunk stepper advances the wavefunction: a vectorised right-hand side
+and LAPACK's pivoted tridiagonal solve (scipy's solve_banded), recording
+probe currents and the space-time map as it goes.
 
-Inside a kernel the Hamiltonian is in Hartree atomic units (koff =
+Inside the kernel the Hamiltonian is in Hartree atomic units (koff =
 1/(2 dz_au^2), half_dt = dt_au/2, potentials in hartree); the wavefunction
 keeps its 1/sqrt(nm) normalisation, and probe currents are emitted directly
 in 1/fs via the precombined jcoef factor.
 """
 
-import os
-
 import numpy as np
 from scipy.linalg import solve_banded
 
-BACKEND_ENV = "ATTOSTM_BACKEND"
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
+def default_backend_name() -> str:
+    """Name of the stepping engine, recorded in run sidecars."""
+    return "numpy"
 
 
-def _record_probes_np(psi, probe_idx, jcoef, j_out, nglob):
+def _record_probes(psi, probe_idx, jcoef, j_out, nglob):
     k = probe_idx
     j_out[:, nglob] = jcoef * np.imag(np.conj(psi[k]) * (psi[k + 1] - psi[k - 1]))
 
 
-def _record_map_np(psi, map_i0, map_i1, jcoef, map_out, row):
+def _record_map(psi, map_i0, map_i1, jcoef, map_out, row):
     seg = slice(map_i0, map_i1)
     lo = slice(map_i0 - 1, map_i1 - 1)
     hi = slice(map_i0 + 1, map_i1 + 1)
     map_out[row, :] = jcoef * np.imag(np.conj(psi[seg]) * (psi[hi] - psi[lo]))
 
 
-def cn_chunk_numpy(psi, vstat, zcoef, efield, half_dt, koff, cp, rhs,
-                   probe_idx, jcoef, j_out, map_every, map_i0, map_i1,
-                   map_out, step_off, do_resid):
-    """Reference chunk stepper: vectorised RHS, LAPACK gtsv (pivoted) solve."""
+def cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, probe_idx, jcoef,
+             j_out, map_every, map_i0, map_i1, map_out, step_off, do_resid):
+    """Advance psi in place by len(efield) steps; return the relative
+    residual of the chunk's last solve (0.0 unless do_resid)."""
     n = psi.shape[0]
     nsteps = efield.shape[0]
     a_off = -1j * half_dt * koff
@@ -54,9 +45,9 @@ def cn_chunk_numpy(psi, vstat, zcoef, efield, half_dt, koff, cp, rhs,
     for s in range(nsteps):
         nglob = step_off + s
         if probe_idx.size:
-            _record_probes_np(psi, probe_idx, jcoef, j_out, nglob)
+            _record_probes(psi, probe_idx, jcoef, j_out, nglob)
         if map_every > 0 and nglob % map_every == 0:
-            _record_map_np(psi, map_i0, map_i1, jcoef, map_out, nglob // map_every)
+            _record_map(psi, map_i0, map_i1, jcoef, map_out, nglob // map_every)
         v = vstat[1:-1] + efield[s] * zcoef[1:-1]
         am = 1.0 + 1j * half_dt * (2.0 * koff + v)
         r = -a_off * (psi[:-2] + psi[2:]) + (2.0 - am) * psi[1:-1]
@@ -69,96 +60,4 @@ def cn_chunk_numpy(psi, vstat, zcoef, efield, half_dt, koff, cp, rhs,
             denom = np.linalg.norm(r)
             resid = float(np.linalg.norm(res) / denom) if denom > 0 else 0.0
         psi[1:-1] = x
-    return True, resid
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _cn_chunk_nb(psi, vstat, zcoef, efield, half_dt, koff, cp, rhs,
-                     probe_idx, jcoef, j_out, map_every, map_i0, map_i1,
-                     map_out, step_off, do_resid):
-        n = psi.shape[0]
-        nsteps = efield.shape[0]
-        a_off = -1j * half_dt * koff
-        b_off = -a_off
-        resid = 0.0
-        for s in range(nsteps):
-            nglob = step_off + s
-            for p in range(probe_idx.shape[0]):
-                k = probe_idx[p]
-                val = np.conj(psi[k]) * (psi[k + 1] - psi[k - 1])
-                j_out[p, nglob] = jcoef * val.imag
-            if map_every > 0 and nglob % map_every == 0:
-                row = nglob // map_every
-                for i in range(map_i0, map_i1):
-                    val = np.conj(psi[i]) * (psi[i + 1] - psi[i - 1])
-                    map_out[row, i - map_i0] = jcoef * val.imag
-            e = efield[s]
-            for i in range(1, n - 1):
-                v = vstat[i] + e * zcoef[i]
-                bm = 1.0 - 1j * half_dt * (2.0 * koff + v)
-                rhs[i] = b_off * (psi[i - 1] + psi[i + 1]) + bm * psi[i]
-            # Thomas elimination; bail out for the pivoted path on tiny pivots
-            v = vstat[1] + e * zcoef[1]
-            beta = 1.0 + 1j * half_dt * (2.0 * koff + v)
-            if abs(beta) < 1e-12:
-                return False, resid
-            psi[1] = rhs[1] / beta
-            for i in range(2, n - 1):
-                cp[i] = a_off / beta
-                v = vstat[i] + e * zcoef[i]
-                am = 1.0 + 1j * half_dt * (2.0 * koff + v)
-                beta = am - a_off * cp[i]
-                if abs(beta) < 1e-12:
-                    return False, resid
-                psi[i] = (rhs[i] - a_off * psi[i - 1]) / beta
-            for i in range(n - 3, 0, -1):
-                psi[i] = psi[i] - cp[i + 1] * psi[i + 1]
-            if do_resid and s == nsteps - 1:
-                num = 0.0
-                den = 0.0
-                for i in range(1, n - 1):
-                    v = vstat[i] + e * zcoef[i]
-                    am = 1.0 + 1j * half_dt * (2.0 * koff + v)
-                    r = am * psi[i] - rhs[i]
-                    if i > 1:
-                        r += a_off * psi[i - 1]
-                    if i < n - 2:
-                        r += a_off * psi[i + 1]
-                    num += r.real * r.real + r.imag * r.imag
-                    den += rhs[i].real ** 2 + rhs[i].imag ** 2
-                resid = np.sqrt(num / den) if den > 0.0 else 0.0
-        return True, resid
-
-
-class Backend:
-    def __init__(self, name, fn):
-        self.name = name
-        self._fn = fn
-
-    def cn_chunk(self, *args):
-        return self._fn(*args)
-
-
-_BACKENDS = {"numpy": Backend("numpy", cn_chunk_numpy)}
-if HAVE_NUMBA:
-    _BACKENDS["numba"] = Backend("numba", _cn_chunk_nb)
-
-
-def available_backends():
-    return sorted(_BACKENDS)
-
-
-def default_backend_name() -> str:
-    env = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if env:
-        if env not in _BACKENDS:
-            raise ValueError(
-                f"{BACKEND_ENV}={env!r} unknown; choose from {available_backends()}")
-        return env
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def get_backend(name: str | None = None) -> Backend:
-    return _BACKENDS[name if name is not None else default_backend_name()]
+    return resid

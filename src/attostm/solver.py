@@ -13,17 +13,22 @@ and current observable exactly offset-invariant numerically as well.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .config import JunctionConfig, LaserConfig
 from .grid import AbsorberSpec, GridSpec
-from .kernels import get_backend
+from .kernels import cn_chunk
 from .laser import electric_field
 from .potential import PotentialProfile, sample_static_profile
 from .units import AUTIME_FS, BOHR_NM, EMASS, HARTREE_EV, HBAR_EVFS, HBAR2_OVER_2M
+
+
+# steps per kernel call; the solve residual, the finiteness check and the
+# reflection-risk check run once per chunk
+CHUNK_STEPS = 512
 
 
 class SolverError(RuntimeError):
@@ -127,11 +132,6 @@ class PropagationResult:
     norm_initial: float = 1.0
     norm_final: float = 1.0
     max_residual: float = 0.0
-    backend: str = ""
-
-    def __iter__(self):
-        # allows `state, records = propagate(...)`
-        return iter((self.final_state, self.records))
 
 
 def build_hamiltonian_diagonals(profile: PotentialProfile, grid: GridSpec):
@@ -201,31 +201,21 @@ def _j_sample(psi, idx, jcoef):
     return jcoef * np.imag(np.conj(psi[idx]) * (psi[idx + 1] - psi[idx - 1]))
 
 
-def step(state: WaveState, diagonals, dt: float, *, backend=None) -> WaveState:
+def step(state: WaveState, diagonals, dt: float) -> WaveState:
     """One Crank-Nicolson step with the Hamiltonian frozen at the given
     diagonals (eV). The Cayley form conserves the norm unconditionally."""
     main, off = diagonals
     if main.size != state.grid.n_points - 2:
         raise ValueError("diagonals do not match the grid interior")
-    be = get_backend(backend)
     koff = -off / HARTREE_EV
     vstat = np.zeros(state.grid.n_points, dtype=np.complex128)
     vstat[1:-1] = (main + 2.0 * off) / HARTREE_EV
     zcoef = np.zeros(state.grid.n_points)
     psi = state.psi.copy()
-    n = psi.size
-    cp = np.zeros(n, dtype=np.complex128)
-    rhs = np.zeros(n, dtype=np.complex128)
     half_dt = 0.5 * dt / AUTIME_FS
-    args = (vstat, zcoef, np.zeros(1), half_dt, koff, cp, rhs,
-            np.empty(0, dtype=np.int64), 0.0,
-            np.empty((0, 1)), 0, 0, 0, np.empty((0, 0)), 0, False)
-    ok, _ = be.cn_chunk(psi, *args)
-    if not ok:
-        psi = state.psi.copy()
-        ok, _ = get_backend("numpy").cn_chunk(psi, *args)
-        if not ok:
-            raise SolverError("tridiagonal solve failed")
+    cn_chunk(psi, vstat, zcoef, np.zeros(1), half_dt, koff,
+             np.empty(0, dtype=np.int64), 0.0, np.empty((0, 1)), 0, 0, 0,
+             np.empty((0, 0)), 0, False)
     if not np.all(np.isfinite(psi)):
         raise SolverError("non-finite amplitudes after step (instability)")
     return WaveState(state.grid, psi, state.time + dt, energy=None)
@@ -237,9 +227,7 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
               static_profile: PotentialProfile | None = None,
               initial: WaveState | None = None,
               midpoint: bool = False,
-              map_spec: MapSpec | None = None,
-              backend: str | None = None,
-              chunk_steps: int = 512) -> PropagationResult:
+              map_spec: MapSpec | None = None) -> PropagationResult:
     """Full time evolution from t_start to t_end.
 
     probes lists z positions (nm) to record current density at; None entries
@@ -291,11 +279,6 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
         map_rows = n_steps // map_every + 1
         map_out = np.zeros((map_rows, map_i1 - map_i0))
 
-    be = get_backend(backend)
-    fallback = get_backend("numpy")
-    cp = np.zeros(n, dtype=np.complex128)
-    rhs = np.zeros(n, dtype=np.complex128)
-
     # reflection-risk bookkeeping: watch for probability arriving within
     # 10 nm of either fixed end, relative to the initial occupation there
     n_edge = max(1, int(round(10.0 / dz)))
@@ -308,17 +291,10 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     max_resid = 0.0
     done = 0
     while done < n_steps:
-        todo = min(chunk_steps, n_steps - done)
-        saved = psi.copy()
-        args = (vstat, zcoef, efield[done:done + todo], half_dt, koff, cp, rhs,
-                probe_idx, jcoef, j_out, map_every, map_i0, map_i1, map_out,
-                done, True)
-        ok, resid = be.cn_chunk(psi, *args)
-        if not ok or resid > 1e-12:
-            psi[:] = saved
-            ok, resid = fallback.cn_chunk(psi, *args)
-            if not ok:
-                raise SolverError(f"tridiagonal solve failed at step {done}")
+        todo = min(CHUNK_STEPS, n_steps - done)
+        resid = cn_chunk(psi, vstat, zcoef, efield[done:done + todo], half_dt,
+                         koff, probe_idx, jcoef, j_out, map_every, map_i0,
+                         map_i1, map_out, done, True)
         max_resid = max(max_resid, resid)
         done += todo
         if not np.all(np.isfinite(psi)):
@@ -351,7 +327,7 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     return PropagationResult(final, records, map=stm,
                              norm_initial=norm_initial,
                              norm_final=final.norm_squared,
-                             max_residual=max_resid, backend=be.name)
+                             max_residual=max_resid)
 
 
 def transferred_charge(record: CurrentRecord) -> float:

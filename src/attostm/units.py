@@ -58,15 +58,3 @@ CONSTANTS = PhysicalConstants()
 def wavelength_to_omega(wavelength_nm: float) -> float:
     """Angular frequency (rad/fs) of light with the given vacuum wavelength."""
     return 2.0 * np.pi * C_NMFS / wavelength_nm
-
-
-def ev_to_hartree(e):
-    return np.asarray(e) / HARTREE_EV
-
-
-def nm_to_bohr(z):
-    return np.asarray(z) / BOHR_NM
-
-
-def fs_to_autime(t):
-    return np.asarray(t) / AUTIME_FS

@@ -7,7 +7,6 @@ from scipy.sparse.linalg import eigsh
 
 from attostm.config import JunctionConfig, LaserConfig
 from attostm.grid import AbsorberSpec, GridSpec, bandwidth_steps, desk_grid, reference_grid
-from attostm.kernels import available_backends
 from attostm.potential import PotentialProfile, sample_static_profile
 from attostm.solver import (CurrentRecord, InitialStateError,
                             ReflectionRiskWarning, WaveState,
@@ -147,21 +146,6 @@ def test_step_stationary_eigenstate():
         state = step(state, main_off, grid.dt)
     overlap = abs(np.vdot(st.psi, state.psi)) * grid.dz
     assert overlap == pytest.approx(1.0, abs=1e-8)
-
-
-def test_backends_agree():
-    grid = small_grid()
-    cfg = JunctionConfig()
-    las = short_pulse()
-    st = initial_state(cfg, grid)
-    finals = {}
-    for backend in available_backends():
-        res = propagate(cfg, las, grid, -25.0, -22.0, probes=(None,),
-                        initial=st, backend=backend)
-        finals[backend] = res.final_state.psi
-    names = sorted(finals)
-    if len(names) == 2:
-        assert np.max(np.abs(finals[names[0]] - finals[names[1]])) < 1e-12
 
 
 def test_propagate_zero_field_vs_driven():
