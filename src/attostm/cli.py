@@ -316,12 +316,15 @@ def cmd_saddle(data, out_dir, args) -> int:
     vbar = mean_image_magnitude(cfg)
     try:
         phases = strongfield.emission_phase_curve(energies, laser, cfg,
-                                                  binding=binding)
-        cutoff = strongfield.cutoff_energy(laser, cfg, binding=binding)
+                                                  binding=binding,
+                                                  mean_image=vbar)
+        cutoff = strongfield.cutoff_energy(laser, cfg, binding=binding,
+                                           mean_image=vbar)
         trajectories = {}
         solutions = []
         for e in s.get("trajectory_energies_eV", [0.0, 4.4, 6.7]):
-            sol = strongfield.solve_saddle(float(e), binding, laser, cfg)
+            sol = strongfield.solve_saddle(float(e), binding, laser, cfg,
+                                           mean_image=vbar)
             tr = strongfield.trajectory(sol)
             trajectories[float(e)] = tr
             r1, r2, r3 = sol.residuals()

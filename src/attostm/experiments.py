@@ -12,7 +12,7 @@ import numpy as np
 from . import __version__
 from .config import JunctionConfig, LaserConfig
 from .grid import AbsorberSpec, GridSpec
-from .laser import field_crest_time
+from .laser import field_crest_time, pulse_onset
 from .results import ScanResult
 from .solver import (CurrentRecord, initial_state, propagate,
                      transferred_charge)
@@ -83,13 +83,14 @@ def burst_metrics(record: CurrentRecord, *, crest_time: float,
 
 
 def default_time_span(laser: LaserConfig, *, burst_only: bool = False):
-    """(t_start, t_end): start 5 FWHM before the pulse; end after the last
-    current has cleared (2.5 FWHM) or just past the crest for burst runs."""
-    tau = max(laser.duration_tau1, laser.duration_tau2)
-    t0 = -5.0 * tau
+    """(t_start, t_end) in fs: start at the pulse onset (`pulse_onset`,
+    the first colour's envelope at ONSET_LEVEL of its amplitude); end
+    2.5 max(tau1, tau2) after zero, when the last current has cleared, or
+    10 fs past the field crest for burst runs."""
+    t0 = pulse_onset(laser)
     if burst_only:
         return t0, field_crest_time(laser) + 10.0
-    return t0, 2.5 * tau
+    return t0, 2.5 * max(laser.duration_tau1, laser.duration_tau2)
 
 
 def _metadata(kind, cfg, laser, grid, absorber, **extra):

@@ -1,8 +1,9 @@
 """Crank-Nicolson stepping kernel.
 
 One chunk stepper advances the wavefunction: a vectorised right-hand side
-and LAPACK's pivoted tridiagonal solve (scipy's solve_banded), recording
-probe currents and the space-time map as it goes.
+and LAPACK's pivoted tridiagonal solve (zgtsv, the routine scipy's
+solve_banded hands (1, 1) bands to), recording probe currents and the
+space-time map as it goes.
 
 Inside the kernel the Hamiltonian is in Hartree atomic units (koff =
 1/(2 dz_au^2), half_dt = dt_au/2, potentials in hartree); the wavefunction
@@ -11,7 +12,11 @@ in 1/fs via the precombined jcoef factor.
 """
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgtsv
+
+
+class SolverError(RuntimeError):
+    """Propagation failure (instability, non-finite amplitudes, bad solve)."""
 
 
 def default_backend_name() -> str:
@@ -38,9 +43,7 @@ def cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, probe_idx, jcoef,
     n = psi.shape[0]
     nsteps = efield.shape[0]
     a_off = -1j * half_dt * koff
-    ab = np.empty((3, n - 2), dtype=np.complex128)
-    ab[0, :] = a_off
-    ab[2, :] = a_off
+    off = np.full(n - 3, a_off, dtype=np.complex128)
     resid = 0.0
     for s in range(nsteps):
         nglob = step_off + s
@@ -51,8 +54,10 @@ def cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, probe_idx, jcoef,
         v = vstat[1:-1] + efield[s] * zcoef[1:-1]
         am = 1.0 + 1j * half_dt * (2.0 * koff + v)
         r = -a_off * (psi[:-2] + psi[2:]) + (2.0 - am) * psi[1:-1]
-        ab[1, :] = am
-        x = solve_banded((1, 1), ab, r, check_finite=False)
+        x, info = zgtsv(off, am, off, r)[3:]
+        if info != 0:
+            raise SolverError(f"tridiagonal solve failed at step {nglob} "
+                              f"(zgtsv info = {info})")
         if do_resid and s == nsteps - 1:
             res = am * x - r
             res[1:] += a_off * x[:-1]

@@ -11,6 +11,10 @@ from .units import EMASS
 
 _FOUR_LN2 = 4.0 * np.log(2.0)
 
+# a colour's field counts as switched on once its Gaussian envelope reaches
+# this fraction of the colour's own amplitude
+ONSET_LEVEL = 1e-8
+
 
 def vector_potential(laser: LaserConfig, t):
     """A(t) in V fs / nm: two Gaussian-envelope carriers, SH delayed."""
@@ -43,6 +47,21 @@ def electric_field(laser: LaserConfig, t):
     dsh = f2 * g2 * (np.cos(2.0 * w * t - phi)
                      - (a2 * (t - tc) / w) * np.sin(2.0 * w * t - phi))
     return -laser.field_sign * (dfund + dsh)
+
+
+def pulse_onset(laser: LaserConfig) -> float:
+    """Earliest time (fs) at which a colour's field envelope
+    exp(-4 ln2 (t - t_c)^2/tau^2) reaches ONSET_LEVEL of its amplitude.
+
+    The fundamental is centred at 0 and always counts (with field_F1 = 0
+    the whole field vanishes); the SH, centred at sh_center, counts only
+    when ratio_eta > 0.
+    """
+    k = np.sqrt(-np.log(ONSET_LEVEL) / _FOUR_LN2)
+    onset = -k * laser.duration_tau1
+    if laser.ratio_eta > 0:
+        onset = min(onset, laser.sh_center - k * laser.duration_tau2)
+    return float(onset)
 
 
 def effective_keldysh(laser: LaserConfig, effective_binding: float) -> float:

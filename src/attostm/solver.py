@@ -20,8 +20,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from .config import JunctionConfig, LaserConfig
 from .grid import AbsorberSpec, GridSpec
-from .kernels import cn_chunk
-from .laser import electric_field
+from .kernels import SolverError, cn_chunk
+from .laser import electric_field, pulse_onset
 from .potential import PotentialProfile, sample_static_profile
 from .units import AUTIME_FS, BOHR_NM, EMASS, HARTREE_EV, HBAR_EVFS, HBAR2_OVER_2M
 
@@ -29,10 +29,6 @@ from .units import AUTIME_FS, BOHR_NM, EMASS, HARTREE_EV, HBAR_EVFS, HBAR2_OVER_
 # steps per kernel call; the solve residual, the finiteness check and the
 # reflection-risk check run once per chunk
 CHUNK_STEPS = 512
-
-
-class SolverError(RuntimeError):
-    """Propagation failure (instability, non-finite amplitudes, bad solve)."""
 
 
 class InitialStateError(SolverError):
@@ -239,11 +235,11 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
         raise ValueError("t_end must exceed t_start")
     if not (grid.z_min < 0.0 < cfg.width_d < grid.z_max):
         raise ValueError("grid must bracket the junction: z_min < 0 < d < z_max")
-    ramp = 5.0 * max(laser.duration_tau1, laser.duration_tau2)
-    if laser.field_F1 > 0 and t_start > -ramp:
-        warnings.warn(f"t_start = {t_start} fs does not predate the pulse by "
-                      f"5*max(tau1, tau2) = {ramp} fs; the field may not ramp "
-                      "from a negligible value", UserWarning, stacklevel=2)
+    onset = pulse_onset(laser)
+    if laser.field_F1 > 0 and t_start > onset:
+        warnings.warn(f"t_start = {t_start} fs is after the pulse onset at "
+                      f"{onset:.3f} fs; the field does not ramp from a "
+                      "negligible value", UserWarning, stacklevel=2)
     profile = static_profile
     if profile is None:
         profile = sample_static_profile(cfg, grid.z)

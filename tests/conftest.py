@@ -1,19 +1,7 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from attostm.config import JunctionConfig, LaserConfig
-from attostm.solver import ReflectionRiskWarning
-
-
-@pytest.fixture(autouse=True)
-def _quiet_reflection_warnings():
-    # small test grids legitimately let excited amplitude reach the ends;
-    # the warning machinery itself is covered by test_reflection_warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ReflectionRiskWarning)
-        yield
 
 
 @pytest.fixture

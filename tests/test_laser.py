@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attostm.config import LaserConfig
-from attostm.laser import (effective_keldysh, electric_field,
-                           field_crest_time, find_field_crests,
+from attostm.laser import (ONSET_LEVEL, effective_keldysh, electric_field,
+                           field_crest_time, find_field_crests, pulse_onset,
                            vector_potential)
 from attostm.units import C_NMFS, EMASS
 
@@ -115,6 +115,18 @@ def test_crests_spacing_and_threshold(laser):
     e = np.abs(electric_field(laser, crests))
     assert np.all(e >= 0.2 * np.max(e) * 0.99)
     assert np.all(electric_field(laser, crests) < 0)
+
+
+@pytest.mark.parametrize("las", [
+    LaserConfig(),
+    LaserConfig(base_delay_tau0=3.0),
+    LaserConfig(ratio_eta=0.0),
+], ids=["default", "sh_delayed", "eta0"])
+def test_pulse_onset(las):
+    onset = pulse_onset(las)
+    tg = np.linspace(onset - 400.0, onset, 400_001)
+    assert np.max(np.abs(electric_field(las, tg))) <= ONSET_LEVEL * las.field_F1
+    assert onset > -5.0 * max(las.duration_tau1, las.duration_tau2)
 
 
 def test_delay_shifts_sh_envelope():

@@ -6,6 +6,7 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import eigsh
 
 from attostm.config import JunctionConfig, LaserConfig
+from attostm.experiments import default_time_span
 from attostm.grid import AbsorberSpec, GridSpec, bandwidth_steps, desk_grid, reference_grid
 from attostm.potential import PotentialProfile, sample_static_profile
 from attostm.solver import (CurrentRecord, InitialStateError,
@@ -235,6 +236,18 @@ def test_gauge_offset_invariance():
     da = res_a.final_state.density()
     db = res_b.final_state.density()
     assert np.max(np.abs(da - db)) <= 1e-9 * np.max(da)
+
+
+def test_default_span_starts_at_onset_without_warning():
+    grid = small_grid()
+    cfg = JunctionConfig()
+    las = short_pulse()
+    t0, t1 = default_time_span(las)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        propagate(cfg, las, grid, t0, t1, probes=(None,))
+    with pytest.warns(UserWarning, match="pulse onset"):
+        propagate(cfg, las, grid, t0 + 1.0, t0 + 2.0, probes=(None,))
 
 
 def test_reflection_warning():
