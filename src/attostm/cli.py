@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from dataclasses import asdict, replace
 from importlib import resources
 from pathlib import Path
@@ -215,12 +216,20 @@ def cmd_propagate(data, out_dir, args) -> int:
                            stride=m.get("stride", 8))
     started = time.perf_counter()
     try:
-        res = propagate(cfg, laser, grid, t0, t1, probes=probes,
-                        absorber=absorber, midpoint=p.get("midpoint_field", False),
-                        map_spec=map_spec)
+        # record the run's warnings (reflection risk) for the sidecar, then
+        # emit them as usual
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = propagate(cfg, laser, grid, t0, t1, probes=probes,
+                            absorber=absorber,
+                            midpoint=p.get("midpoint_field", False),
+                            map_spec=map_spec)
     except SolverError as exc:
         print(f"propagation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    finally:
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     out_dir.mkdir(parents=True, exist_ok=True)
     for rec in res.records:
         record_to_csv(rec, out_dir / f"current_z{rec.probe_z:+.3f}nm.csv",
@@ -240,6 +249,8 @@ def cmd_propagate(data, out_dir, args) -> int:
         "norm_deficit": abs(1.0 - res.norm_final),
         "max_solve_residual": res.max_residual,
         "backend": kernels.default_backend_name(),
+        "warnings": [{"category": w.category.__name__, "message": str(w.message)}
+                     for w in caught],
         "wall_time_s": time.perf_counter() - started})
     print(f"wrote {len(res.records)} record(s) to {out_dir}")
     return EXIT_OK
@@ -313,18 +324,14 @@ def cmd_saddle(data, out_dir, args) -> int:
     energies = np.linspace(s.get("energy_start_eV", 0.5),
                            s.get("energy_stop_eV", 14.0),
                            int(s.get("energy_count", 55)))
-    vbar = mean_image_magnitude(cfg)
     try:
         phases = strongfield.emission_phase_curve(energies, laser, cfg,
-                                                  binding=binding,
-                                                  mean_image=vbar)
-        cutoff = strongfield.cutoff_energy(laser, cfg, binding=binding,
-                                           mean_image=vbar)
+                                                  binding=binding)
+        cutoff = strongfield.cutoff_energy(laser, cfg, binding=binding)
         trajectories = {}
         solutions = []
         for e in s.get("trajectory_energies_eV", [0.0, 4.4, 6.7]):
-            sol = strongfield.solve_saddle(float(e), binding, laser, cfg,
-                                           mean_image=vbar)
+            sol = strongfield.solve_saddle(float(e), binding, laser, cfg)
             tr = strongfield.trajectory(sol)
             trajectories[float(e)] = tr
             r1, r2, r3 = sol.residuals()
@@ -339,6 +346,7 @@ def cmd_saddle(data, out_dir, args) -> int:
         print(f"saddle solve failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     out_dir.mkdir(parents=True, exist_ok=True)
+    vbar = mean_image_magnitude(cfg)
     gamma_mod = effective_keldysh(laser, binding - vbar)
     gamma_std = effective_keldysh(replace(laser, ratio_eta=0.0), binding - vbar)
     write_csv(out_dir / "emission_phase.csv",

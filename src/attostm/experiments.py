@@ -306,12 +306,17 @@ def robustness_sweep(parameter: str, values, cfg: JunctionConfig,
 
 
 def delay_scan_strongfield(cfg: JunctionConfig, laser: LaserConfig,
-                           tau0_values, **kwargs) -> ScanResult:
-    """Strong-field model delay scan wrapped as a ScanResult."""
+                           tau0_values, *, energies=None) -> ScanResult:
+    """Strong-field model delay scan wrapped as a ScanResult; `energies`
+    is the final-energy grid (eV) of each directional weight, by default
+    strongfield.DEFAULT_ENERGIES."""
     tau0_values = np.asarray(tau0_values, dtype=float)
-    out = strongfield.delay_scan_sf(laser, cfg, tau0_values, **kwargs)
+    energies = strongfield.DEFAULT_ENERGIES if energies is None \
+        else np.asarray(energies, dtype=float)
+    out = strongfield.delay_scan_sf(laser, cfg, tau0_values, energies=energies)
     md = {"kind": "delay_sf", "junction": asdict(cfg), "laser": asdict(laser),
-          "tau0_values": tau0_values.tolist(), "code_version": __version__}
+          "tau0_values": tau0_values.tolist(), "energies_eV": energies.tolist(),
+          "code_version": __version__}
     return ScanResult("tau0", "fs", tau0_values, "net_directional_weight",
                       "normalized", out, md)
 
@@ -346,5 +351,6 @@ def rerun_from_metadata(scan: ScanResult) -> ScanResult:
         return robustness_sweep(md["parameter"], md["values"], cfg, laser,
                                 grid, absorber=absorber)
     if kind == "delay_sf":
-        return delay_scan_strongfield(cfg, laser, md["tau0_values"])
+        return delay_scan_strongfield(cfg, laser, md["tau0_values"],
+                                      energies=md.get("energies_eV"))
     raise ValueError(f"unknown scan kind {kind!r}")

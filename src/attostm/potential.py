@@ -1,6 +1,7 @@
 """Static junction potential: metal levels, Simmons image term, laser coupling."""
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -81,6 +82,7 @@ def laser_interaction(cfg: JunctionConfig, laser: LaserConfig, z, t):
     return electric_field(laser, t) * zc
 
 
+@cache
 def mean_image_magnitude(cfg: JunctionConfig) -> float:
     """Representative image-potential magnitude |V_imag(d/2)| (eV).
 
@@ -91,6 +93,9 @@ def mean_image_magnitude(cfg: JunctionConfig) -> float:
     correction felt along the transport path; the midpoint magnitude
     (1.0 eV for 1 nm) is the scale consistent with the model's regime
     (gamma ~ 0.7 at 8 V/nm, tunnel exit ~ 0.35 nm).
+
+    Cached per (frozen, hashable) junction: the image series behind it is
+    the dominant cost of a saddle solve.
     """
     return float(abs(image_potential(0.5 * cfg.width_d, cfg.width_d)))
 

@@ -8,6 +8,7 @@ from attostm import experiments
 from attostm.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, RECIPES,
                          load_config, main)
 from attostm.results import read_csv
+from attostm.solver import ReflectionRiskWarning
 
 
 def run_cli(*argv):
@@ -103,12 +104,28 @@ def test_propagate_command(tmp_path):
     assert sidecar["norm_deficit"] < 1e-6
     assert sidecar["max_solve_residual"] < 1e-12
     assert sidecar["backend"] == "numpy"
+    assert sidecar["warnings"] == []
     rec_files = list(out.glob("current_z*.csv"))
     assert len(rec_files) == 1
     cols, comments = read_csv(rec_files[0])
     assert {"time_fs", "j_per_fs"} <= set(cols)
     assert (out / "current_density_map.csv").exists()
     assert (out / "final_state.json").exists()
+
+
+def test_propagate_records_reflection_warning(tmp_path):
+    cfg = tiny_tdse_config()
+    cfg["propagate"] = {"t_start_fs": -25.0, "t_end_fs": 10.0,
+                        "snapshot_final_state": False}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "prop"
+    with pytest.warns(ReflectionRiskWarning, match="tip-side"):
+        assert run_cli("propagate", "--config", path,
+                       "--out", str(out)) == EXIT_OK
+    sidecar = json.loads((out / "propagation.json").read_text())
+    assert [w["category"] for w in sidecar["warnings"]] \
+        == ["ReflectionRiskWarning"]
+    assert "tip-side grid end" in sidecar["warnings"][0]["message"]
 
 
 def test_scan_delay(tmp_path):

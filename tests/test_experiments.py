@@ -169,11 +169,20 @@ def test_robustness_sweep_api():
         robustness_sweep("bogus", [1.0], cfg, tiny_laser(), tiny_grid())
 
 
-def test_delay_scan_strongfield_wrapper():
-    cfg = JunctionConfig()
-    laser = LaserConfig(field_F1=8.0)
-    taus = np.linspace(0.0, 3.0, 4)
-    scan = delay_scan_strongfield(cfg, laser, taus,
+@pytest.fixture(scope="module")
+def sf_scan():
+    return delay_scan_strongfield(JunctionConfig(), LaserConfig(field_F1=8.0),
+                                  np.linspace(0.0, 3.0, 4),
                                   energies=np.arange(1.0, 10.0, 1.5))
-    assert scan.metadata["kind"] == "delay_sf"
-    assert np.max(np.abs(scan.results)) == pytest.approx(1.0)
+
+
+def test_delay_scan_strongfield_wrapper(sf_scan):
+    assert sf_scan.metadata["kind"] == "delay_sf"
+    assert np.max(np.abs(sf_scan.results)) == pytest.approx(1.0)
+
+
+def test_delay_scan_strongfield_rerun_keeps_energy_grid(sf_scan):
+    assert sf_scan.metadata["energies_eV"] == np.arange(1.0, 10.0, 1.5).tolist()
+    again = rerun_from_metadata(sf_scan)
+    assert np.array_equal(sf_scan.results, again.results)
+    assert config_hash(sf_scan.metadata) == config_hash(again.metadata)

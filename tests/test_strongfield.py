@@ -6,7 +6,8 @@ from attostm.laser import effective_keldysh, field_crest_time
 from attostm.potential import mean_image_magnitude
 from attostm.strongfield import (SaddleConvergenceError, action,
                                  cutoff_energy, delay_scan_sf,
-                                 directional_spectrum, drift_energy_bound,
+                                 directional_spectrum, directional_weight,
+                                 drift_energy_bound,
                                  emission_phase_curve, solve_saddle,
                                  trajectory, tunnelling_amplitude)
 from attostm.units import EMASS, HBAR_EVFS
@@ -154,6 +155,31 @@ def test_direction_parity(cfg, las8):
     bwd = np.trapezoid(
         directional_spectrum(las8, cfg, e_grid, direction=-1) ** 2, e_grid)
     assert fwd / bwd > 2.0
+
+
+def test_direction_must_be_plus_or_minus_one(cfg, las8):
+    with pytest.raises(ValueError, match="direction"):
+        directional_weight(las8, cfg, direction=0)
+    with pytest.raises(ValueError, match="direction"):
+        directional_spectrum(las8, cfg, [1.0, 2.0], direction=2)
+    with pytest.raises(ValueError, match="direction"):
+        tunnelling_amplitude(2.0, 5.1, las8, cfg, direction=0)
+
+
+def test_forward_spectrum_is_amplitude_modulus(cfg, las8):
+    # the continued-root spectrum and the per-energy amplitude are the same
+    # crest sum forward, where each crest carries one physical root
+    e_grid = np.arange(0.5, 12.0, 0.5)
+    spectrum = directional_spectrum(las8, cfg, e_grid, direction=1)
+    amps = [abs(tunnelling_amplitude(e, 5.1, las8, cfg)) for e in e_grid]
+    np.testing.assert_allclose(spectrum, amps, rtol=1e-9)
+
+
+def test_amplitude_names_lost_dominant_crest(cfg, las8):
+    # backward at 0.5 eV the strongest crest has no physical root
+    with pytest.raises(SaddleConvergenceError,
+                       match=r"dominant crest -?\d+\.\d{3} fs for E = 0.5 eV"):
+        tunnelling_amplitude(0.5, 5.1, las8, cfg, direction=-1)
 
 
 def test_trajectory_exit_and_closure(cfg, las8):
