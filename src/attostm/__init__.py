@@ -9,7 +9,7 @@ from .potential import (PotentialProfile, image_potential, laser_interaction,
                         mean_image_magnitude, sample_static_profile,
                         static_potential)
 from .solver import (CurrentRecord, MapSpec, WaveState, initial_state,
-                     propagate, step, transferred_charge)
+                     propagate, transferred_charge)
 from .units import CONSTANTS, PhysicalConstants
 
 __all__ = [
@@ -18,6 +18,6 @@ __all__ = [
     "PotentialProfile", "WaveState", "desk_grid", "effective_keldysh",
     "electric_field", "image_potential", "initial_state",
     "laser_interaction", "mean_image_magnitude", "propagate",
-    "reference_grid", "sample_static_profile", "static_potential", "step",
+    "reference_grid", "sample_static_profile", "static_potential",
     "transferred_charge", "vector_potential", "__version__",
 ]

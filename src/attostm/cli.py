@@ -34,13 +34,15 @@ EXIT_IO = 4
 
 RECIPES = ("fig3a", "fig4a", "fig4bc", "figSK", "figDecay", "figDirect",
            "figVariation")
+SCAN_KINDS = ("delay", "power", "width", "ratio", "robustness")
 
 
 class ConfigError(ValueError):
     pass
 
 
-# schema: nested mapping of allowed keys -> type (or nested dict)
+# schema: nested mapping of allowed keys -> type, [element type] for a
+# list, or a nested dict
 _SCHEMA = {
     "junction": {
         "width_nm": float, "workfunction_tip_eV": float,
@@ -59,8 +61,8 @@ _SCHEMA = {
         "absorber": {"strength_eV": float, "fraction": float, "enabled": bool},
     },
     "propagate": {
-        "t_start_fs": float, "t_end_fs": float, "probes_nm": list,
-        "midpoint_field": bool, "snapshot_final_state": bool,
+        "t_start_fs": float, "t_end_fs": float, "probes_nm": [float],
+        "snapshot_final_state": bool,
         "map": {"z_lo_nm": float, "z_hi_nm": float, "stride": int},
     },
     "scan": {
@@ -70,15 +72,35 @@ _SCHEMA = {
     },
     "saddle": {
         "energy_start_eV": float, "energy_stop_eV": float, "energy_count": int,
-        "trajectory_energies_eV": list, "binding_eV": float,
+        "trajectory_energies_eV": [float], "binding_eV": float,
     },
     "lockin": {
         "mode": str, "input_csv": str, "delta_fs": float, "beta": float,
         "noise_estimate": float,
     },
-    "potential": {"snapshot_times_fs": list},
+    "potential": {"snapshot_times_fs": [float]},
     "output_dir": str,
 }
+
+
+def _check_value(val, want, here):
+    if isinstance(want, list):
+        if not isinstance(val, list):
+            raise ConfigError(f"{here}: expected a list, got "
+                              f"{type(val).__name__} {val!r}")
+        for i, item in enumerate(val):
+            _check_value(item, want[0], f"{here}[{i}]")
+        return
+    # an int stands in for a float; a bool is never a number
+    if isinstance(val, bool):
+        ok = want is bool
+    elif want is float:
+        ok = isinstance(val, (int, float))
+    else:
+        ok = isinstance(val, want)
+    if not ok:
+        raise ConfigError(f"{here}: expected {want.__name__}, got "
+                          f"{type(val).__name__} {val!r}")
 
 
 def _check_keys(data, schema, path=""):
@@ -91,6 +113,8 @@ def _check_keys(data, schema, path=""):
         sub = schema[key]
         if isinstance(sub, dict):
             _check_keys(val, sub, here)
+        else:
+            _check_value(val, sub, here)
 
 
 def load_config(source: str) -> dict:
@@ -221,9 +245,7 @@ def cmd_propagate(data, out_dir, args) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             res = propagate(cfg, laser, grid, t0, t1, probes=probes,
-                            absorber=absorber,
-                            midpoint=p.get("midpoint_field", False),
-                            map_spec=map_spec)
+                            absorber=absorber, map_spec=map_spec)
     except SolverError as exc:
         print(f"propagation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
@@ -256,7 +278,7 @@ def cmd_propagate(data, out_dir, args) -> int:
     return EXIT_OK
 
 
-def _sweep_values(scan: dict, kind: str):
+def _sweep_values(scan: dict):
     if not {"start", "stop", "count"} <= set(scan):
         raise ConfigError("scan needs start, stop, count")
     n = int(scan["count"])
@@ -278,10 +300,10 @@ def cmd_scan(data, out_dir, args) -> int:
     grid, absorber = build_grid(data, args.preset)
     scan = data.get("scan", {})
     kind = args.kind or scan.get("kind")
-    if kind not in ("delay", "power", "width", "ratio", "robustness"):
-        raise ConfigError("scan.kind must be one of delay, power, width, "
-                          f"ratio, robustness (got {kind!r})")
-    values = _sweep_values(scan, kind)
+    if kind not in SCAN_KINDS:
+        raise ConfigError(f"scan.kind must be one of {', '.join(SCAN_KINDS)} "
+                          f"(got {kind!r})")
+    values = _sweep_values(scan)
     started = time.perf_counter()
     try:
         if kind == "delay":
@@ -442,8 +464,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--dry-run", action="store_true",
                        help="validate and print the resolved config only")
         if name == "scan":
-            p.add_argument("--kind", choices=("delay", "power", "width",
-                                              "ratio", "robustness"))
+            p.add_argument("--kind", choices=SCAN_KINDS)
         if name == "lockin":
             p.add_argument("--mode", choices=("forward", "invert",
                                               "select-beta"))

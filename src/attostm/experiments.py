@@ -117,9 +117,9 @@ def _wall_charges(cfg, laser, grid, *, absorber=None,
     return out
 
 
-def directional_transfers(cfg, laser, grid, *, absorber=None,
-                          initial=None) -> tuple[float, float]:
-    """(J+, J-): total tip->sample and sample->tip transferred charge.
+def net_delay_charge(cfg, laser, grid, *, absorber=None,
+                     initial=None) -> float:
+    """Net laser-induced charge per pulse: tip->sample minus sample->tip.
 
     Both electrodes carry a Fermi sea; in the symmetric zero-bias junction
     the sample electron's transport is, by parity, the tip run under the
@@ -127,23 +127,14 @@ def directional_transfers(cfg, laser, grid, *, absorber=None,
     two junction walls. By continuity Q(0) - Q(d) is the change of the gap
     population over the run, so the two walls can disagree by that much,
     which may exceed the transfer itself.
-    """
-    (q0p, qdp), (q0m, qdm) = _wall_charges(cfg, laser, grid,
-                                           absorber=absorber, initial=initial)
-    return 0.5 * (q0p + qdp), 0.5 * (q0m + qdm)
-
-
-def net_delay_charge(cfg, laser, grid, *, absorber=None,
-                     initial=None) -> float:
-    """Net laser-induced charge per pulse: tip->sample minus sample->tip.
 
     This is what the experiment's delay scans measure: symmetric around
     zero over a delay period and sign-inverting under waveform flip.
     Single-electrode quantities (the Fig-4c-style bursts) use one run.
     """
-    j_fwd, j_bwd = directional_transfers(cfg, laser, grid, absorber=absorber,
-                                         initial=initial)
-    return j_fwd - j_bwd
+    (q0p, qdp), (q0m, qdm) = _wall_charges(cfg, laser, grid,
+                                           absorber=absorber, initial=initial)
+    return 0.5 * (q0p + qdp) - 0.5 * (q0m + qdm)
 
 
 def delay_scan_tdse(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
@@ -230,7 +221,7 @@ def directionality(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
 
     J+ and J- are the charges that reach the sample wall z = d in the run
     under the pulse (tip->sample) and under its negation (sample->tip, by
-    parity). The wall average of directional_transfers is not used: it
+    parity). The wall average of net_delay_charge is not used: it
     carries the change of gap population, which can push Delta above 1.
     A negative J+ or J- means charge flowed back through the sample wall,
     as amplitude reflected from the sample-side grid end does; it raises

@@ -30,11 +30,10 @@ class LockinSupportError(ValueError):
 
 @dataclass(frozen=True)
 class ModulationSpec:
-    """Sinusoidal delay modulation: amplitude in fs; the angular frequency
-    cancels in the demodulated integral and is kept as metadata only."""
+    """Sinusoidal delay modulation with amplitude in fs; the modulation
+    frequency cancels in the demodulated integral."""
 
     amplitude_delta: float = 0.6
-    angular_frequency_Omega: float = 2.0 * np.pi * 3.7e3
 
     def __post_init__(self):
         if self.amplitude_delta <= 0:

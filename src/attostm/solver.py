@@ -20,7 +20,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .config import JunctionConfig, LaserConfig
 from .grid import AbsorberSpec, GridSpec
-from .kernels import SolverError, cn_chunk
+from .kernels import SolverError, cn_chunk, current
 from .laser import electric_field, pulse_onset
 from .potential import PotentialProfile, sample_static_profile
 from .units import AUTIME_FS, BOHR_NM, EMASS, HARTREE_EV, HBAR_EVFS, HBAR2_OVER_2M
@@ -112,6 +112,15 @@ class MapSpec:
     z_hi: float
     stride: int = 8
 
+    def __post_init__(self):
+        if not self.z_lo < self.z_hi:
+            raise ValueError(f"map window needs z_lo < z_hi, got "
+                             f"[{self.z_lo}, {self.z_hi}] nm")
+        if int(self.stride) != self.stride or self.stride < 1:
+            raise ValueError(f"map stride must be a positive integer, got "
+                             f"{self.stride!r}")
+        object.__setattr__(self, "stride", int(self.stride))
+
 
 @dataclass(frozen=True)
 class SpaceTimeMap:
@@ -143,8 +152,8 @@ def build_hamiltonian_diagonals(profile: PotentialProfile, grid: GridSpec):
     return main, -k
 
 
-def initial_state(cfg: JunctionConfig, grid: GridSpec, *, time: float = 0.0,
-                  window: float = 0.5, min_localization: float = 0.99) -> WaveState:
+def initial_state(cfg: JunctionConfig, grid: GridSpec, *,
+                  window: float = 0.5) -> WaveState:
     """Fermi-level eigenstate of the static junction, localized on the tip.
 
     Picks the eigenvalue of the discretized laser-off Hamiltonian closest to
@@ -165,7 +174,7 @@ def initial_state(cfg: JunctionConfig, grid: GridSpec, *, time: float = 0.0,
     tip_frac = np.sum(v[tip, :] ** 2, axis=0)
     dist = np.abs(w - target)
     order = np.argsort(dist, kind="stable")
-    localized = [i for i in order if tip_frac[i] >= min_localization]
+    localized = [i for i in order if tip_frac[i] >= 0.99]
     if not localized:
         raise InitialStateError(
             f"no tip-localized state near {target} eV "
@@ -178,7 +187,7 @@ def initial_state(cfg: JunctionConfig, grid: GridSpec, *, time: float = 0.0,
     psi = np.zeros(grid.n_points, dtype=np.complex128)
     psi[1:-1] = v[:, best] / np.sqrt(grid.dz)
     psi /= np.sqrt(WaveState.norm_squared_of(psi, grid.dz))
-    return WaveState(grid, psi, time, energy=float(w[best]))
+    return WaveState(grid, psi, 0.0, energy=float(w[best]))
 
 
 def _kernel_inputs(values_eV, grid, cfg, absorber):
@@ -193,28 +202,13 @@ def _kernel_inputs(values_eV, grid, cfg, absorber):
     return vstat, zcoef, koff
 
 
-def _j_sample(psi, idx, jcoef):
-    return jcoef * np.imag(np.conj(psi[idx]) * (psi[idx + 1] - psi[idx - 1]))
-
-
-def step(state: WaveState, diagonals, dt: float) -> WaveState:
-    """One Crank-Nicolson step with the Hamiltonian frozen at the given
-    diagonals (eV). The Cayley form conserves the norm unconditionally."""
-    main, off = diagonals
-    if main.size != state.grid.n_points - 2:
-        raise ValueError("diagonals do not match the grid interior")
-    koff = -off / HARTREE_EV
-    vstat = np.zeros(state.grid.n_points, dtype=np.complex128)
-    vstat[1:-1] = (main + 2.0 * off) / HARTREE_EV
-    zcoef = np.zeros(state.grid.n_points)
-    psi = state.psi.copy()
-    half_dt = 0.5 * dt / AUTIME_FS
-    cn_chunk(psi, vstat, zcoef, np.zeros(1), half_dt, koff,
-             np.empty(0, dtype=np.int64), 0.0, np.empty((0, 1)), 0, 0, 0,
-             np.empty((0, 0)), 0, False)
-    if not np.all(np.isfinite(psi)):
-        raise SolverError("non-finite amplitudes after step (instability)")
-    return WaveState(state.grid, psi, state.time + dt, energy=None)
+def _interior_index(grid: GridSpec, z: float, what: str) -> int:
+    """Index of the grid point nearest z; ValueError unless it is interior."""
+    i = int(round((z - grid.z_min) / grid.dz))
+    if not 1 <= i <= grid.n_points - 2:
+        raise ValueError(f"{what} at {z} nm is outside the grid interior "
+                         f"({grid.z_min}, {grid.z_max}) nm")
+    return i
 
 
 def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
@@ -222,19 +216,28 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
               absorber: AbsorberSpec | None = None,
               static_profile: PotentialProfile | None = None,
               initial: WaveState | None = None,
-              midpoint: bool = False,
               map_spec: MapSpec | None = None) -> PropagationResult:
     """Full time evolution from t_start to t_end.
 
     probes lists z positions (nm) to record current density at; None entries
-    resolve to the sample boundary z = d. The potential is rebuilt each step
-    from the static profile plus the laser term evaluated at the step start
-    (midpoint=True samples the field at t + dt/2 instead).
+    resolve to the sample boundary z = d. A probe or map edge whose nearest
+    grid point is not interior raises ValueError. The potential is rebuilt
+    each step from the static profile plus the laser term evaluated at the
+    step start.
     """
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
     if not (grid.z_min < 0.0 < cfg.width_d < grid.z_max):
         raise ValueError("grid must bracket the junction: z_min < 0 < d < z_max")
+    probe_idx = np.array(
+        [_interior_index(grid, cfg.width_d if p is None else float(p), "probe")
+         for p in probes], dtype=np.int64)
+    if map_spec is not None:
+        map_i0 = _interior_index(grid, map_spec.z_lo, "map edge z_lo")
+        map_i1 = _interior_index(grid, map_spec.z_hi, "map edge z_hi")
+        if map_i1 == map_i0:
+            raise ValueError("map window is narrower than one grid step")
+        map_idx = np.arange(map_i0, map_i1)
     onset = pulse_onset(laser)
     if laser.field_F1 > 0 and t_start > onset:
         warnings.warn(f"t_start = {t_start} fs is after the pulse onset at "
@@ -248,7 +251,6 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
 
     state0 = initial if initial is not None else initial_state(cfg, grid)
     psi = state0.psi.copy()
-    n = psi.size
     dz = grid.dz
     dt = grid.dt
     n_steps = max(1, int(np.ceil((t_end - t_start) / dt - 1e-9)))
@@ -257,23 +259,17 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     vstat, zcoef, koff = _kernel_inputs(profile.values, grid, cfg, absorber)
     half_dt = 0.5 * dt / AUTIME_FS
     jcoef = (HBAR_EVFS / EMASS) / (2.0 * dz)
-    t_field = times[:-1] + (0.5 * dt if midpoint else 0.0)
-    efield = np.asarray(electric_field(laser, t_field), dtype=float)
+    efield = np.asarray(electric_field(laser, times[:-1]), dtype=float)
 
-    probe_z = [cfg.width_d if p is None else float(p) for p in probes]
-    probe_idx = np.array(
-        [min(max(int(round((p - grid.z_min) / dz)), 1), n - 2) for p in probe_z],
-        dtype=np.int64)
     j_out = np.zeros((probe_idx.size, n_steps + 1))
-
-    map_every, map_i0, map_i1 = 0, 0, 0
-    map_out = np.empty((0, 0))
     if map_spec is not None:
-        map_i0 = min(max(int(round((map_spec.z_lo - grid.z_min) / dz)), 1), n - 2)
-        map_i1 = min(max(int(round((map_spec.z_hi - grid.z_min) / dz)), 2), n - 1)
-        map_every = max(1, int(map_spec.stride))
-        map_rows = n_steps // map_every + 1
-        map_out = np.zeros((map_rows, map_i1 - map_i0))
+        stride = map_spec.stride
+        map_out = np.zeros((n_steps // stride + 1, map_idx.size))
+
+    def record(psi, n):
+        j_out[:, n] = current(psi, probe_idx, jcoef)
+        if map_spec is not None and n % stride == 0:
+            map_out[n // stride] = current(psi, map_idx, jcoef)
 
     # reflection-risk bookkeeping: watch for probability arriving within
     # 10 nm of either fixed end, relative to the initial occupation there
@@ -289,8 +285,7 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     while done < n_steps:
         todo = min(CHUNK_STEPS, n_steps - done)
         resid = cn_chunk(psi, vstat, zcoef, efield[done:done + todo], half_dt,
-                         koff, probe_idx, jcoef, j_out, map_every, map_i0,
-                         map_i1, map_out, done, True)
+                         koff, done, record)
         max_resid = max(max_resid, resid)
         done += todo
         if not np.all(np.isfinite(psi)):
@@ -305,21 +300,13 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
                     f"10 nm of the {'tip' if side == 0 else 'sample'}-side grid "
                     "end (reflection risk)", ReflectionRiskWarning, stacklevel=2)
                 warned[side] = True
+    record(psi, n_steps)
 
-    for p in range(probe_idx.size):
-        j_out[p, n_steps] = _j_sample(psi, probe_idx[p], jcoef)
     stm = None
     if map_spec is not None:
-        if n_steps % map_every == 0:
-            row = n_steps // map_every
-            seg = np.arange(map_i0, map_i1)
-            map_out[row, :] = _j_sample(psi, seg, jcoef)
-        stm = SpaceTimeMap(times=times[::map_every],
-                           z=grid.z[map_i0:map_i1], j=map_out)
-
+        stm = SpaceTimeMap(times=times[::stride], z=grid.z[map_idx], j=map_out)
     final = WaveState(grid, psi, float(times[-1]))
-    records = [CurrentRecord(grid.z[probe_idx[p]], times, j_out[p])
-               for p in range(probe_idx.size)]
+    records = [CurrentRecord(grid.z[i], times, j) for i, j in zip(probe_idx, j_out)]
     return PropagationResult(final, records, map=stm,
                              norm_initial=norm_initial,
                              norm_final=final.norm_squared,
@@ -330,12 +317,3 @@ def transferred_charge(record: CurrentRecord) -> float:
     """Time-integrated probability current: electrons per pulse, signed,
     positive for tip -> sample flow."""
     return float(np.trapezoid(record.current_density, record.times))
-
-
-def directional_charges(record: CurrentRecord) -> tuple[float, float]:
-    """(J+, J-): time integrals of the positive- and negative-signed parts
-    of the boundary current, both returned as non-negative numbers."""
-    j = record.current_density
-    jp = float(np.trapezoid(np.clip(j, 0.0, None), record.times))
-    jm = float(-np.trapezoid(np.clip(j, None, 0.0), record.times))
-    return jp, jm

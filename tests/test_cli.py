@@ -59,6 +59,28 @@ def test_workers_key_is_rejected(tmp_path, capsys):
     assert "unknown config key: workers" in capsys.readouterr().err
 
 
+def test_declared_types_are_enforced(tmp_path, capsys):
+    for bad, key in (({"junction": {"width_nm": "abc"}}, "junction.width_nm"),
+                     ({"laser": {"field_V_per_nm": True}},
+                      "laser.field_V_per_nm"),
+                     ({"scan": {"count": 2.5}}, "scan.count"),
+                     ({"propagate": {"snapshot_final_state": 1}},
+                      "propagate.snapshot_final_state"),
+                     ({"propagate": {"probes_nm": 1.0}}, "propagate.probes_nm"),
+                     ({"propagate": {"probes_nm": [1.0, "x"]}},
+                      "propagate.probes_nm[1]"),
+                     ({"potential": {"snapshot_times_fs": ["x"]}},
+                      "potential.snapshot_times_fs[0]")):
+        path = write_config(tmp_path, tiny_tdse_config(**bad))
+        assert run_cli("propagate", "--config", path, "--dry-run") \
+            == EXIT_CONFIG
+        assert f"{key}: expected" in capsys.readouterr().err
+    # an int stands in for a declared float
+    path = write_config(tmp_path, tiny_tdse_config(junction={"width_nm": 2}))
+    assert run_cli("potential", "--config", path, "--dry-run") == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["junction"]["width_d"] == 2
+
+
 def test_missing_config():
     assert run_cli("potential", "--config", "nope.yaml") == EXIT_CONFIG
 
@@ -111,6 +133,23 @@ def test_propagate_command(tmp_path):
     assert {"time_fs", "j_per_fs"} <= set(cols)
     assert (out / "current_density_map.csv").exists()
     assert (out / "final_state.json").exists()
+
+
+@pytest.mark.parametrize("propagate_cfg, message", [
+    ({"probes_nm": [500.0]}, "probe at 500.0 nm is outside the grid"),
+    ({"map": {"z_lo_nm": 1.0, "z_hi_nm": 1.0}}, "z_lo < z_hi"),
+    ({"map": {"z_lo_nm": -1.0, "z_hi_nm": 2.0, "stride": 0}}, "stride"),
+], ids=["probe_off_grid", "empty_map", "zero_stride"])
+def test_propagate_rejects_bad_probe_or_map(tmp_path, capsys, propagate_cfg,
+                                            message):
+    cfg = tiny_tdse_config()
+    cfg["propagate"] = dict(propagate_cfg, t_start_fs=-25.0, t_end_fs=-24.0)
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "prop"
+    assert run_cli("propagate", "--config", path, "--out", str(out)) \
+        == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_propagate_records_reflection_warning(tmp_path):

@@ -4,12 +4,9 @@ from scipy.linalg import solve_banded
 
 from attostm.kernels import SolverError, cn_chunk
 
-NO_PROBES = np.empty(0, dtype=np.int64)
 
-
-def _step_only(psi, vstat, zcoef, efield, half_dt, koff):
-    cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, NO_PROBES, 0.0,
-             np.empty((0, efield.size)), 0, 0, 0, np.empty((0, 0)), 0, False)
+def _no_record(psi, n):
+    pass
 
 
 def test_cn_chunk_matches_solve_banded_and_dense(rng):
@@ -21,7 +18,9 @@ def test_cn_chunk_matches_solve_banded_and_dense(rng):
     efield = rng.normal(size=3)
     half_dt, koff = 0.3, 1.7
     psi = psi0.copy()
-    _step_only(psi, vstat, zcoef, efield, half_dt, koff)
+    seen = []
+    cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, 5,
+             lambda p, n: seen.append((n, p.copy())))
 
     a_off = -1j * half_dt * koff
     ab = np.empty((3, n - 2), dtype=np.complex128)
@@ -40,6 +39,9 @@ def test_cn_chunk_matches_solve_banded_and_dense(rng):
         dense[1:-1] = np.linalg.solve(mat, rd)
     assert np.array_equal(psi, ref)
     assert np.max(np.abs(psi - dense)) <= 1e-12 * np.max(np.abs(dense))
+    # record sees each step's input state under its global step number
+    assert [n for n, _ in seen] == [5, 6, 7]
+    assert np.array_equal(seen[0][1], psi0)
 
 
 def test_cn_chunk_singular_system_is_solver_error():
@@ -49,4 +51,5 @@ def test_cn_chunk_singular_system_is_solver_error():
     vstat[1:3] = -1.5 + 1j
     psi = np.array([0.0, 1.0, 1.0, 0.0], dtype=np.complex128)
     with pytest.raises(SolverError, match="step 0"):
-        _step_only(psi, vstat, np.zeros(4), np.zeros(2), half_dt, koff)
+        cn_chunk(psi, vstat, np.zeros(4), np.zeros(2), half_dt, koff, 0,
+                 _no_record)

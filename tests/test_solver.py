@@ -9,11 +9,10 @@ from attostm.config import JunctionConfig, LaserConfig
 from attostm.experiments import default_time_span
 from attostm.grid import AbsorberSpec, GridSpec, bandwidth_steps, desk_grid, reference_grid
 from attostm.potential import PotentialProfile, sample_static_profile
-from attostm.solver import (CurrentRecord, InitialStateError,
+from attostm.solver import (CurrentRecord, InitialStateError, MapSpec,
                             ReflectionRiskWarning, WaveState,
-                            build_hamiltonian_diagonals, directional_charges,
-                            gaussian_packet, initial_state, propagate, step,
-                            transferred_charge)
+                            build_hamiltonian_diagonals, gaussian_packet,
+                            initial_state, propagate, transferred_charge)
 from attostm.units import EMASS, HBAR_EVFS, HBAR2_OVER_2M
 
 
@@ -29,6 +28,15 @@ def short_pulse(f1=6.0, eta=np.sqrt(0.1)):
 
 def flat_profile(grid, value=0.0):
     return PotentialProfile(grid.z, np.full(grid.n_points, value))
+
+
+def field_free_steps(grid, initial, n_steps, profile):
+    """Final state after n_steps Crank-Nicolson steps with the laser off."""
+    res = propagate(JunctionConfig(), LaserConfig(field_F1=0.0), grid, 0.0,
+                    n_steps * grid.dt, probes=(None,), initial=initial,
+                    static_profile=profile)
+    assert res.records[0].times.size == n_steps + 1
+    return res.final_state
 
 
 def test_grid_presets():
@@ -112,10 +120,7 @@ def test_initial_state_errors():
 def test_step_norm_conservation():
     grid = small_grid()
     packet = gaussian_packet(grid, center=-5.0, sigma=1.5, k0=3.0)
-    main_off = build_hamiltonian_diagonals(flat_profile(grid), grid)
-    state = packet
-    for _ in range(1000):
-        state = step(state, main_off, grid.dt)
+    state = field_free_steps(grid, packet, 1000, flat_profile(grid))
     assert abs(state.norm_squared - 1.0) < 1e-10
 
 
@@ -123,11 +128,8 @@ def test_step_free_packet_group_velocity():
     grid = small_grid(-30.0, 30.0)
     k0 = 3.0
     packet = gaussian_packet(grid, center=-8.0, sigma=2.0, k0=k0)
-    main_off = build_hamiltonian_diagonals(flat_profile(grid), grid)
-    state = packet
     n_steps = 500
-    for _ in range(n_steps):
-        state = step(state, main_off, grid.dt)
+    state = field_free_steps(grid, packet, n_steps, flat_profile(grid))
     z = grid.z
     center0 = np.sum(z * packet.density()) * grid.dz
     center1 = np.sum(z * state.density()) * grid.dz
@@ -140,11 +142,8 @@ def test_step_stationary_eigenstate():
     cfg = JunctionConfig()
     grid = small_grid()
     st = initial_state(cfg, grid)
-    main_off = build_hamiltonian_diagonals(
-        sample_static_profile(cfg, grid.z), grid)
-    state = st
-    for _ in range(1000):
-        state = step(state, main_off, grid.dt)
+    state = field_free_steps(grid, st, 1000,
+                             sample_static_profile(cfg, grid.z))
     overlap = abs(np.vdot(st.psi, state.psi)) * grid.dz
     assert overlap == pytest.approx(1.0, abs=1e-8)
 
@@ -212,14 +211,6 @@ def test_transferred_charge_additivity_and_zero():
     assert parts == pytest.approx(transferred_charge(rec), abs=1e-12)
 
 
-def test_directional_charges_split():
-    t = np.linspace(0.0, 2.0, 201)
-    j = np.sin(2 * np.pi * t)
-    jp, jm = directional_charges(CurrentRecord(1.0, t, j))
-    assert jp == pytest.approx(jm, rel=1e-6)
-    assert jp > 0
-
-
 def test_gauge_offset_invariance():
     grid = small_grid()
     cfg = JunctionConfig()
@@ -258,6 +249,42 @@ def test_reflection_warning():
         propagate(cfg, LaserConfig(field_F1=0.0), grid, 0.0, 14.0,
                   probes=(None,), initial=packet,
                   static_profile=flat_profile(grid))
+
+
+def test_map_spec_validation():
+    for z_lo, z_hi in ((1.0, 1.0), (2.0, -1.0), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="z_lo < z_hi"):
+            MapSpec(z_lo, z_hi)
+    for stride in (0, -8, 2.5):
+        with pytest.raises(ValueError, match="stride"):
+            MapSpec(-1.0, 2.0, stride)
+    assert MapSpec(-1.0, 2.0, 8.0).stride == 8
+
+
+def test_probe_and_map_must_lie_inside_the_grid():
+    grid = small_grid()
+    cfg = JunctionConfig()
+    las = LaserConfig(field_F1=0.0)
+    packet = gaussian_packet(grid, center=-5.0, sigma=1.5, k0=3.0)
+
+    def run(probes=(None,), map_spec=None):
+        return propagate(cfg, las, grid, 0.0, 0.1, probes=probes,
+                         initial=packet, map_spec=map_spec)
+
+    for z in (500.0, -20.0, 20.0):
+        with pytest.raises(ValueError, match="probe .* outside the grid"):
+            run(probes=(1.0, z))
+    with pytest.raises(ValueError, match="map edge z_hi .* outside the grid"):
+        run(map_spec=MapSpec(-1.0, 25.0))
+    with pytest.raises(ValueError, match="map edge z_lo .* outside the grid"):
+        run(map_spec=MapSpec(-20.0, 2.0))
+    with pytest.raises(ValueError, match="narrower than one grid step"):
+        run(map_spec=MapSpec(1.0, 1.0 + 0.1 * grid.dz))
+    # the outermost interior points are accepted
+    res = run(probes=(grid.z[1], grid.z[-2]),
+              map_spec=MapSpec(grid.z[1], grid.z[-2], 4))
+    assert res.map.j.shape == ((res.records[0].times.size - 1) // 4 + 1,
+                               grid.n_points - 3)
 
 
 def test_wavestate_validation():
