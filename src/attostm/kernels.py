@@ -1,9 +1,19 @@
-"""Crank-Nicolson stepping kernel.
+"""Crank-Nicolson stepping kernel with an exact closure of the tip block.
 
 One chunk stepper advances the wavefunction: a vectorised right-hand side
 and LAPACK's pivoted tridiagonal solve (zgtsv, the routine scipy's
 solve_banded hands (1, 1) bands to), handing the state before each step
 to a recording callback.
+
+Only the window psi[J-1:] is stepped. Rows 1 ... J-1 form the tip block:
+a constant level, no laser term and no absorber, closed by the Dirichlet
+end at row 0. There the Crank-Nicolson recursion is diagonal in the sine
+basis of the block's tridiagonal matrix, so the block is carried as mode
+amplitudes (TipBlock) that couple to row J through one scalar per step.
+This is the exact discrete transparent boundary condition of the block
+(Arnold, VLSI Design 6, 313 (1998)) in recursive form: the compact system
+reproduces the full grid up to rounding, for any tip data. J = 1 is an
+empty block: the plain full-grid step, bit for bit.
 
 Inside the kernel the Hamiltonian is in Hartree atomic units (koff =
 1/(2 dz_au^2), half_dt = dt_au/2, potentials in hartree); the wavefunction
@@ -12,6 +22,7 @@ keeps its 1/sqrt(nm) normalisation, and currents are emitted directly in
 """
 
 import numpy as np
+from scipy.fft import dst
 from scipy.linalg.lapack import zgtsv
 
 
@@ -30,23 +41,78 @@ def current(psi, idx, jcoef):
     return jcoef * np.imag(np.conj(psi[idx]) * (psi[idx + 1] - psi[idx - 1]))
 
 
-def cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, step_off, record):
+class TipBlock:
+    """Homogeneous tip rows 1 ... J-1 as Crank-Nicolson sine modes.
+
+    With theta_q = q pi/J, u_q(i) = sqrt(2/J) sin(i theta_q) and
+    lambda_q = level + 2 koff (1 - cos theta_q), each step maps the mode
+    amplitudes a_q to c_q a_q + beta_q (psi_J^{n+1} + psi_J^n), with
+    c_q = (1 - i half_dt lambda_q)/(1 + i half_dt lambda_q) and
+    beta_q = i half_dt koff u_q(J-1)/(1 + i half_dt lambda_q); row J-1 is
+    then g + ell0 (psi_J^{n+1} + psi_J^n), g = sum_q u_q(J-1) c_q a_q.
+    """
+
+    def __init__(self, psi_tip, level, half_dt, koff):
+        """psi_tip = psi[1:J]; level is the block's potential (hartree)."""
+        cut = psi_tip.shape[0] + 1
+        theta = np.pi * np.arange(1, cut) / cut
+        lam = level + 2.0 * koff * (1.0 - np.cos(theta))
+        den = 1.0 + 1j * half_dt * lam
+        u_last = np.sqrt(2.0 / cut) * np.sin((cut - 1) * theta)
+        self.cut = cut
+        self.c = (1.0 - 1j * half_dt * lam) / den
+        self.beta = 1j * half_dt * koff * u_last / den
+        self.w = u_last * self.c
+        self.ell0 = complex(u_last @ self.beta)
+        self.modes = self._dst(np.asarray(psi_tip, dtype=np.complex128))
+
+    @staticmethod
+    def _dst(x):
+        # the orthonormal DST-I is its own inverse: grid rows <-> modes
+        return dst(x, type=1, norm="ortho") if x.size else x.copy()
+
+    def interior(self):
+        """The tip rows psi[1:J] the mode amplitudes describe."""
+        return self._dst(self.modes)
+
+
+def cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, step_off, record,
+             tip=None):
     """Advance psi in place by len(efield) >= 1 steps, calling
     record(psi, step_off + s) before step s; return the relative residual
-    of the chunk's last solve."""
-    n = psi.shape[0]
+    of the chunk's last solve.
+
+    With a TipBlock of cut J, only psi[J-1:] is stepped and the tip rows
+    psi[1:J-1] are left stale: tip.interior() gives them. Without one
+    (J = 1) the whole grid is stepped.
+    """
+    if tip is None:
+        tip = TipBlock(psi[1:1], 0.0, half_dt, koff)
+    p = psi[tip.cut - 1:]
+    vs = vstat[tip.cut:-1]
+    zc = zcoef[tip.cut:-1]
+    n = p.shape[0]
     a_off = -1j * half_dt * koff
     off = np.full(n - 3, a_off, dtype=np.complex128)
+    ell0 = tip.ell0
     for s in range(efield.shape[0]):
         record(psi, step_off + s)
-        v = vstat[1:-1] + efield[s] * zcoef[1:-1]
+        v = vs + efield[s] * zc
         am = 1.0 + 1j * half_dt * (2.0 * koff + v)
-        r = -a_off * (psi[:-2] + psi[2:]) + (2.0 - am) * psi[1:-1]
+        r = -a_off * (p[:-2] + p[2:]) + (2.0 - am) * p[1:-1]
+        # row J sees row J-1 at the new time through the block's closure
+        g = tip.w @ tip.modes
+        am[0] += a_off * ell0
+        r[0] -= a_off * (g + ell0 * p[1])
         x, info = zgtsv(off, am, off, r)[3:]
         if info != 0:
             raise SolverError(f"tridiagonal solve failed at step "
                               f"{step_off + s} (zgtsv info = {info})")
-        psi[1:-1] = x
+        both = x[0] + p[1]
+        tip.modes *= tip.c
+        tip.modes += tip.beta * both
+        p[0] = g + ell0 * both
+        p[1:-1] = x
     res = am * x - r
     res[1:] += a_off * x[:-1]
     res[:-1] += a_off * x[1:]

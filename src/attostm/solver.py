@@ -5,6 +5,12 @@ static junction profile plus the instantaneous laser term, advances the
 wavefunction with the unitary Cayley form, and records the probability
 current density j = (hbar/m) Im(psi* dpsi/dz) at probe positions.
 
+The tip interior below the first point that sees the laser, the junction
+potential, a probe or the map is homogeneous. `propagate` finds that block
+from the data, carries it as exact sine modes (kernels.TipBlock) and steps
+only the window above it; the result equals a full-grid run up to rounding,
+and z_min still sets the box the modes live in.
+
 Internally the Hamiltonian is converted to Hartree atomic units; all
 public quantities stay in eV / nm / fs. Before propagation the static
 profile is shifted so its minimum sits at zero: a global offset only
@@ -20,7 +26,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .config import JunctionConfig, LaserConfig
 from .grid import AbsorberSpec, GridSpec
-from .kernels import SolverError, cn_chunk, current
+from .kernels import SolverError, TipBlock, cn_chunk, current
 from .laser import electric_field, pulse_onset
 from .potential import PotentialProfile, sample_static_profile
 from .units import AUTIME_FS, BOHR_NM, EMASS, HARTREE_EV, HBAR_EVFS, HBAR2_OVER_2M
@@ -137,6 +143,8 @@ class PropagationResult:
     norm_initial: float = 1.0
     norm_final: float = 1.0
     max_residual: float = 0.0
+    tip_cut_nm: float = 0.0  # top of the tip block carried as sine modes
+    stepped_points: int = 0  # grid points the tridiagonal solve updates
 
 
 def build_hamiltonian_diagonals(profile: PotentialProfile, grid: GridSpec):
@@ -202,6 +210,14 @@ def _kernel_inputs(values_eV, grid, cfg, absorber):
     return vstat, zcoef, koff
 
 
+def _tip_cut(vstat, zcoef, watched):
+    """Cut J of the tip block: rows 1 ... J-1 share row 1's level, see no
+    laser and lie below row watched - 1, so every row a probe or map point
+    at index >= watched reads is stepped."""
+    flat = (vstat[1:watched - 1] == vstat[1]) & (zcoef[1:watched - 1] == 0.0)
+    return 1 + int(np.argmin(np.append(flat, False)))
+
+
 def _interior_index(grid: GridSpec, z: float, what: str) -> int:
     """Index of the grid point nearest z; ValueError unless it is interior."""
     i = int(round((z - grid.z_min) / grid.dz))
@@ -232,12 +248,14 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     probe_idx = np.array(
         [_interior_index(grid, cfg.width_d if p is None else float(p), "probe")
          for p in probes], dtype=np.int64)
+    watched = int(probe_idx.min(initial=grid.n_points - 1))
     if map_spec is not None:
         map_i0 = _interior_index(grid, map_spec.z_lo, "map edge z_lo")
         map_i1 = _interior_index(grid, map_spec.z_hi, "map edge z_hi")
         if map_i1 == map_i0:
             raise ValueError("map window is narrower than one grid step")
         map_idx = np.arange(map_i0, map_i1)
+        watched = min(watched, map_i0)
     onset = pulse_onset(laser)
     if laser.field_F1 > 0 and t_start > onset:
         warnings.warn(f"t_start = {t_start} fs is after the pulse onset at "
@@ -280,12 +298,15 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     warned = [False, False]
     norm_initial = WaveState.norm_squared_of(psi, dz)
 
+    cut = _tip_cut(vstat, zcoef, watched)
+    tip = TipBlock(psi[1:cut], vstat[1], half_dt, koff)
     max_resid = 0.0
     done = 0
     while done < n_steps:
         todo = min(CHUNK_STEPS, n_steps - done)
         resid = cn_chunk(psi, vstat, zcoef, efield[done:done + todo], half_dt,
-                         koff, done, record)
+                         koff, done, record, tip)
+        psi[1:cut] = tip.interior()
         max_resid = max(max_resid, resid)
         done += todo
         if not np.all(np.isfinite(psi)):
@@ -310,7 +331,9 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     return PropagationResult(final, records, map=stm,
                              norm_initial=norm_initial,
                              norm_final=final.norm_squared,
-                             max_residual=max_resid)
+                             max_residual=max_resid,
+                             tip_cut_nm=float(grid.z[cut - 1]),
+                             stepped_points=grid.n_points - 1 - cut)
 
 
 def transferred_charge(record: CurrentRecord) -> float:

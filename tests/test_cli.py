@@ -6,7 +6,7 @@ import yaml
 
 from attostm import experiments
 from attostm.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, RECIPES,
-                         load_config, main)
+                         build_grid, load_config, main)
 from attostm.results import read_csv
 from attostm.solver import ReflectionRiskWarning
 
@@ -165,6 +165,27 @@ def test_propagate_records_reflection_warning(tmp_path):
     assert [w["category"] for w in sidecar["warnings"]] \
         == ["ReflectionRiskWarning"]
     assert "tip-side grid end" in sidecar["warnings"][0]["message"]
+
+
+def test_propagate_records_tip_cut(tmp_path, capsys):
+    cfg = tiny_tdse_config()
+    cfg["propagate"] = {"t_start_fs": -25.0, "t_end_fs": -24.0,
+                        "map": {"z_lo_nm": -1.0, "z_hi_nm": 2.0}}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "prop"
+    assert run_cli("propagate", "--config", path, "--out", str(out)) == EXIT_OK
+    sidecar = json.loads((out / "propagation.json").read_text())
+    dz = build_grid(cfg)[0].dz
+    # the tip block ends two rows below the map's first point
+    assert sidecar["tip_cut_nm"] == pytest.approx(-1.0 - 2 * dz, abs=0.5 * dz)
+    assert sidecar["stepped_points"] \
+        == round((20.0 - sidecar["tip_cut_nm"]) / dz) - 1
+    # an output, not an option
+    cfg["propagate"]["tip_cut_nm"] = -5.0
+    path = write_config(tmp_path, cfg)
+    assert run_cli("propagate", "--config", path, "--out", str(out)) \
+        == EXIT_CONFIG
+    assert "tip_cut_nm" in capsys.readouterr().err
 
 
 def test_scan_delay(tmp_path):

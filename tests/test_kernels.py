@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from attostm.kernels import SolverError, cn_chunk
+from attostm.kernels import SolverError, TipBlock, cn_chunk
 
 
 def _no_record(psi, n):
@@ -53,3 +53,71 @@ def test_cn_chunk_singular_system_is_solver_error():
     with pytest.raises(SolverError, match="step 0"):
         cn_chunk(psi, vstat, np.zeros(4), np.zeros(2), half_dt, koff, 0,
                  _no_record)
+
+
+def _dense_step(psi, v, half_dt, koff):
+    """One Crank-Nicolson step of the whole grid by a dense solve."""
+    n = psi.shape[0]
+    a_off = -1j * half_dt * koff
+    am = 1.0 + 1j * half_dt * (2.0 * koff + v[1:-1])
+    mat = (np.diag(am) + np.diag(np.full(n - 3, a_off), 1)
+           + np.diag(np.full(n - 3, a_off), -1))
+    r = -a_off * (psi[:-2] + psi[2:]) + (2.0 - am) * psi[1:-1]
+    out = psi.copy()
+    out[1:-1] = np.linalg.solve(mat, r)
+    return out
+
+
+def test_tip_block_closure_matches_dense_full_system(rng):
+    # rows 1 ... cut-1 share one (complex) level and see no field
+    n, cut = 41, 15
+    psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi0[0] = psi0[-1] = 0.0
+    vstat = rng.normal(size=n) - 1j * rng.uniform(0.0, 0.5, size=n)
+    vstat[1:cut] = 0.7 - 0.05j
+    zcoef = rng.uniform(0.0, 1.0, size=n)
+    zcoef[:cut] = 0.0
+    efield = rng.normal(size=4)
+    half_dt, koff = 0.3, 1.7
+    tip = TipBlock(psi0[1:cut], vstat[1], half_dt, koff)
+    assert np.max(np.abs(tip.interior() - psi0[1:cut])) < 1e-14
+    psi = psi0.copy()
+    seen = []
+    resid = cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, 0,
+                     lambda p, n: seen.append(p[cut - 1:].copy()), tip)
+
+    dense = psi0.copy()
+    for s, e in enumerate(efield):
+        # record sees the stepped window, row cut-1 included, at each step
+        assert np.max(np.abs(seen[s] - dense[cut - 1:])) < 1e-12
+        dense = _dense_step(dense, vstat + e * zcoef, half_dt, koff)
+    scale = np.max(np.abs(dense))
+    assert np.max(np.abs(psi[cut - 1:] - dense[cut - 1:])) < 1e-12 * scale
+    assert np.max(np.abs(tip.interior() - dense[1:cut])) < 1e-12 * scale
+    # the tip rows below cut-1 are left to the modes
+    assert np.array_equal(psi[:cut - 1], psi0[:cut - 1])
+    assert resid < 1e-14
+
+
+def test_empty_tip_block_is_the_full_grid_step(rng):
+    n = 41
+    psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi0[0] = psi0[-1] = 0.0
+    vstat = rng.normal(size=n) - 1j * rng.uniform(0.0, 0.5, size=n)
+    zcoef = rng.uniform(0.0, 1.0, size=n)
+    efield = rng.normal(size=3)
+    half_dt, koff = 0.3, 1.7
+    psi = psi0.copy()
+    cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, 0, _no_record,
+             TipBlock(psi0[1:1], vstat[1], half_dt, koff))
+
+    a_off = -1j * half_dt * koff
+    ab = np.empty((3, n - 2), dtype=np.complex128)
+    ab[0, :] = ab[2, :] = a_off
+    ref = psi0.copy()
+    for e in efield:
+        v = vstat[1:-1] + e * zcoef[1:-1]
+        ab[1, :] = 1.0 + 1j * half_dt * (2.0 * koff + v)
+        r = -a_off * (ref[:-2] + ref[2:]) + (2.0 - ab[1]) * ref[1:-1]
+        ref[1:-1] = solve_banded((1, 1), ab, r, check_finite=False)
+    assert np.array_equal(psi, ref)

@@ -2,18 +2,21 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 from scipy.sparse import diags
 from scipy.sparse.linalg import eigsh
 
 from attostm.config import JunctionConfig, LaserConfig
 from attostm.experiments import default_time_span
 from attostm.grid import AbsorberSpec, GridSpec, bandwidth_steps, desk_grid, reference_grid
+from attostm.laser import electric_field
 from attostm.potential import PotentialProfile, sample_static_profile
 from attostm.solver import (CurrentRecord, InitialStateError, MapSpec,
                             ReflectionRiskWarning, WaveState,
                             build_hamiltonian_diagonals, gaussian_packet,
                             initial_state, propagate, transferred_charge)
-from attostm.units import EMASS, HBAR_EVFS, HBAR2_OVER_2M
+from attostm.units import (AUTIME_FS, BOHR_NM, EMASS, HARTREE_EV, HBAR_EVFS,
+                           HBAR2_OVER_2M)
 
 
 def small_grid(z_min=-20.0, z_max=20.0):
@@ -364,3 +367,105 @@ def test_absorber_drains_outgoing_flux():
     # whatever is left must not have bounced back through the probe
     late = res.records[0].current_density[-200:]
     assert np.max(np.abs(late)) < 1e-4 * np.max(np.abs(res.records[0].current_density))
+
+
+def full_grid_run(cfg, laser, grid, t0, t1, initial, probes, map_spec=None):
+    """(probe currents, map rows, final psi) of a plain Crank-Nicolson loop
+    over the whole grid with solve_banded: no tip block, no chunks."""
+    values = sample_static_profile(cfg, grid.z).values
+    vstat = (values - values.min()) / HARTREE_EV
+    zcoef = np.clip(grid.z, 0.0, cfg.width_d) / HARTREE_EV
+    koff = 0.5 / (grid.dz / BOHR_NM) ** 2
+    half_dt = 0.5 * grid.dt / AUTIME_FS
+    n_steps = max(1, int(np.ceil((t1 - t0) / grid.dt - 1e-9)))
+    efield = electric_field(laser, t0 + grid.dt * np.arange(n_steps))
+    jcoef = (HBAR_EVFS / EMASS) / (2.0 * grid.dz)
+    idx = np.array([int(round((z - grid.z_min) / grid.dz)) for z in probes])
+    if map_spec is not None:
+        map_idx = np.arange(int(round((map_spec.z_lo - grid.z_min) / grid.dz)),
+                            int(round((map_spec.z_hi - grid.z_min) / grid.dz)))
+
+    def j_at(i):
+        return jcoef * np.imag(np.conj(psi[i]) * (psi[i + 1] - psi[i - 1]))
+
+    psi = initial.psi.copy()
+    a_off = -1j * half_dt * koff
+    ab = np.empty((3, grid.n_points - 2), dtype=np.complex128)
+    ab[0] = ab[2] = a_off
+    currents, rows = [], []
+    for n in range(n_steps + 1):
+        currents.append(j_at(idx))
+        if map_spec is not None and n % map_spec.stride == 0:
+            rows.append(j_at(map_idx))
+        if n == n_steps:
+            break
+        ab[1] = 1.0 + 1j * half_dt * (2.0 * koff + vstat[1:-1]
+                                      + efield[n] * zcoef[1:-1])
+        r = -a_off * (psi[:-2] + psi[2:]) + (2.0 - ab[1]) * psi[1:-1]
+        psi[1:-1] = solve_banded((1, 1), ab, r)
+    return np.array(currents).T, np.array(rows), psi
+
+
+def assert_matches_full_grid(res, ref, tol=1e-9):
+    j_ref, map_ref, psi_ref = ref
+    j = np.array([rec.current_density for rec in res.records])
+    assert np.max(np.abs(j - j_ref)) <= tol * np.max(np.abs(j_ref))
+    if res.map is not None:
+        assert np.max(np.abs(res.map.j - map_ref)) \
+            <= tol * np.max(np.abs(map_ref))
+    psi = res.final_state.psi
+    assert np.max(np.abs(psi - psi_ref)) <= tol * np.max(np.abs(psi_ref))
+    assert res.norm_final == pytest.approx(
+        WaveState.norm_squared_of(psi_ref, res.final_state.grid.dz), rel=tol)
+
+
+def test_tip_closure_matches_full_grid():
+    grid = small_grid()
+    cfg = JunctionConfig()
+    las = short_pulse(f1=8.0)
+    st = initial_state(cfg, grid)
+    t0, t1 = default_time_span(las)
+    map_spec = MapSpec(-0.5, cfg.width_d + 0.5, 16)
+    res = propagate(cfg, las, grid, t0, t1, probes=(0.0, None), initial=st,
+                    map_spec=map_spec)
+    # the tip block reaches up to two rows below the map's first point
+    assert res.tip_cut_nm == pytest.approx(-0.5 - 2 * grid.dz, abs=0.5 * grid.dz)
+    assert res.stepped_points == round((grid.z_max - res.tip_cut_nm) / grid.dz) - 1
+    assert res.stepped_points < 0.6 * grid.n_points
+    assert res.norm_initial == pytest.approx(st.norm_squared, rel=1e-12)
+    assert_matches_full_grid(res, full_grid_run(
+        cfg, las, grid, t0, t1, st, (0.0, cfg.width_d), map_spec))
+
+
+def test_tip_closure_exact_after_reflection_off_z_min():
+    # a packet launched in the tip toward z_min lives in the sine modes,
+    # reflects off the Dirichlet end and comes back through the cut
+    grid = small_grid(-15.0, 15.0)
+    cfg = JunctionConfig()
+    las = short_pulse()
+    packet = gaussian_packet(grid, center=-6.0, sigma=1.0, k0=-8.0)
+    t0 = default_time_span(las)[0]
+    t1 = t0 + 28.0
+    with pytest.warns(ReflectionRiskWarning, match="tip-side"):
+        res = propagate(cfg, las, grid, t0, t1, probes=(None,), initial=packet)
+    assert res.tip_cut_nm > -1.0  # the packet starts inside the tip block
+    ref = full_grid_run(cfg, las, grid, t0, t1, packet, (cfg.width_d,))
+    # the reflected packet has reached the sample wall
+    assert np.max(np.abs(ref[0][0, -200:])) > 1e-3 * np.max(np.abs(ref[0]))
+    assert_matches_full_grid(res, ref)
+
+
+def test_probe_inside_the_tip_moves_the_cut():
+    grid = small_grid()
+    cfg = JunctionConfig()
+    las = short_pulse(f1=8.0)
+    st = initial_state(cfg, grid)
+    t0, t1 = default_time_span(las)
+    res = propagate(cfg, las, grid, t0, t1, probes=(-5.0, None), initial=st)
+    assert res.tip_cut_nm == pytest.approx(-5.0 - 2 * grid.dz, abs=0.5 * grid.dz)
+    assert_matches_full_grid(res, full_grid_run(
+        cfg, las, grid, t0, t1, st, (-5.0, cfg.width_d)))
+    # with nothing recorded, the block reaches up to where the laser starts
+    bare = propagate(cfg, las, grid, t0, t0 + 1.0, probes=(), initial=st)
+    assert bare.records == []
+    assert -grid.dz < bare.tip_cut_nm <= 0.0
