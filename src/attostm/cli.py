@@ -2,8 +2,9 @@
 CSV/JSON artifacts.
 
 Every physical quantity in a config carries its unit in the key name.
-Unknown keys are hard errors. Exit codes: 0 success, 2 config/validation
-failure, 3 compute failure, 4 I/O failure.
+Unknown keys are hard errors; a junction or laser key left out keeps its
+dataclass default. Exit codes: 0 success, 2 config/validation failure,
+3 compute failure, 4 I/O failure.
 """
 
 import argparse
@@ -11,19 +12,21 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import yaml
 
 from . import __version__, experiments, kernels, lockin as lockin_mod, strongfield
 from .config import JunctionConfig, LaserConfig
-from .grid import DESK_ABSORBER, AbsorberSpec, GridSpec, desk_grid, reference_grid
+from .grid import DESK_ABSORBER, AbsorberSpec, desk_grid, reference_grid
 from .laser import effective_keldysh, field_crest_time
 from .potential import mean_image_magnitude, sample_static_profile, static_potential, laser_interaction
-from .results import record_to_csv, read_csv, save_scan, state_to_json, write_csv, write_json
+from .results import (config_snapshot, record_to_csv, read_csv, save_scan,
+                      state_to_json, write_csv, write_json)
 from .solver import MapSpec, SolverError, propagate
 from .strongfield import SaddleConvergenceError
 
@@ -34,31 +37,43 @@ EXIT_IO = 4
 
 RECIPES = ("fig3a", "fig4a", "fig4bc", "figSK", "figDecay", "figDirect",
            "figVariation")
-SCAN_KINDS = ("delay", "power", "width", "ratio", "robustness")
+SCAN_KINDS = tuple(k for k, s in experiments.SCAN_KINDS.items() if s.tdse)
+LOCKIN_MODES = ("forward", "invert", "select-beta")
 
 
 class ConfigError(ValueError):
     pass
 
 
+# YAML key -> dataclass field, for the sections that build one dataclass
+_JUNCTION_KEYS = {
+    "width_nm": "width_d", "workfunction_tip_eV": "workfunction_tip",
+    "workfunction_sample_eV": "workfunction_sample",
+    "fermi_tip_eV": "fermi_tip", "fermi_sample_eV": "fermi_sample",
+    "bias_V": "bias_Us",
+}
+_LASER_KEYS = {
+    "field_V_per_nm": "field_F1", "field_ratio_eta": "ratio_eta",
+    "wavelength_nm": "wavelength", "duration_fund_fwhm_fs": "duration_tau1",
+    "duration_sh_fwhm_fs": "duration_tau2", "sh_phase_rad": "phase_phi",
+    "base_delay_fs": "base_delay_tau0", "field_sign": "field_sign",
+}
+
+
+def _field_types(cls, keys):
+    hints = get_type_hints(cls)
+    return {key: hints[name] for key, name in keys.items()}
+
+
 # schema: nested mapping of allowed keys -> type, [element type] for a
 # list, or a nested dict
 _SCHEMA = {
-    "junction": {
-        "width_nm": float, "workfunction_tip_eV": float,
-        "workfunction_sample_eV": float, "fermi_tip_eV": float,
-        "fermi_sample_eV": float, "bias_V": float,
-    },
-    "laser": {
-        "field_V_per_nm": float, "field_ratio_eta": float,
-        "wavelength_nm": float, "duration_fund_fwhm_fs": float,
-        "duration_sh_fwhm_fs": float, "sh_phase_rad": float,
-        "base_delay_fs": float, "field_sign": int,
-    },
+    "junction": _field_types(JunctionConfig, _JUNCTION_KEYS),
+    "laser": _field_types(LaserConfig, _LASER_KEYS),
     "grid": {
         "preset": str, "z_min_nm": float, "z_max_nm": float, "dz_pm": float,
         "dt_as": float, "max_bandwidth_eV": float,
-        "absorber": {"strength_eV": float, "fraction": float, "enabled": bool},
+        "absorber": dict(get_type_hints(AbsorberSpec), enabled=bool),
     },
     "propagate": {
         "t_start_fs": float, "t_end_fs": float, "probes_nm": [float],
@@ -128,79 +143,54 @@ def load_config(source: str) -> dict:
     else:
         raise ConfigError(f"config not found: {source!r} "
                           f"(recipes: {', '.join(RECIPES)})")
-    data = yaml.safe_load(text) or {}
+    try:
+        data = yaml.safe_load(text) or {}
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"malformed YAML in {source}: {exc}") from None
     _check_keys(data, _SCHEMA)
     return data
 
 
 def build_junction(data) -> JunctionConfig:
-    j = data.get("junction", {})
-    return JunctionConfig(
-        width_d=j.get("width_nm", 1.0),
-        workfunction_tip=j.get("workfunction_tip_eV", 5.1),
-        workfunction_sample=j.get("workfunction_sample_eV", 5.1),
-        fermi_tip=j.get("fermi_tip_eV", 5.0),
-        fermi_sample=j.get("fermi_sample_eV", 5.0),
-        bias_Us=j.get("bias_V", 0.0))
+    return JunctionConfig(**{_JUNCTION_KEYS[k]: v
+                             for k, v in data.get("junction", {}).items()})
 
 
 def build_laser(data) -> LaserConfig:
-    l = data.get("laser", {})
-    return LaserConfig(
-        field_F1=l.get("field_V_per_nm", 8.0),
-        ratio_eta=l.get("field_ratio_eta", float(np.sqrt(0.1))),
-        wavelength=l.get("wavelength_nm", 1850.0),
-        duration_tau1=l.get("duration_fund_fwhm_fs", 35.0),
-        duration_tau2=l.get("duration_sh_fwhm_fs", 80.0),
-        phase_phi=l.get("sh_phase_rad", 0.0),
-        base_delay_tau0=l.get("base_delay_fs", 0.0),
-        field_sign=l.get("field_sign", 1))
+    return LaserConfig(**{_LASER_KEYS[k]: v
+                          for k, v in data.get("laser", {}).items()})
+
+
+# grid preset -> (grid of a max bandwidth, absorber)
+_PRESETS = {"reference": (reference_grid, None),
+            "desk": (desk_grid, DESK_ABSORBER)}
 
 
 def build_grid(data, preset_override=None):
     g = data.get("grid", {})
     preset = preset_override or g.get("preset", "desk")
-    if preset == "reference":
-        grid = reference_grid(g.get("max_bandwidth_eV", 50.0))
-        absorber = None
-    elif preset == "desk":
-        grid = desk_grid(g.get("max_bandwidth_eV", 50.0))
-        absorber = DESK_ABSORBER
-    else:
-        raise ConfigError(f"grid.preset must be 'reference' or 'desk', "
+    if preset not in _PRESETS:
+        raise ConfigError(f"grid.preset must be one of {', '.join(_PRESETS)}, "
                           f"got {preset!r}")
+    make_grid, absorber = _PRESETS[preset]
+    grid = make_grid(g.get("max_bandwidth_eV", 50.0))
     if {"z_min_nm", "z_max_nm", "dz_pm", "dt_as"} & set(g):
-        grid = GridSpec(
-            z_min=g.get("z_min_nm", grid.z_min),
-            z_max=g.get("z_max_nm", grid.z_max),
-            dz=g.get("dz_pm", grid.dz * 1e3) * 1e-3,
-            dt=g.get("dt_as", grid.dt * 1e3) * 1e-3,
-            max_bandwidth=g.get("max_bandwidth_eV", grid.max_bandwidth))
+        grid = replace(grid, z_min=g.get("z_min_nm", grid.z_min),
+                       z_max=g.get("z_max_nm", grid.z_max),
+                       dz=g.get("dz_pm", grid.dz * 1e3) * 1e-3,
+                       dt=g.get("dt_as", grid.dt * 1e3) * 1e-3)
     a = g.get("absorber", {})
     if a:
-        if not a.get("enabled", True):
-            absorber = None
-        else:
-            absorber = AbsorberSpec(strength_eV=a.get("strength_eV", 3.0),
-                                    fraction=a.get("fraction", 0.2))
+        fields = {k: v for k, v in a.items() if k != "enabled"}
+        absorber = AbsorberSpec(**fields) if a.get("enabled", True) else None
     return grid, absorber
 
 
-def resolved_config(data, preset_override=None) -> dict:
-    cfg = build_junction(data)
-    laser = build_laser(data)
-    grid, absorber = build_grid(data, preset_override)
-    return {"junction": asdict(cfg), "laser": asdict(laser),
-            "grid": asdict(grid),
-            "absorber": None if absorber is None else asdict(absorber),
-            "output_dir": data.get("output_dir", "out"),
-            "code_version": __version__}
+# A command gets the YAML, the output directory, the parsed arguments, the
+# (junction, laser, grid, absorber) main built once, and their snapshot.
 
-
-def cmd_potential(data, out_dir, args) -> int:
-    cfg = build_junction(data)
-    laser = build_laser(data)
-    grid, _ = build_grid(data, args.preset)
+def cmd_potential(data, out_dir, args, configs, snapshot) -> int:
+    cfg, laser, grid, _ = configs
     profile = sample_static_profile(cfg, grid.z)
     out_dir.mkdir(parents=True, exist_ok=True)
     columns = {"z_nm": profile.grid_z, "V0_eV": profile.values}
@@ -218,15 +208,13 @@ def cmd_potential(data, out_dir, args) -> int:
         "all_finite": bool(np.all(np.isfinite(profile.values))),
     }
     write_json(out_dir / "potential_profile.json",
-               {"config": resolved_config(data, args.preset), "checks": checks})
+               {"config": snapshot, "checks": checks})
     print(f"wrote {out_dir / 'potential_profile.csv'}")
     return EXIT_OK
 
 
-def cmd_propagate(data, out_dir, args) -> int:
-    cfg = build_junction(data)
-    laser = build_laser(data)
-    grid, absorber = build_grid(data, args.preset)
+def cmd_propagate(data, out_dir, args, configs, snapshot) -> int:
+    cfg, laser, grid, absorber = configs
     p = data.get("propagate", {})
     t0, t1 = experiments.default_time_span(laser)
     t0 = p.get("t_start_fs", t0)
@@ -265,7 +253,7 @@ def cmd_propagate(data, out_dir, args) -> int:
     if p.get("snapshot_final_state", True):
         state_to_json(res.final_state, out_dir / "final_state.json")
     write_json(out_dir / "propagation.json", {
-        "config": resolved_config(data, args.preset),
+        "config": snapshot,
         "t_start_fs": t0, "t_end_fs": t1,
         "norm_initial": res.norm_initial, "norm_final": res.norm_final,
         "norm_deficit": abs(1.0 - res.norm_final),
@@ -285,50 +273,38 @@ def _sweep_values(scan: dict):
     n = int(scan["count"])
     if n < 2:
         raise ConfigError("scan.count must be >= 2")
+    start, stop = scan["start"], scan["stop"]
+    if start == stop:
+        raise ConfigError(f"scan.start and scan.stop must differ (both {start})")
     spacing = scan.get("spacing", "linear")
     if spacing == "linear":
-        return np.linspace(scan["start"], scan["stop"], n)
+        return np.linspace(start, stop, n)
     if spacing == "log":
-        if scan["start"] <= 0:
-            raise ConfigError("log spacing needs positive start")
-        return np.geomspace(scan["start"], scan["stop"], n)
+        if start <= 0 or stop <= 0:
+            raise ConfigError("log spacing needs positive start and stop")
+        return np.geomspace(start, stop, n)
     raise ConfigError(f"scan.spacing must be linear or log, got {spacing!r}")
 
 
-def cmd_scan(data, out_dir, args) -> int:
-    cfg = build_junction(data)
-    laser = build_laser(data)
-    grid, absorber = build_grid(data, args.preset)
+def cmd_scan(data, out_dir, args, configs, snapshot) -> int:
+    cfg, laser, grid, absorber = configs
     scan = data.get("scan", {})
     kind = args.kind or scan.get("kind")
     if kind not in SCAN_KINDS:
         raise ConfigError(f"scan.kind must be one of {', '.join(SCAN_KINDS)} "
                           f"(got {kind!r})")
     values = _sweep_values(scan)
+    # options left out keep the scan function's defaults
+    options = {"parameter": scan.get("parameter", "field")}
+    if "n_delays" in scan:
+        options["n_delays"] = scan["n_delays"]
+    if {"enhancement_fund", "enhancement_sh"} & set(scan):
+        options["enhancement"] = (scan.get("enhancement_fund", 1.0),
+                                  scan.get("enhancement_sh", 1.0))
     started = time.perf_counter()
     try:
-        if kind == "delay":
-            result = experiments.delay_scan_tdse(cfg, laser, grid, values,
-                                                 absorber=absorber)
-        elif kind == "power":
-            enh = (scan.get("enhancement_fund", 1.0),
-                   scan.get("enhancement_sh", 1.0))
-            result = experiments.power_scan(cfg, laser, grid, values,
-                                            enhancement=enh,
-                                            n_delays=scan.get("n_delays", 12),
-                                            absorber=absorber)
-        elif kind == "width":
-            result = experiments.width_scan(cfg, laser, grid, values,
-                                            n_delays=scan.get("n_delays", 12),
-                                            absorber=absorber)
-        elif kind == "ratio":
-            result = experiments.directionality(cfg, laser, grid, values,
-                                                absorber=absorber)
-        else:
-            parameter = scan.get("parameter", "field")
-            result = experiments.robustness_sweep(parameter, values, cfg,
-                                                  laser, grid,
-                                                  absorber=absorber)
+        result = experiments.run_scan(kind, cfg, laser, grid, values,
+                                      absorber=absorber, **options)
     except (SolverError, SaddleConvergenceError, experiments.BurstError,
             experiments.DirectionalityError) as exc:
         print(f"scan failed: {exc}", file=sys.stderr)
@@ -339,9 +315,8 @@ def cmd_scan(data, out_dir, args) -> int:
     return EXIT_OK
 
 
-def cmd_saddle(data, out_dir, args) -> int:
-    cfg = build_junction(data)
-    laser = build_laser(data)
+def cmd_saddle(data, out_dir, args, configs, snapshot) -> int:
+    cfg, laser, _, _ = configs
     s = data.get("saddle", {})
     binding = s.get("binding_eV", cfg.workfunction_tip)
     energies = np.linspace(s.get("energy_start_eV", 0.5),
@@ -383,7 +358,7 @@ def cmd_saddle(data, out_dir, args) -> int:
                   {"time_fs": tr.times, "z_nm": tr.positions},
                   {"final_energy_eV": repr(e)})
     write_json(out_dir / "saddle.json", {
-        "config": resolved_config(data, args.preset),
+        "config": snapshot,
         "binding_eV": binding, "mean_image_eV": vbar,
         "gamma_modified": gamma_mod, "gamma_standard_eta0": gamma_std,
         "cutoff_eV": cutoff,
@@ -394,14 +369,15 @@ def cmd_saddle(data, out_dir, args) -> int:
     return EXIT_OK
 
 
-def cmd_lockin(data, out_dir, args) -> int:
+def cmd_lockin(data, out_dir, args, configs, snapshot) -> int:
     l = data.get("lockin", {})
     mode = args.mode or l.get("mode")
-    if mode not in ("forward", "invert", "select-beta"):
-        raise ConfigError("lockin.mode must be forward, invert or select-beta")
+    if mode not in LOCKIN_MODES:
+        raise ConfigError(f"lockin.mode must be one of {', '.join(LOCKIN_MODES)}")
     if "input_csv" not in l:
         raise ConfigError("lockin.input_csv is required")
-    mod = lockin_mod.ModulationSpec(amplitude_delta=l.get("delta_fs", 0.6))
+    mod = lockin_mod.ModulationSpec(l["delta_fs"]) if "delta_fs" in l \
+        else lockin_mod.ModulationSpec()
     beta = l.get("beta", lockin_mod.DEFAULT_BETA)
     try:
         columns, _ = read_csv(l["input_csv"])
@@ -416,27 +392,27 @@ def cmd_lockin(data, out_dir, args) -> int:
             "transform_convention": "forward e^{-i omega tau}",
             "code_version": __version__}
     if mode == "forward":
-        trace = lockin_mod.DelayTrace(delays, columns.get("value_re",
-                                                          columns.get("value")),
-                                      kind="physical_current")
+        values = columns.get("value_re", columns.get("value"))
+        if values is None:
+            raise ConfigError("input CSV needs a value_re (or value) column")
+        trace = lockin_mod.DelayTrace(delays, values, kind="physical_current")
         out = lockin_mod.forward_lockin(trace, mod)
         write_csv(out_dir / "lockin_forward.csv",
                   {"delay_fs": out.delays, "value_re": out.values.real,
                    "value_im": out.values.imag}, meta)
         print(f"wrote {out_dir / 'lockin_forward.csv'}")
-    elif mode == "invert":
-        values = columns.get("value_re", np.zeros(delays.size)) \
-            + 1j * columns.get("value_im", np.zeros(delays.size))
-        trace = lockin_mod.DelayTrace(delays, values, kind="lockin_complex")
+        return EXIT_OK
+    zeros = np.zeros(delays.size)
+    trace = lockin_mod.DelayTrace(
+        delays, columns.get("value_re", zeros) + 1j * columns.get("value_im", zeros),
+        kind="lockin_complex")
+    if mode == "invert":
         rec = lockin_mod.reconstruct(trace, mod, beta)
         write_csv(out_dir / "lockin_inverted.csv",
                   {"delay_fs": rec.delays, "value_re": rec.values,
                    "value_im": np.zeros(rec.values.size)}, meta)
         print(f"wrote {out_dir / 'lockin_inverted.csv'}")
     else:
-        values = columns.get("value_re", np.zeros(delays.size)) \
-            + 1j * columns.get("value_im", np.zeros(delays.size))
-        trace = lockin_mod.DelayTrace(delays, values, kind="lockin_complex")
         beta_sel = lockin_mod.select_beta(trace, mod,
                                           l.get("noise_estimate", 0.0))
         write_json(out_dir / "lockin_beta.json", dict(meta, beta=beta_sel))
@@ -451,41 +427,40 @@ def make_parser() -> argparse.ArgumentParser:
                     "strong-field model, lock-in reconstruction")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_ in (("potential", "write static potential profiles"),
-                        ("propagate", "full TDSE propagation with probes"),
-                        ("scan", "parameter sweeps"),
-                        ("saddle", "strong-field saddle-point outputs"),
-                        ("lockin", "lock-in forward model / reconstruction")):
+    for name, help_, run in (
+            ("potential", "write static potential profiles", cmd_potential),
+            ("propagate", "full TDSE propagation with probes", cmd_propagate),
+            ("scan", "parameter sweeps", cmd_scan),
+            ("saddle", "strong-field saddle-point outputs", cmd_saddle),
+            ("lockin", "lock-in forward model / reconstruction", cmd_lockin)):
         p = sub.add_parser(name, help=help_)
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True,
                        help="YAML config path or recipe name "
                             f"({', '.join(RECIPES)})")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--preset", choices=("reference", "desk"), default=None)
+        p.add_argument("--preset", choices=tuple(_PRESETS), default=None)
         p.add_argument("--dry-run", action="store_true",
                        help="validate and print the resolved config only")
         if name == "scan":
             p.add_argument("--kind", choices=SCAN_KINDS)
         if name == "lockin":
-            p.add_argument("--mode", choices=("forward", "invert",
-                                              "select-beta"))
+            p.add_argument("--mode", choices=LOCKIN_MODES)
     return parser
-
-
-_DISPATCH = {"potential": cmd_potential, "propagate": cmd_propagate,
-             "scan": cmd_scan, "saddle": cmd_saddle, "lockin": cmd_lockin}
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         data = load_config(args.config)
-        resolved = resolved_config(data, args.preset)
+        configs = (build_junction(data), build_laser(data),
+                   *build_grid(data, args.preset))
+        snapshot = config_snapshot(*configs, output_dir=data.get("output_dir", "out"))
         if args.dry_run:
-            print(json.dumps(resolved, indent=2, sort_keys=True))
+            print(json.dumps(snapshot, indent=2, sort_keys=True))
             return EXIT_OK
         out_dir = Path(args.out or data.get("output_dir", "out"))
-        return _DISPATCH[args.command](data, out_dir, args)
+        return args.run(data, out_dir, args, configs, snapshot)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -67,7 +67,7 @@ class LaserConfig:
     """
 
     field_F1: float = 8.0
-    ratio_eta: float = np.sqrt(0.1)
+    ratio_eta: float = float(np.sqrt(0.1))
     wavelength: float = 1850.0
     duration_tau1: float = 35.0
     duration_tau2: float = 80.0

@@ -5,15 +5,15 @@ parameter order, and results are returned in that order. ScanResult
 metadata snapshots all inputs for exact re-runs.
 """
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
 from .config import JunctionConfig, LaserConfig
 from .grid import AbsorberSpec, GridSpec
 from .laser import field_crest_time, pulse_onset
-from .results import ScanResult
+from .results import ScanResult, config_snapshot, configs_from_snapshot
 from .solver import (CurrentRecord, initial_state, propagate,
                      transferred_charge)
 from . import strongfield
@@ -93,15 +93,6 @@ def default_time_span(laser: LaserConfig, *, burst_only: bool = False):
     return t0, 2.5 * max(laser.duration_tau1, laser.duration_tau2)
 
 
-def _metadata(kind, cfg, laser, grid, absorber, **extra):
-    md = {"kind": kind, "junction": asdict(cfg), "laser": asdict(laser),
-          "grid": asdict(grid),
-          "absorber": None if absorber is None else asdict(absorber),
-          "code_version": __version__}
-    md.update(extra)
-    return md
-
-
 def _wall_charges(cfg, laser, grid, *, absorber=None,
                   initial=None) -> list[tuple[float, float]]:
     """[(Q(0), Q(d)) under laser, (Q(0), Q(d)) under its negation]: each
@@ -148,8 +139,8 @@ def delay_scan_tdse(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
                for tau0 in tau0_values]
     return ScanResult("tau0", "fs", tau0_values, "net_charge", "electrons",
                       np.asarray(charges),
-                      _metadata("delay", cfg, laser, grid, absorber,
-                                tau0_values=tau0_values.tolist()))
+                      config_snapshot(cfg, laser, grid, absorber, kind="delay",
+                                      tau0_values=tau0_values.tolist()))
 
 
 def modulation_amplitude(cfg, laser, grid, *, n_delays: int = 12,
@@ -173,9 +164,9 @@ def power_scan(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     return ScanResult(
         "field_F1", "V_per_nm", field_values, "modulation_amplitude",
         "electrons", np.asarray(amps),
-        _metadata("power", cfg, laser, grid, absorber,
-                  field_values=field_values.tolist(),
-                  enhancement=list(enhancement), n_delays=n_delays),
+        config_snapshot(cfg, laser, grid, absorber, kind="power",
+                        field_values=field_values.tolist(),
+                        enhancement=list(enhancement), n_delays=n_delays),
         extra_columns={"power_equiv": power})
 
 
@@ -198,8 +189,8 @@ def width_scan(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     fit = exponential_fit(d_values, amps)
     return ScanResult(
         "width_d", "nm", d_values, "modulation_amplitude", "electrons", amps,
-        _metadata("width", cfg, laser, grid, absorber,
-                  d_values=d_values.tolist(), n_delays=n_delays, fit=fit))
+        config_snapshot(cfg, laser, grid, absorber, kind="width",
+                        d_values=d_values.tolist(), n_delays=n_delays, fit=fit))
 
 
 def exponential_fit(x, y) -> dict:
@@ -253,11 +244,19 @@ def directionality(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     deltas = [one(ratio) for ratio in ratio_values]
     return ScanResult("intensity_ratio", "dimensionless", ratio_values,
                       "directionality", "dimensionless", np.asarray(deltas),
-                      _metadata("ratio", cfg, laser, grid, absorber,
-                                ratio_values=ratio_values.tolist()))
+                      config_snapshot(cfg, laser, grid, absorber, kind="ratio",
+                                      ratio_values=ratio_values.tolist()))
 
 
-ROBUSTNESS_PARAMETERS = ("field", "ratio", "width", "workfunction")
+# robustness parameter -> (unit, the (junction, laser) pair at value v)
+ROBUSTNESS_PARAMETERS = {
+    "field": ("V_per_nm", lambda c, l, v: (c, replace(l, field_F1=float(v)))),
+    "ratio": ("dimensionless",
+              lambda c, l, v: (c, replace(l, ratio_eta=float(np.sqrt(v))))),
+    "width": ("nm", lambda c, l, v: (replace(c, width_d=float(v)), l)),
+    "workfunction": ("eV",
+                     lambda c, l, v: (replace(c, workfunction_tip=float(v)), l)),
+}
 
 
 def robustness_sweep(parameter: str, values, cfg: JunctionConfig,
@@ -267,19 +266,12 @@ def robustness_sweep(parameter: str, values, cfg: JunctionConfig,
     around the anchor point (field / intensity ratio / width / tip
     workfunction)."""
     if parameter not in ROBUSTNESS_PARAMETERS:
-        raise ValueError(f"parameter must be one of {ROBUSTNESS_PARAMETERS}")
+        raise ValueError(f"parameter must be one of {tuple(ROBUSTNESS_PARAMETERS)}")
+    unit, vary = ROBUSTNESS_PARAMETERS[parameter]
     values = np.asarray(values, dtype=float)
 
     def one(v):
-        c, l = cfg, laser
-        if parameter == "field":
-            l = replace(laser, field_F1=float(v))
-        elif parameter == "ratio":
-            l = replace(laser, ratio_eta=float(np.sqrt(v)))
-        elif parameter == "width":
-            c = replace(cfg, width_d=float(v))
-        else:
-            c = replace(cfg, workfunction_tip=float(v))
+        c, l = vary(cfg, laser, v)
         t0, t1 = default_time_span(l, burst_only=True)
         res = propagate(c, l, grid, t0, t1, probes=(None,),
                         absorber=absorber)
@@ -288,12 +280,11 @@ def robustness_sweep(parameter: str, values, cfg: JunctionConfig,
         return bm.fwhm
 
     fwhms = [one(v) for v in values]
-    units = {"field": "V_per_nm", "ratio": "dimensionless", "width": "nm",
-             "workfunction": "eV"}
-    return ScanResult(parameter, units[parameter], values, "burst_fwhm", "as",
+    return ScanResult(parameter, unit, values, "burst_fwhm", "as",
                       np.asarray(fwhms),
-                      _metadata("robustness", cfg, laser, grid, absorber,
-                                parameter=parameter, values=values.tolist()))
+                      config_snapshot(cfg, laser, grid, absorber,
+                                      kind="robustness", parameter=parameter,
+                                      values=values.tolist()))
 
 
 def delay_scan_strongfield(cfg: JunctionConfig, laser: LaserConfig,
@@ -305,43 +296,54 @@ def delay_scan_strongfield(cfg: JunctionConfig, laser: LaserConfig,
     energies = strongfield.DEFAULT_ENERGIES if energies is None \
         else np.asarray(energies, dtype=float)
     out = strongfield.delay_scan_sf(laser, cfg, tau0_values, energies=energies)
-    md = {"kind": "delay_sf", "junction": asdict(cfg), "laser": asdict(laser),
-          "tau0_values": tau0_values.tolist(), "energies_eV": energies.tolist(),
-          "code_version": __version__}
     return ScanResult("tau0", "fs", tau0_values, "net_directional_weight",
-                      "normalized", out, md)
+                      "normalized", out,
+                      config_snapshot(cfg, laser, kind="delay_sf",
+                                      tau0_values=tau0_values.tolist(),
+                                      energies_eV=energies.tolist()))
 
 
-def _configs_from_metadata(md):
-    cfg = JunctionConfig(**md["junction"])
-    laser = LaserConfig(**md["laser"])
-    grid = GridSpec(**md["grid"]) if md.get("grid") else None
-    absorber = AbsorberSpec(**md["absorber"]) if md.get("absorber") else None
-    return cfg, laser, grid, absorber
+class ScanKind(NamedTuple):
+    """How `attostm scan` and rerun_from_metadata call one scan kind."""
+    function: str    # name in this module, looked up at call time
+    swept: str       # keyword of the swept values, also their metadata key
+    options: dict    # further keyword -> the metadata key that records it
+    tdse: bool = True  # takes a grid and an absorber
+
+
+SCAN_KINDS = {
+    "delay": ScanKind("delay_scan_tdse", "tau0_values", {}),
+    "power": ScanKind("power_scan", "field_values",
+                      {"enhancement": "enhancement", "n_delays": "n_delays"}),
+    "width": ScanKind("width_scan", "d_values", {"n_delays": "n_delays"}),
+    "ratio": ScanKind("directionality", "ratio_values", {}),
+    "robustness": ScanKind("robustness_sweep", "values",
+                           {"parameter": "parameter"}),
+    "delay_sf": ScanKind("delay_scan_strongfield", "tau0_values",
+                         {"energies": "energies_eV"}, tdse=False),
+}
+
+
+def run_scan(kind: str, cfg: JunctionConfig, laser: LaserConfig, grid,
+             values, *, absorber=None, **options) -> ScanResult:
+    """Run scan `kind` of SCAN_KINDS over `values`, with those of
+    `options` that its function takes; the others are ignored."""
+    spec = SCAN_KINDS[kind]
+    kwargs = {k: v for k, v in options.items() if k in spec.options}
+    if spec.tdse:
+        kwargs.update(grid=grid, absorber=absorber)
+    # through the module namespace, so that a wrapped function is called
+    return globals()[spec.function](cfg=cfg, laser=laser,
+                                    **{spec.swept: values}, **kwargs)
 
 
 def rerun_from_metadata(scan: ScanResult) -> ScanResult:
     """Re-execute a scan from its own metadata snapshot."""
     md = scan.metadata
-    kind = md["kind"]
-    cfg, laser, grid, absorber = _configs_from_metadata(md)
-    if kind == "delay":
-        return delay_scan_tdse(cfg, laser, grid, md["tau0_values"],
-                               absorber=absorber)
-    if kind == "power":
-        return power_scan(cfg, laser, grid, md["field_values"],
-                          enhancement=tuple(md["enhancement"]),
-                          n_delays=md["n_delays"], absorber=absorber)
-    if kind == "width":
-        return width_scan(cfg, laser, grid, md["d_values"],
-                          n_delays=md["n_delays"], absorber=absorber)
-    if kind == "ratio":
-        return directionality(cfg, laser, grid, md["ratio_values"],
-                              absorber=absorber)
-    if kind == "robustness":
-        return robustness_sweep(md["parameter"], md["values"], cfg, laser,
-                                grid, absorber=absorber)
-    if kind == "delay_sf":
-        return delay_scan_strongfield(cfg, laser, md["tau0_values"],
-                                      energies=md.get("energies_eV"))
-    raise ValueError(f"unknown scan kind {kind!r}")
+    spec = SCAN_KINDS.get(md["kind"])
+    if spec is None:
+        raise ValueError(f"unknown scan kind {md['kind']!r}")
+    cfg, laser, grid, absorber = configs_from_snapshot(md)
+    options = {k: md[key] for k, key in spec.options.items()}
+    return run_scan(md["kind"], cfg, laser, grid, md[spec.swept],
+                    absorber=absorber, **options)

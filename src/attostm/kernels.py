@@ -77,17 +77,15 @@ class TipBlock:
 
 
 def cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, step_off, record,
-             tip=None):
+             tip):
     """Advance psi in place by len(efield) >= 1 steps, calling
     record(psi, step_off + s) before step s; return the relative residual
     of the chunk's last solve.
 
-    With a TipBlock of cut J, only psi[J-1:] is stepped and the tip rows
-    psi[1:J-1] are left stale: tip.interior() gives them. Without one
-    (J = 1) the whole grid is stepped.
+    Only psi[J-1:] is stepped, J the cut of the TipBlock tip, and the tip
+    rows psi[1:J-1] are left stale: tip.interior() gives them. An empty
+    block (J = 1) steps the whole grid.
     """
-    if tip is None:
-        tip = TipBlock(psi[1:1], 0.0, half_dt, koff)
     p = psi[tip.cut - 1:]
     vs = vstat[tip.cut:-1]
     zc = zcoef[tip.cut:-1]

@@ -89,10 +89,10 @@ def _parabolic_refine(tg, y, i):
     return tg[i] + 0.5 * (y[i - 1] - y[i + 1]) / denom * (tg[1] - tg[0])
 
 
-def field_crest_time(laser: LaserConfig, span: float | None = None) -> float:
-    """Time of maximum |E(t)| (fs), refined parabolically on a dense grid."""
-    if span is None:
-        span = 2.5 * max(laser.duration_tau1, laser.duration_tau2)
+def field_crest_time(laser: LaserConfig) -> float:
+    """Time of maximum |E(t)| (fs) within 2.5 max(tau1, tau2) of zero,
+    refined parabolically on a dense grid."""
+    span = 2.5 * max(laser.duration_tau1, laser.duration_tau2)
     period = 2.0 * np.pi / laser.omega
     n = max(2048, int(np.ceil(400 * 2 * span / period)))
     tg = np.linspace(-span, span, n)

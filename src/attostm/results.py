@@ -8,12 +8,15 @@ metadata suffices to re-run the scan bit-identically.
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .config import JunctionConfig, LaserConfig
+from .grid import AbsorberSpec, GridSpec
+from .solver import WaveState
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,29 @@ class ScanResult:
                 raise ValueError(f"extra column {name!r} length mismatch")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "results", r)
+
+
+# snapshot key -> config class, in the order of config_snapshot's arguments
+_SNAPSHOT_PARTS = {"junction": JunctionConfig, "laser": LaserConfig,
+                   "grid": GridSpec, "absorber": AbsorberSpec}
+
+
+def config_snapshot(cfg=None, laser=None, grid=None, absorber=None,
+                    **extra) -> dict:
+    """JSON-ready snapshot of the configs given, then the code version and
+    the `extra` entries; configs_from_snapshot is its inverse."""
+    parts = zip(_SNAPSHOT_PARTS, (cfg, laser, grid, absorber))
+    snap = {key: asdict(part) for key, part in parts if part is not None}
+    if grid is not None and absorber is None:
+        snap["absorber"] = None  # a grid's run records that it had none
+    return dict(snap, code_version=__version__, **extra)
+
+
+def configs_from_snapshot(snap: dict):
+    """(junction, laser, grid, absorber) of a config_snapshot, None for
+    each part it does not hold."""
+    return tuple(cls(**snap[key]) if snap.get(key) else None
+                 for key, cls in _SNAPSHOT_PARTS.items())
 
 
 def config_hash(metadata: dict) -> str:
@@ -81,9 +107,11 @@ def read_csv(path):
             header = [h.strip() for h in line.split(",")]
         elif line.strip():
             rows.append([float(x) for x in line.split(",")])
-    data = np.asarray(rows)
     if header is None:
         raise ValueError(f"{path}: no header row")
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    data = np.asarray(rows)
     return {h: data[:, i] for i, h in enumerate(header)}, comments
 
 
@@ -102,13 +130,13 @@ def _json_default(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
-def save_scan(scan: ScanResult, out_dir, stem: str | None = None) -> tuple[Path, Path]:
+def save_scan(scan: ScanResult, out_dir) -> tuple[Path, Path]:
     """Write the CSV/JSON pair; returns (csv_path, json_path)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     kind = scan.metadata.get("kind", "scan")
     h = config_hash(scan.metadata)
-    stem = stem or f"{kind}_{h}"
+    stem = f"{kind}_{h}"
     csv_path = out_dir / f"{stem}.csv"
     json_path = out_dir / f"{stem}.json"
     columns = {f"{scan.swept_parameter}_{scan.swept_unit}": scan.values}
@@ -136,10 +164,8 @@ def record_to_csv(record, path, comments: dict | None = None) -> None:
 
 def state_to_json(state, path) -> None:
     """Binary-free wavefunction snapshot: grid metadata plus re/im pairs."""
-    g = state.grid
     payload = {
-        "grid": {"z_min": g.z_min, "z_max": g.z_max, "dz": g.dz,
-                 "dt": g.dt, "max_bandwidth": g.max_bandwidth},
+        "grid": config_snapshot(grid=state.grid)["grid"],
         "time_fs": state.time,
         "energy_eV": state.energy,
         "psi": np.stack([state.psi.real, state.psi.imag], axis=1),
@@ -148,11 +174,8 @@ def state_to_json(state, path) -> None:
 
 
 def state_from_json(path):
-    from .grid import GridSpec
-    from .solver import WaveState
-
     payload = json.loads(Path(path).read_text())
-    grid = GridSpec(**payload["grid"])
+    grid = configs_from_snapshot(payload)[2]
     pairs = np.asarray(payload["psi"])
     psi = pairs[:, 0] + 1j * pairs[:, 1]
     return WaveState(grid, psi, payload["time_fs"], payload.get("energy_eV"))

@@ -27,6 +27,10 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_ORDER)
 DEFAULT_ENERGIES = np.arange(0.3, 14.0, 0.35)
 DEFAULT_ENERGIES.flags.writeable = False
 
+_NEWTON_MAX_ITER = 200  # solve_saddle's iteration cap and residual bound
+_NEWTON_TOL = 1e-10
+_CUTOFF_DEPARTURE = 0.10  # relative departure from the Keldysh line
+
 
 class SaddleConvergenceError(RuntimeError):
     """Newton iteration on the saddle equations failed."""
@@ -122,8 +126,7 @@ def _seed(laser, cfg, E, vbar, crest_time):
 
 def solve_saddle(E: float, E0: float, laser: LaserConfig, cfg: JunctionConfig,
                  seed: tuple[complex, complex] | None = None, *,
-                 crest_time: float | None = None,
-                 max_iter: int = 200, tol: float = 1e-10) -> SaddleSolution:
+                 crest_time: float | None = None) -> SaddleSolution:
     """Newton solve of the saddle equations for one final energy.
 
     Works on the square-rooted branch conditions k(t1) = i sqrt(2m|E0|_eff)
@@ -155,8 +158,8 @@ def solve_saddle(E: float, E0: float, laser: LaserConfig, cfg: JunctionConfig,
     def newton(t1, t2):
         g1, g2 = residual(t1, t2)
         gnorm = abs(g1) + abs(g2)
-        for _ in range(max_iter):
-            if gnorm < tol:
+        for _ in range(_NEWTON_MAX_ITER):
+            if gnorm < _NEWTON_TOL:
                 break
             pt = _p_tilde(laser, d, t1, t2)
             k1 = pt + complex(vector_potential(laser, t1))
@@ -191,7 +194,8 @@ def solve_saddle(E: float, E0: float, laser: LaserConfig, cfg: JunctionConfig,
             t1, t2, g1, g2, gnorm = n1, n2, h1, h2, hnorm
         else:
             raise SaddleConvergenceError(
-                f"no convergence after {max_iter} iterations (|G| = {gnorm:.2e})")
+                f"no convergence after {_NEWTON_MAX_ITER} iterations "
+                f"(|G| = {gnorm:.2e})")
         if t1.imag <= 0:
             raise SaddleConvergenceError(
                 f"unphysical root: Im t1 = {t1.imag:.3e}")
@@ -244,12 +248,10 @@ def emission_phase_curve(energies, laser: LaserConfig, cfg: JunctionConfig, *,
 
 
 def cutoff_energy(laser: LaserConfig, cfg: JunctionConfig, *,
-                  binding: float | None = None,
-                  departure: float = 0.10, e_max: float = 50.0,
-                  de: float = 0.25) -> float | None:
+                  binding: float | None = None) -> float | None:
     """Final energy where the emission phase departs from the two-colour
-    Keldysh line by more than `departure` (10%); None if no departure
-    below e_max.
+    Keldysh line by more than _CUTOFF_DEPARTURE (10%); None if no departure
+    below 50 eV.
 
     The curve first has to sit on the line before it can depart from it:
     the upward scan for the crossing starts at the energy of closest
@@ -257,15 +259,16 @@ def cutoff_energy(laser: LaserConfig, cfg: JunctionConfig, *,
     """
     e0 = cfg.workfunction_tip if binding is None else binding
     gamma = effective_keldysh(laser, e0 - mean_image_magnitude(cfg))
-    energies = np.arange(de, e_max + de, de)
+    de = 0.25
+    energies = np.arange(de, 50.0 + de, de)
     phases = emission_phase_curve(energies, laser, cfg, binding=e0)
     dev = np.abs(phases - gamma) / gamma
     start = int(np.argmin(dev))
     for i in range(start, energies.size):
-        if dev[i] > departure:
+        if dev[i] > _CUTOFF_DEPARTURE:
             if i == 0:
                 return float(energies[0])
-            frac = (departure - dev[i - 1]) / (dev[i] - dev[i - 1])
+            frac = (_CUTOFF_DEPARTURE - dev[i - 1]) / (dev[i] - dev[i - 1])
             return float(energies[i - 1] + frac * de)
     return None
 
@@ -374,26 +377,24 @@ class Trajectory:
         return float(self.positions[0])
 
 
-def trajectory(sol: SaddleSolution, laser: LaserConfig | None = None,
-               n_imag: int = 200, n_real: int = 800) -> Trajectory:
+def trajectory(sol: SaddleSolution) -> Trajectory:
     """Displacement D(t) = int_t1^t [p~ - eA]/m dtau on the standard contour:
     down from t1 to Re t1, then along the real axis. Positions are Re D(t)
     on the real segment, truncated where the electron reaches the sample
     boundary (near Re t2; exactly there when Im t2 is negligible)."""
-    las = laser if laser is not None else sol.laser
     d = sol.junction.width_d
     pt = sol.p_tilde
 
     def vel(t):
-        return (pt + vector_potential(las, t)) / EMASS
+        return (pt + vector_potential(sol.laser, t)) / EMASS
 
     # vertical leg: t1 -> Re t1
-    s = np.linspace(0.0, 1.0, n_imag)
+    s = np.linspace(0.0, 1.0, 200)
     tau_v = sol.t1 + (sol.t1.real - sol.t1) * s
     d_entry = np.trapezoid(vel(tau_v), tau_v)
     # real leg: Re t1 onward, with headroom past Re t2 for the d-crossing
     span = sol.t2.real - sol.t1.real
-    t_real = np.linspace(sol.t1.real, sol.t2.real + 0.5 * span, n_real)
+    t_real = np.linspace(sol.t1.real, sol.t2.real + 0.5 * span, 800)
     v_real = vel(t_real)
     disp = np.concatenate(([0.0], np.cumsum(
         0.5 * (v_real[1:] + v_real[:-1]) * np.diff(t_real))))

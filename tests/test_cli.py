@@ -1,4 +1,6 @@
+import inspect
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,8 +8,8 @@ import yaml
 
 from attostm import experiments
 from attostm.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, RECIPES,
-                         build_grid, load_config, main)
-from attostm.results import read_csv
+                         SCAN_KINDS, build_grid, load_config, main)
+from attostm.results import ScanResult, config_hash, read_csv, write_csv
 from attostm.solver import ReflectionRiskWarning
 
 
@@ -83,6 +85,14 @@ def test_declared_types_are_enforced(tmp_path, capsys):
 
 def test_missing_config():
     assert run_cli("potential", "--config", "nope.yaml") == EXIT_CONFIG
+
+
+def test_malformed_yaml_is_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("junction: {width_nm: 1.0\n")
+    assert run_cli("potential", "--config", str(path), "--dry-run") \
+        == EXIT_CONFIG
+    assert f"malformed YAML in {path}" in capsys.readouterr().err
 
 
 def test_potential_command(tmp_path):
@@ -239,6 +249,94 @@ def test_scan_rejects_bad_kind(tmp_path):
                    str(tmp_path / "x")) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("sweep, message", [
+    ({"start": 0.5, "stop": 0.5, "count": 4}, "must differ"),
+    ({"start": 1.0, "stop": -1.0, "count": 3, "spacing": "log"},
+     "positive start and stop"),
+    ({"start": -1.0, "stop": 1.0, "count": 3, "spacing": "log"},
+     "positive start and stop"),
+], ids=["start_equals_stop", "log_negative_stop", "log_negative_start"])
+def test_scan_rejects_bad_sweep_before_propagating(tmp_path, capsys,
+                                                  monkeypatch, sweep, message):
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("a propagation started")
+
+    monkeypatch.setattr(experiments, "initial_state", no_propagation)
+    monkeypatch.setattr(experiments, "propagate", no_propagation)
+    cfg = tiny_tdse_config(scan=dict(sweep, kind="delay"))
+    path = write_config(tmp_path, cfg)
+    assert run_cli("scan", "--config", path, "--out",
+                   str(tmp_path / "x")) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+# a scan section per CLI scan kind, and the options it must reach the scan
+# function with
+RERUN_SCANS = {
+    "delay": ({"start": 0.0, "stop": 1.5, "count": 3}, {}),
+    "power": ({"start": 6.0, "stop": 7.0, "count": 2, "n_delays": 3,
+               "enhancement_fund": 2.0},
+              {"n_delays": 3, "enhancement": [2.0, 1.0]}),
+    "width": ({"start": 0.9, "stop": 1.1, "count": 2, "n_delays": 3},
+              {"n_delays": 3}),
+    "ratio": ({"start": 0.0, "stop": 0.1, "count": 2}, {}),
+    "robustness": ({"start": 4.9, "stop": 5.3, "count": 2,
+                    "parameter": "workfunction"},
+                   {"parameter": "workfunction"}),
+}
+
+
+def _plain(arguments):
+    # arrays, tuples and JSON lists of the same numbers compare equal
+    return {k: np.asarray(v).tolist() if isinstance(v, (np.ndarray, list, tuple))
+            else v for k, v in arguments.items()}
+
+
+def test_rerun_cases_cover_the_cli_scan_kinds():
+    assert sorted(RERUN_SCANS) == sorted(SCAN_KINDS)
+
+
+@pytest.mark.parametrize("kind", list(RERUN_SCANS))
+def test_scan_and_rerun_call_the_same_function(tmp_path, monkeypatch, kind):
+    # stand-ins below the scan functions: no propagation runs
+    monkeypatch.setattr(experiments, "initial_state", lambda cfg, grid: None)
+    monkeypatch.setattr(experiments, "net_delay_charge", lambda *a, **k: 1e-5)
+    monkeypatch.setattr(experiments, "modulation_amplitude",
+                        lambda *a, **k: 1e-4)
+    monkeypatch.setattr(experiments, "_wall_charges",
+                        lambda *a, **k: [(0.0, 2e-4), (0.0, 1e-4)])
+    monkeypatch.setattr(experiments, "propagate",
+                        lambda *a, **k: SimpleNamespace(records=[None]))
+    monkeypatch.setattr(experiments, "burst_metrics", lambda *a, **k:
+                        experiments.BurstMetrics(500.0, 0.0, 1.0))
+    calls = []
+    for spec in experiments.SCAN_KINDS.values():
+        real = getattr(experiments, spec.function)
+
+        def recorder(*args, _real=real, **kwargs):
+            bound = inspect.signature(_real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append((_real.__name__, _plain(bound.arguments)))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, spec.function, recorder)
+
+    section, options = RERUN_SCANS[kind]
+    path = write_config(tmp_path, tiny_tdse_config(scan=dict(section,
+                                                             kind=kind)))
+    out = tmp_path / kind
+    assert run_cli("scan", "--config", path, "--out", str(out)) == EXIT_OK
+    md = json.loads(next(out.glob(f"{kind}_*.json")).read_text())["metadata"]
+    again = experiments.rerun_from_metadata(
+        ScanResult("x", "u", [0.0], "y", "v", [0.0], md))
+
+    assert len(calls) == 2
+    assert calls[0][0] == experiments.SCAN_KINDS[kind].function
+    assert calls[1] == calls[0]
+    assert options.items() <= calls[0][1].items()
+    assert config_hash(again.metadata) == config_hash(md)
+
+
 def test_saddle_command(tmp_path):
     cfg = {
         "junction": {"width_nm": 1.0},
@@ -276,7 +374,6 @@ def test_saddle_eta0_columns_match(tmp_path):
 def lockin_input(tmp_path):
     tau = np.linspace(-20, 20, 256)
     sig = np.cos(2.04 * tau) * np.exp(-(tau**2) / 72.0)
-    from attostm.results import write_csv
     path = tmp_path / "current.csv"
     write_csv(path, {"delay_fs": tau, "value_re": sig})
     return path, tau, sig
@@ -304,7 +401,6 @@ def test_lockin_forward_invert_round_trip(tmp_path):
 
 def test_lockin_forward_of_constant_is_zero(tmp_path):
     tau = np.linspace(-10, 10, 128)
-    from attostm.results import write_csv
     src = tmp_path / "const.csv"
     write_csv(src, {"delay_fs": tau, "value_re": np.full(tau.size, 4.2)})
     path = write_config(tmp_path, {"lockin": {"input_csv": str(src)}})
@@ -313,6 +409,25 @@ def test_lockin_forward_of_constant_is_zero(tmp_path):
                    "--out", str(out)) == EXIT_OK
     cols, _ = read_csv(out / "lockin_forward.csv")
     assert np.max(np.hypot(cols["value_re"], cols["value_im"])) < 1e-10
+
+
+def test_lockin_rejects_empty_input(tmp_path, capsys):
+    src = tmp_path / "empty.csv"
+    src.write_text("# note: header only\ndelay_fs,value_re\n")
+    path = write_config(tmp_path, {"lockin": {"input_csv": str(src)}})
+    assert run_cli("lockin", "--config", path, "--mode", "forward",
+                   "--out", str(tmp_path / "x")) == EXIT_CONFIG
+    assert f"{src}: no data rows" in capsys.readouterr().err
+
+
+def test_lockin_forward_names_missing_value_column(tmp_path, capsys):
+    src = tmp_path / "current.csv"
+    write_csv(src, {"delay_fs": np.linspace(-10, 10, 64),
+                    "current": np.ones(64)})
+    path = write_config(tmp_path, {"lockin": {"input_csv": str(src)}})
+    assert run_cli("lockin", "--config", path, "--mode", "forward",
+                   "--out", str(tmp_path / "x")) == EXIT_CONFIG
+    assert "needs a value_re (or value) column" in capsys.readouterr().err
 
 
 def test_lockin_beta_out_of_range(tmp_path, capsys):
