@@ -9,9 +9,9 @@ def _no_record(psi, n):
     pass
 
 
-def _empty_block(half_dt, koff, level=0.0):
+def _empty_block(half_dt, koff):
     """TipBlock with cut J = 1: cn_chunk then steps the whole grid."""
-    return TipBlock(np.empty(0, dtype=np.complex128), level, half_dt, koff)
+    return TipBlock(np.empty(0, dtype=np.complex128), 0.0, half_dt, koff)
 
 
 def test_cn_chunk_matches_solve_banded_and_dense(rng):
@@ -22,15 +22,11 @@ def test_cn_chunk_matches_solve_banded_and_dense(rng):
     zcoef = rng.uniform(0.0, 1.0, size=n)
     efield = rng.normal(size=3)
     half_dt, koff = 0.3, 1.7
-    # an empty block's level enters no row: every level gives the same step
-    runs = []
-    for level in (0.0, vstat[1]):
-        psi = psi0.copy()
-        seen = []
-        cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, 5,
-                 lambda p, n: seen.append((n, p.copy())),
-                 _empty_block(half_dt, koff, level))
-        runs.append((psi, seen))
+    psi = psi0.copy()
+    seen = []
+    cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, 5,
+             lambda p, n: seen.append((n, p.copy())),
+             _empty_block(half_dt, koff))
 
     a_off = -1j * half_dt * koff
     ab = np.empty((3, n - 2), dtype=np.complex128)
@@ -47,12 +43,11 @@ def test_cn_chunk_matches_solve_banded_and_dense(rng):
         mat = (np.diag(am) + np.diag(np.full(n - 3, a_off), 1)
                + np.diag(np.full(n - 3, a_off), -1))
         dense[1:-1] = np.linalg.solve(mat, rd)
-    for psi, seen in runs:
-        assert np.array_equal(psi, ref)
-        assert np.max(np.abs(psi - dense)) <= 1e-12 * np.max(np.abs(dense))
-        # record sees each step's input state under its global step number
-        assert [n for n, _ in seen] == [5, 6, 7]
-        assert np.array_equal(seen[0][1], psi0)
+    assert np.array_equal(psi, ref)
+    assert np.max(np.abs(psi - dense)) <= 1e-12 * np.max(np.abs(dense))
+    # record sees each step's input state under its global step number
+    assert [n for n, _ in seen] == [5, 6, 7]
+    assert np.array_equal(seen[0][1], psi0)
 
 
 def test_cn_chunk_singular_system_is_solver_error():
@@ -108,3 +103,27 @@ def test_tip_block_closure_matches_dense_full_system(rng):
     # the tip rows below cut-1 are left to the modes
     assert np.array_equal(psi[:cut - 1], psi0[:cut - 1])
     assert resid < 1e-14
+
+
+def test_empty_tip_block_is_the_full_grid_step(rng):
+    n = 41
+    psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi0[0] = psi0[-1] = 0.0
+    vstat = rng.normal(size=n) - 1j * rng.uniform(0.0, 0.5, size=n)
+    zcoef = rng.uniform(0.0, 1.0, size=n)
+    efield = rng.normal(size=3)
+    half_dt, koff = 0.3, 1.7
+    psi = psi0.copy()
+    cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, 0, _no_record,
+             TipBlock(psi0[1:1], vstat[1], half_dt, koff))
+
+    a_off = -1j * half_dt * koff
+    ab = np.empty((3, n - 2), dtype=np.complex128)
+    ab[0, :] = ab[2, :] = a_off
+    ref = psi0.copy()
+    for e in efield:
+        v = vstat[1:-1] + e * zcoef[1:-1]
+        ab[1, :] = 1.0 + 1j * half_dt * (2.0 * koff + v)
+        r = -a_off * (ref[:-2] + ref[2:]) + (2.0 - ab[1]) * ref[1:-1]
+        ref[1:-1] = solve_banded((1, 1), ab, r, check_finite=False)
+    assert np.array_equal(psi, ref)
