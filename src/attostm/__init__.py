@@ -10,14 +10,13 @@ from .potential import (PotentialProfile, image_potential, laser_interaction,
                         static_potential)
 from .solver import (CurrentRecord, MapSpec, WaveState, initial_state,
                      propagate, transferred_charge)
-from .units import CONSTANTS, PhysicalConstants
 
 __all__ = [
-    "AbsorberSpec", "CONSTANTS", "CurrentRecord", "GridSpec",
-    "JunctionConfig", "LaserConfig", "MapSpec", "PhysicalConstants",
-    "PotentialProfile", "WaveState", "desk_grid", "effective_keldysh",
-    "electric_field", "image_potential", "initial_state",
-    "laser_interaction", "mean_image_magnitude", "propagate",
-    "reference_grid", "sample_static_profile", "static_potential",
-    "transferred_charge", "vector_potential", "__version__",
+    "AbsorberSpec", "CurrentRecord", "GridSpec", "JunctionConfig",
+    "LaserConfig", "MapSpec", "PotentialProfile", "WaveState", "desk_grid",
+    "effective_keldysh", "electric_field", "image_potential",
+    "initial_state", "laser_interaction", "mean_image_magnitude",
+    "propagate", "reference_grid", "sample_static_profile",
+    "static_potential", "transferred_charge", "vector_potential",
+    "__version__",
 ]

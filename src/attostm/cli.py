@@ -402,6 +402,8 @@ def cmd_lockin(data, out_dir, args, configs, snapshot) -> int:
                    "value_im": out.values.imag}, meta)
         print(f"wrote {out_dir / 'lockin_forward.csv'}")
         return EXIT_OK
+    if "value_re" not in columns and "value_im" not in columns:
+        raise ConfigError("input CSV needs a value_re or value_im column")
     zeros = np.zeros(delays.size)
     trace = lockin_mod.DelayTrace(
         delays, columns.get("value_re", zeros) + 1j * columns.get("value_im", zeros),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import j1 as _scipy_j1
+from scipy.special import j1
 
 # global maximum of |J1|, attained at x = +-1.8412
 J1_MAX = 0.5818652242574184
@@ -71,13 +71,6 @@ class DelayTrace:
         return float((self.delays[-1] - self.delays[0]) / (self.delays.size - 1))
 
 
-def bessel_j1(x):
-    """Bessel function of the first kind of order 1."""
-    x = np.asarray(x, dtype=float)
-    out = _scipy_j1(x)
-    return float(out) if out.ndim == 0 else out
-
-
 def forward_lockin(trace: DelayTrace, mod: ModulationSpec,
                    out_delays=None) -> DelayTrace:
     """Demodulated lock-in signal of a physical current trace.
@@ -117,8 +110,7 @@ def regularized_transfer(omega, delta: float, beta: float) -> np.ndarray:
     (so the divided contribution vanishes)."""
     if beta <= 0:
         raise ValueError("beta must be positive")
-    j = bessel_j1(np.asarray(omega, dtype=float) * delta)
-    j = np.atleast_1d(j)
+    j = np.atleast_1d(j1(np.asarray(omega, dtype=float) * delta))
     out = np.where(np.abs(j) > beta, j, np.sign(j) * beta)
     out[j == 0.0] = np.inf
     return out
@@ -171,7 +163,7 @@ def select_beta(lockin: DelayTrace, mod: ModulationSpec,
         grid = np.geomspace(2e-4, 0.9 * J1_MAX, 30)
     omega = 2.0 * np.pi * np.fft.fftfreq(2 * lockin.values.size,
                                          d=lockin.spacing)
-    absj = np.abs(np.atleast_1d(bessel_j1(omega * mod.amplitude_delta)))
+    absj = np.abs(j1(omega * mod.amplitude_delta))
     signal_energy = max(float(np.mean(np.abs(lockin.values) ** 2))
                         - noise_estimate**2, 0.0)
     cap = threshold**2 * signal_energy

@@ -36,22 +36,23 @@ class SaddleConvergenceError(RuntimeError):
     """Newton iteration on the saddle equations failed."""
 
 
-def _a_integral(laser, t1, t2):
-    """int_t1^t2 A(tau) dtau along the straight segment (A is entire)."""
+def _segment_potential(laser, t1, t2):
+    """Half-length of the straight segment t1 -> t2 and A(tau) at its
+    Gauss-Legendre nodes (A is entire, so any contour will do)."""
     mid = 0.5 * (t1 + t2)
     half = 0.5 * (t2 - t1)
-    tau = mid + half * _GL_X
-    return half * np.sum(_GL_W * vector_potential(laser, tau))
+    return half, vector_potential(laser, mid + half * _GL_X)
 
 
-def _p_tilde(laser, d, t1, t2):
+def _a_integral(laser, t1, t2):
+    """int_t1^t2 A(tau) dtau along the straight segment."""
+    half, a = _segment_potential(laser, t1, t2)
+    return half * np.sum(_GL_W * a)
+
+
+def _p_tilde(d, t1, t2, a_integral):
     # p~ = (int e A dtau + m d)/(t2 - t1) with e = -|e|
-    return (EMASS * d - _a_integral(laser, t1, t2)) / (t2 - t1)
-
-
-def _kinetic(laser, d, t1, t2, t):
-    # kinetic momentum p~ - e A(t) = p~ + A(t)
-    return _p_tilde(laser, d, t1, t2) + vector_potential(laser, t)
+    return (EMASS * d - a_integral) / (t2 - t1)
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,8 @@ class SaddleSolution:
     @property
     def p_tilde(self) -> complex:
         """Canonical momentum, derived from t1, t2 (eV fs / nm)."""
-        return _p_tilde(self.laser, self.junction.width_d, self.t1, self.t2)
+        return _p_tilde(self.junction.width_d, self.t1, self.t2,
+                        _a_integral(self.laser, self.t1, self.t2))
 
     @property
     def emission_phase(self) -> float:
@@ -80,35 +82,34 @@ class SaddleSolution:
         """|residual| of the emission-energy, displacement and arrival-energy
         saddle equations, in eV / nm / eV."""
         d = self.junction.width_d
-        k1 = _kinetic(self.laser, d, self.t1, self.t2, self.t1)
-        k2 = _kinetic(self.laser, d, self.t1, self.t2, self.t2)
+        a_int = _a_integral(self.laser, self.t1, self.t2)
+        pt = _p_tilde(d, self.t1, self.t2, a_int)
+        # kinetic momentum p~ - e A(t) = p~ + A(t)
+        k1 = pt + vector_potential(self.laser, self.t1)
+        k2 = pt + vector_potential(self.laser, self.t2)
         vbar = self.mean_image
         e0 = abs(self.initial_energy_E0)
         r1 = k1**2 / (2.0 * EMASS) - vbar + e0
-        disp = (self.p_tilde * (self.t2 - self.t1)
-                + _a_integral(self.laser, self.t1, self.t2)) / EMASS
-        r2 = disp - d
+        r2 = (pt * (self.t2 - self.t1) + a_int) / EMASS - d
         r3 = k2**2 / (2.0 * EMASS) - vbar - self.final_energy_E
         return abs(complex(r1)), abs(complex(r2)), abs(complex(r3))
 
 
 def action(t1: complex, t2: complex, E: float, E0: float,
-           laser: LaserConfig, cfg: JunctionConfig,
-           mean_image: float | None = None) -> complex:
+           laser: LaserConfig, cfg: JunctionConfig) -> complex:
     """Two-time transport action S(t2, t1) (eV fs).
 
     E t2 + p~^2/(2m)(t2-t1) - int e^2 A^2/(2m) - int V_imag[z] + |E0| t1,
-    with the image integral taken as -mean_image * (t2 - t1).
+    with the image integral taken as -Vbar * (t2 - t1), Vbar the junction's
+    mean_image_magnitude. p~ and the A^2 integral share one evaluation of A
+    at the segment's nodes.
     """
     if t2 == t1:
         raise ValueError("t1 and t2 must differ")
-    vbar = mean_image_magnitude(cfg) if mean_image is None else mean_image
-    d = cfg.width_d
-    pt = _p_tilde(laser, d, t1, t2)
-    mid = 0.5 * (t1 + t2)
-    half = 0.5 * (t2 - t1)
-    tau = mid + half * _GL_X
-    a2 = half * np.sum(_GL_W * vector_potential(laser, tau) ** 2)
+    vbar = mean_image_magnitude(cfg)
+    half, a = _segment_potential(laser, t1, t2)
+    pt = _p_tilde(cfg.width_d, t1, t2, half * np.sum(_GL_W * a))
+    a2 = half * np.sum(_GL_W * a**2)
     return (E * t2 + pt**2 / (2.0 * EMASS) * (t2 - t1)
             - a2 / (2.0 * EMASS) + vbar * (t2 - t1) + abs(E0) * t1)
 
@@ -149,21 +150,22 @@ def solve_saddle(E: float, E0: float, laser: LaserConfig, cfg: JunctionConfig,
     k2_target = np.sqrt(2.0 * EMASS * (E + vbar))
     d = cfg.width_d
 
-    def residual(t1, t2):
-        pt = _p_tilde(laser, d, t1, t2)
-        g1 = pt + complex(vector_potential(laser, t1)) - k1_target
-        g2 = pt + complex(vector_potential(laser, t2)) - k2_target
-        return g1, g2
+    def kinetic(t1, t2):
+        # kinetic momenta p~ + A(t) at both ends; the residuals are k - target
+        pt = _p_tilde(d, t1, t2, _a_integral(laser, t1, t2))
+        return (pt + complex(vector_potential(laser, t1)),
+                pt + complex(vector_potential(laser, t2)))
+
+    def residual_norm(k1, k2):
+        return abs(k1 - k1_target) + abs(k2 - k2_target)
 
     def newton(t1, t2):
-        g1, g2 = residual(t1, t2)
-        gnorm = abs(g1) + abs(g2)
+        k1, k2 = kinetic(t1, t2)
+        gnorm = residual_norm(k1, k2)
         for _ in range(_NEWTON_MAX_ITER):
             if gnorm < _NEWTON_TOL:
                 break
-            pt = _p_tilde(laser, d, t1, t2)
-            k1 = pt + complex(vector_potential(laser, t1))
-            k2 = pt + complex(vector_potential(laser, t2))
+            g1, g2 = k1 - k1_target, k2 - k2_target
             ap1 = -complex(electric_field(laser, t1))  # A'(t1)
             ap2 = -complex(electric_field(laser, t2))
             dt21 = t2 - t1
@@ -177,21 +179,19 @@ def solve_saddle(E: float, E0: float, laser: LaserConfig, cfg: JunctionConfig,
             d1 = (-g1 * j22 + g2 * j12) / det
             d2 = (-g2 * j11 + g1 * j21) / det
             # damped update: halve until the residual shrinks
-            n1, n2, h1, h2, hnorm = t1, t2, g1, g2, gnorm
             scale = 1.0
             for _ in range(10):
                 c1, c2 = t1 + scale * d1, t2 + scale * d2
                 if c2 != c1:
-                    r1, r2 = residual(c1, c2)
-                    rnorm = abs(r1) + abs(r2)
-                    if rnorm < gnorm:
-                        n1, n2, h1, h2, hnorm = c1, c2, r1, r2, rnorm
+                    q1, q2 = kinetic(c1, c2)
+                    qnorm = residual_norm(q1, q2)
+                    if qnorm < gnorm:
                         break
                 scale *= 0.5
-            if hnorm >= gnorm:
+            else:
                 raise SaddleConvergenceError(
                     f"Newton stalled (|G| = {gnorm:.2e}); try a different seed")
-            t1, t2, g1, g2, gnorm = n1, n2, h1, h2, hnorm
+            t1, t2, k1, k2, gnorm = c1, c2, q1, q2, qnorm
         else:
             raise SaddleConvergenceError(
                 f"no convergence after {_NEWTON_MAX_ITER} iterations "
@@ -325,8 +325,7 @@ def _crest_amplitudes(laser: LaserConfig, cfg: JunctionConfig, E0: float,
             if any(abs(sol.t1 - t) < 1e-6 for t in seen[k]):
                 continue  # split sub-crest: root already counted
             seen[k].append(sol.t1)
-            s = action(sol.t1, sol.t2, e, E0, laser, cfg,
-                       mean_image=sol.mean_image)
+            s = action(sol.t1, sol.t2, e, E0, laser, cfg)
             if s.imag < 0:
                 continue  # anti-Stokes partner root
             pref = np.sqrt(1j / (8.0 * np.pi * EMASS * HBAR_EVFS**3

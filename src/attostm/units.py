@@ -5,13 +5,10 @@ the wavefunction propagator converts to Hartree atomic units internally.
 Values follow CODATA 2018.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # SI base values
 HBAR_SI = 1.054571817e-34        # J s
-ELECTRON_MASS_SI = 9.1093837015e-31   # kg
 ELEMENTARY_CHARGE_SI = 1.602176634e-19  # C (magnitude)
 C_SI = 299792458.0               # m / s
 
@@ -32,27 +29,6 @@ IMAGE_PREFACTOR_EVNM = COULOMB_EVNM / 2.0
 HARTREE_EV = 27.211386245988
 BOHR_NM = 0.0529177210903
 AUTIME_FS = HBAR_EVFS / HARTREE_EV
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fundamental constants in SI, plus the Coulomb strength in eV nm."""
-
-    hbar: float = HBAR_SI
-    electron_mass: float = ELECTRON_MASS_SI
-    elementary_charge: float = ELEMENTARY_CHARGE_SI
-    coulomb_constant_eVnm: float = COULOMB_EVNM
-
-    def __post_init__(self):
-        values = (self.hbar, self.electron_mass, self.elementary_charge,
-                  self.coulomb_constant_eVnm)
-        if any(v <= 0 for v in values):
-            raise ValueError("physical constants must be strictly positive")
-        if abs(self.coulomb_constant_eVnm - 1.4400) > 0.001 * 1.4400:
-            raise ValueError("coulomb_constant_eVnm outside 0.1% of 1.4400 eV nm")
-
-
-CONSTANTS = PhysicalConstants()
 
 
 def wavelength_to_omega(wavelength_nm: float) -> float:

@@ -430,6 +430,20 @@ def test_lockin_forward_names_missing_value_column(tmp_path, capsys):
     assert "needs a value_re (or value) column" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["invert", "select-beta"])
+def test_lockin_complex_modes_name_missing_value_columns(tmp_path, capsys, mode):
+    # a forward-mode input (delay_fs, value) carries no lock-in trace
+    src = tmp_path / "current.csv"
+    write_csv(src, {"delay_fs": np.linspace(-10, 10, 64),
+                    "value": np.ones(64)})
+    path = write_config(tmp_path, {"lockin": {"input_csv": str(src)}})
+    out = tmp_path / "x"
+    assert run_cli("lockin", "--config", path, "--mode", mode,
+                   "--out", str(out)) == EXIT_CONFIG
+    assert "needs a value_re or value_im column" in capsys.readouterr().err
+    assert not any(out.glob("lockin_*"))
+
+
 def test_lockin_beta_out_of_range(tmp_path, capsys):
     src, *_ = lockin_input(tmp_path)
     cfg = {"lockin": {"input_csv": str(src), "beta": 0.9}}

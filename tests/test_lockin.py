@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import j1
 
 from attostm.lockin import (DEFAULT_BETA, J1_MAX, DelayTrace,
-                            LockinSupportError, ModulationSpec, bessel_j1,
+                            LockinSupportError, ModulationSpec,
                             forward_lockin, reconstruct, regularized_transfer,
                             select_beta)
 
@@ -49,7 +50,7 @@ def test_forward_pure_tone_jacobi_anger():
     tau = dense_grid()
     w0 = 1.7
     out = forward_lockin(DelayTrace(tau, np.cos(w0 * tau)), MOD)
-    expect = 1j * bessel_j1(MOD.amplitude_delta * w0) * np.sin(w0 * out.delays)
+    expect = 1j * j1(MOD.amplitude_delta * w0) * np.sin(w0 * out.delays)
     assert np.max(np.abs(out.values - expect)) < 1e-8
 
 
@@ -62,7 +63,7 @@ def test_transfer_magnitude_envelope():
         carrier = np.sin(w0 * out.delays)
         sel = np.abs(carrier) > 0.3
         env = np.abs(out.values[sel] / carrier[sel])
-        assert np.max(np.abs(env - abs(bessel_j1(MOD.amplitude_delta * w0)))) \
+        assert np.max(np.abs(env - abs(j1(MOD.amplitude_delta * w0)))) \
             < 1e-6
 
 
@@ -86,9 +87,9 @@ def test_forward_support_errors():
 
 
 def test_bessel_j1_basics():
-    assert bessel_j1(0.0) == 0.0
+    assert j1(0.0) == 0.0
     x = np.linspace(-8, 8, 101)
-    assert np.array_equal(bessel_j1(-x), -bessel_j1(x))
+    assert np.array_equal(j1(-x), -j1(x))
 
 
 def oracle_j1_series(x, terms=60):
@@ -111,21 +112,21 @@ def test_bessel_first_zero_against_series_oracle():
             lo = mid
     zero = 0.5 * (lo + hi)
     assert zero == pytest.approx(3.8317, abs=1e-4)
-    assert bessel_j1(zero) == pytest.approx(0.0, abs=1e-6)
-    assert abs(bessel_j1(3.8317059702075125)) < 1e-12
+    assert j1(zero) == pytest.approx(0.0, abs=1e-6)
+    assert abs(j1(3.8317059702075125)) < 1e-12
 
 
 def test_bessel_matches_series():
     x = np.linspace(-10, 10, 41)
     ref = np.array([oracle_j1_series(v) for v in x])
-    assert np.max(np.abs(bessel_j1(x) - ref)) < 1e-12
+    assert np.max(np.abs(j1(x) - ref)) < 1e-12
 
 
 def test_regularized_transfer_branches():
     beta = 0.1
     omega = np.array([0.5, 1.0, 3.7]) / 0.6  # J1 args 0.5, 1.0, 3.7
     out = regularized_transfer(omega, 0.6, beta)
-    j = bessel_j1(np.array([0.5, 1.0, 3.7]))
+    j = j1(np.array([0.5, 1.0, 3.7]))
     assert out[0] == pytest.approx(j[0])          # |J1| > beta: unchanged
     assert out[2] == pytest.approx(np.sign(j[2]) * beta)  # small: clamped
     assert regularized_transfer(np.array([0.0]), 0.6, beta)[0] == np.inf

@@ -29,13 +29,14 @@ def las10():
 
 
 def test_action_zero_field_reduction(cfg):
-    # A = 0, Vbar = 0: S = E t2 + (m d^2/2)/(t2-t1) + |E0| t1
+    # A = 0: S = E t2 + (m d^2/2)/(t2-t1) + Vbar (t2-t1) + |E0| t1
     quiet = LaserConfig(field_F1=0.0)
     t1, t2 = 0.2 + 0.4j, 1.1 - 0.05j
     e, e0, d = 3.0, 5.1, cfg.width_d
-    s = action(t1, t2, e, e0, quiet, cfg, mean_image=0.0)
+    s = action(t1, t2, e, e0, quiet, cfg)
     p_free = EMASS * d / (t2 - t1)
-    expect = e * t2 + p_free**2 / (2 * EMASS) * (t2 - t1) + abs(e0) * t1
+    expect = (e * t2 + p_free**2 / (2 * EMASS) * (t2 - t1)
+              + mean_image_magnitude(cfg) * (t2 - t1) + abs(e0) * t1)
     assert s == pytest.approx(expect, rel=1e-12)
     with pytest.raises(ValueError):
         action(t1, t1, e, e0, quiet, cfg)
@@ -44,10 +45,9 @@ def test_action_zero_field_reduction(cfg):
 def test_action_stationary_at_saddle(cfg, las8):
     sol = solve_saddle(4.0, 5.1, las8, cfg)
     h = 1e-5
-    vbar = sol.mean_image
 
     def s(t1, t2):
-        return action(t1, t2, 4.0, 5.1, las8, cfg, mean_image=vbar)
+        return action(t1, t2, 4.0, 5.1, las8, cfg)
 
     ds_dt1 = (s(sol.t1 + h, sol.t2) - s(sol.t1 - h, sol.t2)) / (2 * h)
     ds_dt2 = (s(sol.t1, sol.t2 + h) - s(sol.t1, sol.t2 - h)) / (2 * h)
@@ -61,6 +61,44 @@ def test_saddle_residuals_small(cfg, las8):
         r1, r2, r3 = sol.residuals()
         assert max(r1, r2, r3) < 1e-8
         assert sol.t1.imag > 0
+
+
+# (t1, t2, residuals(), action) at E0 = 5.1 eV on LaserConfig(field_F1=8),
+# recorded before the saddle core shared its A evaluations
+PINNED_SADDLES = {
+    0.0: (0.28673109455005535 + 0.641625520456147j,
+          1.6537451642325836 - 0.0639264497504323j,
+          (2.351778669746939e-13, 1.1102230246251565e-16,
+           1.0534741975335433e-13),
+          -2.241613359357687 + 1.8250932799823296j),
+    2.0: (0.16695078907722427 + 0.5971970343730296j,
+          1.2284481729461878 - 0.04545321680168601j,
+          (6.490789092755992e-12, 1.1769086276701484e-16,
+           4.114053023477916e-12),
+          0.6111480738831088 + 1.7120148984256738j),
+    4.4: (-0.06372547307167091 + 0.5986598670061757j,
+          0.796000985224592 + 0.029439569930487634j,
+          (2.0067170156387878e-15, 1.1272643224980471e-16,
+           2.0942020727109477e-15),
+          3.0465266829772037 + 1.6705313837278912j),
+    6.7: (-0.23983826117324106 + 0.796030929385939j,
+          0.4931285134596064 + 0.31734787366698486j,
+          (1.3323874701798546e-11, 7.810729888470119e-17,
+           1.636952113161685e-11),
+          4.458968629908366 + 2.0452524100550513j),
+}
+
+
+@pytest.mark.parametrize("e", sorted(PINNED_SADDLES))
+def test_saddle_core_pinned(cfg, las8, e):
+    t1, t2, res, s = PINNED_SADDLES[e]
+    sol = solve_saddle(e, 5.1, las8, cfg)
+    assert sol.t1 == pytest.approx(t1, rel=1e-12)
+    assert sol.t2 == pytest.approx(t2, rel=1e-12)
+    assert action(sol.t1, sol.t2, e, 5.1, las8, cfg) == pytest.approx(s, rel=1e-12)
+    # the residuals are rounding-level cancellations of eV-sized terms: the
+    # 1e-15 floor sits below one rounding step of those terms
+    assert sol.residuals() == pytest.approx(res, rel=1e-12, abs=1e-15)
 
 
 def test_emission_phase_touches_keldysh_line_eta0(cfg):
