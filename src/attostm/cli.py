@@ -387,7 +387,8 @@ def cmd_lockin(data, out_dir, args, configs, snapshot) -> int:
     if "delay_fs" not in columns:
         raise ConfigError("input CSV needs a delay_fs column")
     delays = columns["delay_fs"]
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # out_dir is made only once there is something to write, so that a run
+    # rejected for its input or beta leaves nothing behind
     meta = {"delta_fs": mod.amplitude_delta, "beta": beta,
             "transform_convention": "forward e^{-i omega tau}",
             "code_version": __version__}
@@ -397,6 +398,7 @@ def cmd_lockin(data, out_dir, args, configs, snapshot) -> int:
             raise ConfigError("input CSV needs a value_re (or value) column")
         trace = lockin_mod.DelayTrace(delays, values, kind="physical_current")
         out = lockin_mod.forward_lockin(trace, mod)
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_csv(out_dir / "lockin_forward.csv",
                   {"delay_fs": out.delays, "value_re": out.values.real,
                    "value_im": out.values.imag}, meta)
@@ -410,6 +412,7 @@ def cmd_lockin(data, out_dir, args, configs, snapshot) -> int:
         kind="lockin_complex")
     if mode == "invert":
         rec = lockin_mod.reconstruct(trace, mod, beta)
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_csv(out_dir / "lockin_inverted.csv",
                   {"delay_fs": rec.delays, "value_re": rec.values,
                    "value_im": np.zeros(rec.values.size)}, meta)
@@ -417,6 +420,7 @@ def cmd_lockin(data, out_dir, args, configs, snapshot) -> int:
     else:
         beta_sel = lockin_mod.select_beta(trace, mod,
                                           l.get("noise_estimate", 0.0))
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_json(out_dir / "lockin_beta.json", dict(meta, beta=beta_sel))
         print(f"selected beta: {beta_sel}")
     return EXIT_OK

@@ -4,6 +4,9 @@ All evaluators accept real or complex time arguments; the strong-field
 model relies on analytic continuation of the Gaussian envelopes.
 """
 
+import operator
+from typing import NamedTuple
+
 import numpy as np
 
 from .config import LaserConfig
@@ -16,37 +19,79 @@ _FOUR_LN2 = 4.0 * np.log(2.0)
 ONSET_LEVEL = 1e-8
 
 
-def vector_potential(laser: LaserConfig, t):
-    """A(t) in V fs / nm: two Gaussian-envelope carriers, SH delayed."""
+class _Pulse(NamedTuple):
+    """Per-pulse constants of the field formulas: floats for one pulse,
+    (n, 1) columns for a batch of n pulses evaluated at (n, m) times."""
+
+    omega: float | np.ndarray
+    f1: float | np.ndarray         # fundamental amplitude F1
+    f2: float | np.ndarray         # SH amplitude eta * F1
+    rate1: float | np.ndarray      # fundamental envelope rate 4 ln2 / tau1^2
+    rate2: float | np.ndarray      # SH envelope rate 4 ln2 / tau2^2
+    sh_center: float | np.ndarray
+    sh_phase: float | np.ndarray   # total_sh_phase
+    sign: float | np.ndarray       # field_sign
+
+
+def _pulse(laser: LaserConfig) -> _Pulse:
     w = laser.omega
     f1 = laser.field_F1
-    f2 = laser.ratio_eta * f1
-    a1 = _FOUR_LN2 / laser.duration_tau1**2
-    a2 = _FOUR_LN2 / laser.duration_tau2**2
-    tc = laser.sh_center
-    phi = laser.total_sh_phase
-    t = np.asarray(t)
-    fund = (f1 / w) * np.exp(-a1 * t**2) * np.sin(w * t)
-    sh = (f2 / (2.0 * w)) * np.exp(-a2 * (t - tc)**2) * np.sin(2.0 * w * t - phi)
-    return laser.field_sign * (fund + sh)
+    return _Pulse(w, f1, laser.ratio_eta * f1,
+                  _FOUR_LN2 / laser.duration_tau1**2,
+                  _FOUR_LN2 / laser.duration_tau2**2,
+                  laser.sh_center, laser.total_sh_phase, laser.field_sign)
+
+
+def _pulses(lasers) -> _Pulse:
+    """The constants of every laser, each as an (n, 1) column."""
+    table = np.array([_pulse(las) for las in lasers], dtype=float)
+    return _Pulse(*table.reshape(-1, len(_Pulse._fields)).T[:, :, None])
+
+
+def _mul(a, b):
+    """Complex product of two arrays of one shape, rounded term by term as
+    numpy's scalar arithmetic rounds it (its array loops fuse multiply-adds)."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    out = np.empty(a.shape, dtype=complex)
+    out.real = ar * br - ai * bi
+    out.imag = ar * bi + ai * br
+    return out
+
+
+# The formulas take the product of two complex factors as mul(a, b). With
+# the default operator, a 0-d time rounds as numpy rounds scalars and an
+# array as its loops do; the batched saddle solver passes _mul to evaluate
+# many single times exactly as scalar calls would.
+
+def _potential(p: _Pulse, t, mul=operator.mul):
+    w = p.omega
+    fund = mul((p.f1 / w) * np.exp(-p.rate1 * t**2), np.sin(w * t))
+    x = t - p.sh_center
+    sh = mul((p.f2 / (2.0 * w)) * np.exp(-p.rate2 * mul(x, x)),
+             np.sin(2.0 * w * t - p.sh_phase))
+    return p.sign * (fund + sh)
+
+
+def _field(p: _Pulse, t, mul=operator.mul):
+    w, a1, a2 = p.omega, p.rate1, p.rate2
+    x = t - p.sh_center
+    g1 = np.exp(-a1 * t**2)
+    g2 = np.exp(-a2 * mul(x, x))
+    dfund = mul(p.f1 * g1,
+                np.cos(w * t) - mul(2.0 * a1 * t / w, np.sin(w * t)))
+    arg = 2.0 * w * t - p.sh_phase
+    dsh = mul(p.f2 * g2, np.cos(arg) - mul(a2 * x / w, np.sin(arg)))
+    return -p.sign * (dfund + dsh)
+
+
+def vector_potential(laser: LaserConfig, t):
+    """A(t) in V fs / nm: two Gaussian-envelope carriers, SH delayed."""
+    return _potential(_pulse(laser), np.asarray(t))
 
 
 def electric_field(laser: LaserConfig, t):
     """E(t) = -dA/dt in V/nm, differentiated analytically (envelopes included)."""
-    w = laser.omega
-    f1 = laser.field_F1
-    f2 = laser.ratio_eta * f1
-    a1 = _FOUR_LN2 / laser.duration_tau1**2
-    a2 = _FOUR_LN2 / laser.duration_tau2**2
-    tc = laser.sh_center
-    phi = laser.total_sh_phase
-    t = np.asarray(t)
-    g1 = np.exp(-a1 * t**2)
-    g2 = np.exp(-a2 * (t - tc)**2)
-    dfund = f1 * g1 * (np.cos(w * t) - (2.0 * a1 * t / w) * np.sin(w * t))
-    dsh = f2 * g2 * (np.cos(2.0 * w * t - phi)
-                     - (a2 * (t - tc) / w) * np.sin(2.0 * w * t - phi))
-    return -laser.field_sign * (dfund + dsh)
+    return _field(_pulse(laser), np.asarray(t))
 
 
 def pulse_onset(laser: LaserConfig) -> float:

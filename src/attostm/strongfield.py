@@ -10,13 +10,15 @@ action as a junction-averaged constant.
 Natural units here: eV, nm, fs, with hbar = 0.658 eV fs.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import JunctionConfig, LaserConfig
-from .laser import (effective_keldysh, electric_field, field_crest_time,
-                    find_field_crests, vector_potential)
+from .laser import (_Pulse, _field, _mul, _potential, _pulses, effective_keldysh,
+                    electric_field, field_crest_time, find_field_crests,
+                    vector_potential)
 from .potential import mean_image_magnitude
 from .units import EMASS, HBAR_EVFS
 
@@ -114,15 +116,180 @@ def action(t1: complex, t2: complex, E: float, E0: float,
             - a2 / (2.0 * EMASS) + vbar * (t2 - t1) + abs(E0) * t1)
 
 
-def _seed(laser, cfg, E, vbar, crest_time):
+def _seed_depth(laser, cfg, vbar, crest_time):
+    """Im t1 of the heuristic crest seed: arcsinh(gamma)/omega with the
+    Keldysh parameter of the crest's own field."""
     w = laser.omega
     e0_eff = max(cfg.workfunction_tip - vbar, 0.05)
     ecrest = abs(complex(electric_field(laser, crest_time)))
     gamma = w * np.sqrt(2.0 * EMASS * e0_eff) / max(ecrest, 1e-12)
-    im_t1 = np.arcsinh(gamma) / w
-    v2 = np.sqrt(2.0 * max(E + vbar, 0.1) / EMASS)
-    travel = cfg.width_d / v2
-    return crest_time + 1j * im_t1, crest_time + travel + 0.25j * im_t1
+    return np.arcsinh(gamma) / w
+
+
+def _rows(pulse, idx):
+    # the pulses of rows idx (sorted, unique); all rows need no copy
+    if idx.size == pulse.omega.shape[0]:
+        return pulse
+    return _Pulse(*(c[idx] for c in pulse))
+
+
+@dataclass(frozen=True)
+class _Problems:
+    """A batch of saddle problems, one (laser, crest) pair per row."""
+
+    pulse: _Pulse          # per-laser constants as (n, 1) columns
+    crest: np.ndarray      # crest time (fs)
+    window: np.ndarray     # largest |Re t1 - crest| of a physical root (fs)
+    depth: np.ndarray      # Im t1 of the heuristic seed (fs)
+
+    @classmethod
+    def build(cls, pairs, cfg):
+        """Problems of the (laser, crest time) pairs, in the given order."""
+        vbar = mean_image_magnitude(cfg)
+        lasers = [las for las, _ in pairs]
+        return cls(_pulses(lasers),
+                   np.array([tc for _, tc in pairs], dtype=float),
+                   np.array([0.3 * 2.0 * np.pi / las.omega for las in lasers]),
+                   np.array([_seed_depth(las, cfg, vbar, tc) for las, tc in pairs]))
+
+    def __getitem__(self, idx):
+        return _Problems(_rows(self.pulse, idx), self.crest[idx],
+                         self.window[idx], self.depth[idx])
+
+
+def _kinetic(pulse, d, t1, t2):
+    """Kinetic momenta p~ + A(t) at both ends of each segment t1 -> t2."""
+    half = 0.5 * (t2 - t1)
+    a = _potential(pulse, (0.5 * (t1 + t2))[:, None] + half[:, None] * _GL_X)
+    pt = _p_tilde(d, t1, t2, _mul(half, np.sum(_GL_W * a, axis=1)))
+    ends = _potential(pulse, np.stack((t1, t2), axis=1), _mul)
+    return pt + ends[:, 0], pt + ends[:, 1]
+
+
+# why a problem of the batch has no root; 0 is a physical root
+(_ROOT, _SINGULAR, _STALLED, _NO_CONVERGENCE, _IM_T1, _OFF_CREST, _ACAUSAL,
+ _BRANCH) = range(8)
+
+
+def _newton(problems, t1, t2, k1_target, k2_target, d):
+    """Damped Newton on every problem at once, then the physical-branch
+    checks. Returns (t1, t2, |G| at the last accepted iterate, status)."""
+    t1, t2 = t1.copy(), t2.copy()
+    k1, k2 = _kinetic(problems.pulse, d, t1, t2)
+    gnorm = abs(k1 - k1_target) + abs(k2 - k2_target)
+    status = np.full(t1.size, _NO_CONVERGENCE)
+    live = np.arange(t1.size)  # rows still iterating
+    for _ in range(_NEWTON_MAX_ITER):
+        conv = gnorm[live] < _NEWTON_TOL
+        status[live[conv]] = _ROOT
+        live = live[~conv]
+        if live.size == 0:
+            break
+        pulse = _rows(problems.pulse, live)
+        a1, a2, b1, b2 = t1[live], t2[live], k1[live], k2[live]
+        g1, g2 = b1 - k1_target, b2 - k2_target
+        ap = -_field(pulse, np.stack((a1, a2), axis=1), _mul)  # A'(t1), A'(t2)
+        dt21 = a2 - a1
+        j11 = b1 / dt21 + ap[:, 0]
+        j12 = -b2 / dt21
+        j21 = b1 / dt21
+        j22 = -b2 / dt21 + ap[:, 1]
+        # Cramer's rule: det = j11 j22 - j12 j21, step numerators
+        # -g1 j22 + g2 j12 and -g2 j11 + g1 j21
+        p = _mul(np.stack((j11, j12, -g1, g2, -g2, g1)),
+                 np.stack((j22, j21, j22, j12, j11, j21)))
+        det = p[0] - p[1]
+        failed = det == 0
+        status[live[failed]] = _SINGULAR
+        det[failed] = 1.0  # no step is taken from a singular Jacobian
+        d1 = (p[2] + p[3]) / det
+        d2 = (p[4] + p[5]) / det
+        # damped update: halve until the residual shrinks
+        search = np.flatnonzero(~failed)  # positions in live
+        for h in range(10):
+            c1 = a1[search] + 0.5**h * d1[search]
+            c2 = a2[search] + 0.5**h * d2[search]
+            valid = np.flatnonzero(c2 != c1)
+            at = search[valid]
+            q1, q2 = _kinetic(_rows(pulse, at), d, c1[valid], c2[valid])
+            qnorm = abs(q1 - k1_target) + abs(q2 - k2_target)
+            better = qnorm < gnorm[live[at]]
+            rows = live[at[better]]
+            t1[rows], t2[rows] = c1[valid[better]], c2[valid[better]]
+            k1[rows], k2[rows], gnorm[rows] = q1[better], q2[better], qnorm[better]
+            keep = np.ones(search.size, dtype=bool)
+            keep[valid[better]] = False
+            search = search[keep]
+            if search.size == 0:
+                break
+        status[live[search]] = _STALLED
+        failed[search] = True
+        live = live[~failed]
+    # Im t1 > 0, then the three-step picture: emission under the barrier
+    # near the crest, causal forward transport, arrival near the real axis
+    for code, bad in (
+            (_IM_T1, t1.imag <= 0),
+            (_OFF_CREST, abs(t1.real - problems.crest) > problems.window),
+            (_ACAUSAL, t2.real <= t1.real),
+            (_BRANCH, ~((-0.2 * t1.imag <= t2.imag) & (t2.imag <= t1.imag)))):
+        status[(status == _ROOT) & bad] = code
+    return t1, t2, gnorm, status
+
+
+def _solve_saddles(E, E0, problems, cfg, seeds=None):
+    """Saddle roots of every problem of the batch at final energy E.
+
+    Works on the square-rooted branch conditions k(t1) = i sqrt(2m|E0|_eff)
+    and k(t2) = +sqrt(2m(E + Vbar)), which fixes the physical root
+    (Im t1 > 0, forward arrival); the displacement equation holds by
+    construction of p~. seeds = (t1, t2, seeded) continues the seeded
+    problems from (t1, t2); the others start from the heuristic crest seed,
+    and a seeded problem that fails gets one more attempt from it.
+
+    Returns (t1, t2, |G|, status); status is _ROOT where a physical root was
+    found and otherwise names the failure.
+    """
+    vbar = mean_image_magnitude(cfg)
+    e0_eff = abs(E0) - vbar
+    if e0_eff <= 0:
+        raise ValueError("effective binding |E0| - mean_image must be positive")
+    k1_target = 1j * np.sqrt(2.0 * EMASS * e0_eff)
+    k2_target = np.sqrt(2.0 * EMASS * (E + vbar))
+    d = cfg.width_d
+    travel = d / np.sqrt(2.0 * max(E + vbar, 0.1) / EMASS)
+    h1 = problems.crest + 1j * problems.depth
+    h2 = problems.crest + travel + 0.25j * problems.depth
+    if seeds is None:
+        seeded = np.zeros(h1.size, dtype=bool)
+        t1, t2 = h1, h2
+    else:
+        s1, s2, seeded = seeds
+        t1, t2 = np.where(seeded, s1, h1), np.where(seeded, s2, h2)
+    t1, t2, gnorm, status = _newton(problems, t1, t2, k1_target, k2_target, d)
+    # a continuation seed that slid off the physical branch: one more
+    # attempt from the heuristic crest seed
+    again = np.flatnonzero(seeded & (status != _ROOT))
+    if again.size:
+        (t1[again], t2[again], gnorm[again], status[again]) = _newton(
+            problems[again], h1[again], h2[again], k1_target, k2_target, d)
+    return t1, t2, gnorm, status
+
+
+def _failure(status, t1, t2, gnorm, crest_time):
+    """The SaddleConvergenceError message of a failed status."""
+    return {
+        _SINGULAR: "singular Jacobian",
+        _STALLED: f"Newton stalled (|G| = {gnorm:.2e}); try a different seed",
+        _NO_CONVERGENCE: f"no convergence after {_NEWTON_MAX_ITER} iterations "
+                         f"(|G| = {gnorm:.2e})",
+        _IM_T1: f"unphysical root: Im t1 = {t1.imag:.3e}",
+        _OFF_CREST: f"root drifted off the crest: Re t1 = {t1.real:.3f} fs vs "
+                    f"crest at {crest_time:.3f} fs",
+        _ACAUSAL: f"acausal root: arrival Re t2 = {t2.real:.3f} fs precedes "
+                  f"emission Re t1 = {t1.real:.3f} fs",
+        _BRANCH: f"unphysical arrival branch: Im t2 = {t2.imag:.3f} fs "
+                 f"outside [-0.2, 1] x Im t1 = {t1.imag:.3f} fs",
+    }[status]
 
 
 def solve_saddle(E: float, E0: float, laser: LaserConfig, cfg: JunctionConfig,
@@ -130,105 +297,22 @@ def solve_saddle(E: float, E0: float, laser: LaserConfig, cfg: JunctionConfig,
                  crest_time: float | None = None) -> SaddleSolution:
     """Newton solve of the saddle equations for one final energy.
 
-    Works on the square-rooted branch conditions k(t1) = i sqrt(2m|E0|_eff)
-    and k(t2) = +sqrt(2m(E + Vbar)), which fixes the physical root
-    (Im t1 > 0, forward arrival). The displacement equation holds by
-    construction of p~. Vbar is the junction's mean_image_magnitude.
+    A batch of one for the batched saddle core (see _solve_saddles): a
+    supplied seed that fails falls back once to the heuristic crest seed.
+    Vbar is the junction's mean_image_magnitude.
     """
     vbar = mean_image_magnitude(cfg)
-    e0_eff = abs(E0) - vbar
-    if e0_eff <= 0:
-        raise ValueError("effective binding |E0| - mean_image must be positive")
     if crest_time is None:
         crest_time = field_crest_time(laser)
-    if seed is None:
-        t1, t2 = _seed(laser, cfg, E, vbar, crest_time)
-    else:
-        t1, t2 = complex(seed[0]), complex(seed[1])
-    retry = seed is not None  # fall back to the heuristic seed once
-    k1_target = 1j * np.sqrt(2.0 * EMASS * e0_eff)
-    k2_target = np.sqrt(2.0 * EMASS * (E + vbar))
-    d = cfg.width_d
-
-    def kinetic(t1, t2):
-        # kinetic momenta p~ + A(t) at both ends; the residuals are k - target
-        pt = _p_tilde(d, t1, t2, _a_integral(laser, t1, t2))
-        return (pt + complex(vector_potential(laser, t1)),
-                pt + complex(vector_potential(laser, t2)))
-
-    def residual_norm(k1, k2):
-        return abs(k1 - k1_target) + abs(k2 - k2_target)
-
-    def newton(t1, t2):
-        k1, k2 = kinetic(t1, t2)
-        gnorm = residual_norm(k1, k2)
-        for _ in range(_NEWTON_MAX_ITER):
-            if gnorm < _NEWTON_TOL:
-                break
-            g1, g2 = k1 - k1_target, k2 - k2_target
-            ap1 = -complex(electric_field(laser, t1))  # A'(t1)
-            ap2 = -complex(electric_field(laser, t2))
-            dt21 = t2 - t1
-            j11 = k1 / dt21 + ap1
-            j12 = -k2 / dt21
-            j21 = k1 / dt21
-            j22 = -k2 / dt21 + ap2
-            det = j11 * j22 - j12 * j21
-            if det == 0:
-                raise SaddleConvergenceError("singular Jacobian")
-            d1 = (-g1 * j22 + g2 * j12) / det
-            d2 = (-g2 * j11 + g1 * j21) / det
-            # damped update: halve until the residual shrinks
-            scale = 1.0
-            for _ in range(10):
-                c1, c2 = t1 + scale * d1, t2 + scale * d2
-                if c2 != c1:
-                    q1, q2 = kinetic(c1, c2)
-                    qnorm = residual_norm(q1, q2)
-                    if qnorm < gnorm:
-                        break
-                scale *= 0.5
-            else:
-                raise SaddleConvergenceError(
-                    f"Newton stalled (|G| = {gnorm:.2e}); try a different seed")
-            t1, t2, k1, k2, gnorm = c1, c2, q1, q2, qnorm
-        else:
-            raise SaddleConvergenceError(
-                f"no convergence after {_NEWTON_MAX_ITER} iterations "
-                f"(|G| = {gnorm:.2e})")
-        if t1.imag <= 0:
-            raise SaddleConvergenceError(
-                f"unphysical root: Im t1 = {t1.imag:.3e}")
-        return t1, t2
-
-    window = 0.3 * 2.0 * np.pi / laser.omega
-
-    def check_physical(t1, t2):
-        # three-step picture: emission under the barrier near the crest,
-        # causal forward transport, arrival near the real axis
-        if abs(t1.real - crest_time) > window:
-            raise SaddleConvergenceError(
-                f"root drifted off the crest: Re t1 = {t1.real:.3f} fs vs "
-                f"crest at {crest_time:.3f} fs")
-        if t2.real <= t1.real:
-            raise SaddleConvergenceError(
-                f"acausal root: arrival Re t2 = {t2.real:.3f} fs precedes "
-                f"emission Re t1 = {t1.real:.3f} fs")
-        if not -0.2 * t1.imag <= t2.imag <= t1.imag:
-            raise SaddleConvergenceError(
-                f"unphysical arrival branch: Im t2 = {t2.imag:.3f} fs "
-                f"outside [-0.2, 1] x Im t1 = {t1.imag:.3f} fs")
-        return t1, t2
-
-    try:
-        t1, t2 = check_physical(*newton(t1, t2))
-    except SaddleConvergenceError:
-        if not retry:
-            raise
-        # a supplied (continuation) seed slid off the physical branch;
-        # one more attempt from the heuristic crest seed
-        t1, t2 = check_physical(*newton(*_seed(laser, cfg, E, vbar, crest_time)))
-    return SaddleSolution(t1, t2, float(E), -abs(E0), vbar, laser, cfg)
+    problem = _Problems.build([(laser, crest_time)], cfg)
+    seeds = None if seed is None else (
+        np.array([complex(seed[0])]), np.array([complex(seed[1])]),
+        np.ones(1, dtype=bool))
+    t1, t2, gnorm, status = _solve_saddles(E, E0, problem, cfg, seeds)
+    if status[0] != _ROOT:
+        raise SaddleConvergenceError(
+            _failure(status[0], t1[0], t2[0], gnorm[0], crest_time))
+    return SaddleSolution(t1[0], t2[0], float(E), -abs(E0), vbar, laser, cfg)
 
 
 def emission_phase_curve(energies, laser: LaserConfig, cfg: JunctionConfig, *,
@@ -290,48 +374,52 @@ def _directed(laser: LaserConfig, direction: int) -> LaserConfig:
     return laser if direction == 1 else laser.flipped()
 
 
-def _crest_amplitudes(laser: LaserConfig, cfg: JunctionConfig, E0: float,
-                      energies):
-    """Saddle-point amplitude of every crest at every final energy.
+def _crest_amplitudes(lasers, cfg: JunctionConfig, E0: float, energies):
+    """Saddle-point amplitude of every crest at every final energy, for
+    each laser of a sequence.
 
     Each crest of the force toward the sample contributes
     sqrt(i/(8 pi m hbar^3 (t2-t1))) * exp(i S / hbar) at each energy; the
     transition prefactor is taken as 1, so magnitudes are meaningful only
     relative to each other. Energies are stepped with continuation: the
     previous energy's root seeds the next, and after a failure the next
-    solve starts from the heuristic crest seed again.
+    solve starts from the heuristic crest seed again. Each energy step
+    solves every (laser, crest) problem as one batch (_solve_saddles).
 
-    Returns (crest times, amplitudes of shape (crest, energy), lost), where
-    lost marks the crest/energy pairs whose saddle solve failed. Their
-    amplitude is 0, as it is for a split sub-crest that converged onto an
-    already-counted root and for an anti-Stokes partner root (Im S < 0,
-    beyond the crest's classical cutoff, exponentially dead there).
+    Returns one (crest times, amplitudes of shape (crest, energy), lost)
+    per laser, where lost marks the crest/energy pairs whose saddle solve
+    failed. Their amplitude is 0, as it is for a split sub-crest that
+    converged onto a root an earlier crest of the same laser already
+    counted and for an anti-Stokes partner root (Im S < 0, beyond the
+    crest's classical cutoff, exponentially dead there).
     """
-    crests = find_field_crests(laser)
-    amp = np.zeros((crests.size, energies.size), dtype=complex)
+    crests = [find_field_crests(las) for las in lasers]
+    owner = np.repeat(np.arange(len(lasers)), [c.size for c in crests])
+    problems = _Problems.build(
+        [(las, float(tc)) for las, cs in zip(lasers, crests) for tc in cs], cfg)
+    amp = np.zeros((owner.size, energies.size), dtype=complex)
     lost = np.zeros(amp.shape, dtype=bool)
-    seen = [[] for _ in range(energies.size)]
-    for c, tc in enumerate(crests):
-        seed = None
-        for k, e in enumerate(energies):
-            try:
-                sol = solve_saddle(e, E0, laser, cfg, seed,
-                                   crest_time=float(tc))
-            except SaddleConvergenceError:
-                lost[c, k] = True
-                seed = None
-                continue
-            seed = (sol.t1, sol.t2)
-            if any(abs(sol.t1 - t) < 1e-6 for t in seen[k]):
+    t1 = t2 = np.zeros(owner.size, dtype=complex)
+    found = np.zeros(owner.size, dtype=bool)
+    for k, e in enumerate(energies):
+        t1, t2, _, status = _solve_saddles(e, E0, problems, cfg,
+                                           (t1, t2, found))
+        found = status == _ROOT
+        lost[:, k] = ~found
+        seen = [[] for _ in lasers]
+        for row in np.flatnonzero(found):
+            i, r1, r2 = owner[row], t1[row], t2[row]
+            if any(abs(r1 - t) < 1e-6 for t in seen[i]):
                 continue  # split sub-crest: root already counted
-            seen[k].append(sol.t1)
-            s = action(sol.t1, sol.t2, e, E0, laser, cfg)
+            seen[i].append(r1)
+            s = action(r1, r2, e, E0, lasers[i], cfg)
             if s.imag < 0:
                 continue  # anti-Stokes partner root
-            pref = np.sqrt(1j / (8.0 * np.pi * EMASS * HBAR_EVFS**3
-                                 * (sol.t2 - sol.t1)))
-            amp[c, k] = pref * np.exp(1j * s / HBAR_EVFS)
-    return crests, amp, lost
+            pref = np.sqrt(1j / (8.0 * np.pi * EMASS * HBAR_EVFS**3 * (r2 - r1)))
+            amp[row, k] = pref * np.exp(1j * s / HBAR_EVFS)
+    bounds = np.cumsum([0] + [c.size for c in crests])
+    return [(c, amp[i:j], lost[i:j])
+            for c, i, j in zip(crests, bounds[:-1], bounds[1:])]
 
 
 def tunnelling_amplitude(E: float, E0: float, laser: LaserConfig,
@@ -353,7 +441,8 @@ def tunnelling_amplitude(E: float, E0: float, laser: LaserConfig,
     function raises where the spectrum drops the crest.
     """
     las = _directed(laser, direction)
-    crests, amp, lost = _crest_amplitudes(las, cfg, E0, np.array([float(E)]))
+    [(crests, amp, lost)] = _crest_amplitudes([las], cfg, E0,
+                                              np.array([float(E)]))
     e_crests = np.abs(electric_field(las, crests))
     dominant = lost[:, 0] & (e_crests >= 0.8 * np.max(e_crests, initial=0.0))
     if np.any(dominant):
@@ -413,14 +502,19 @@ def directional_spectrum(laser: LaserConfig, cfg: JunctionConfig, energies, *,
     """|M_E| over an energy grid: the coherent crest sum, with each crest's
     root continued in E (see tunnelling_amplitude)."""
     energies = np.asarray(energies, dtype=float)
-    _, amp, _ = _crest_amplitudes(_directed(laser, direction), cfg,
-                                  cfg.workfunction_tip, energies)
+    [(_, amp, _)] = _crest_amplitudes([_directed(laser, direction)], cfg,
+                                      cfg.workfunction_tip, energies)
     return np.abs(amp.sum(axis=0))
 
 
-def directional_weight(laser: LaserConfig, cfg: JunctionConfig, *,
-                       direction: int = 1, energies=None) -> float:
+def directional_weight(laser: LaserConfig | Sequence[LaserConfig],
+                       cfg: JunctionConfig, *, direction: int = 1,
+                       energies=None):
     """Energy-integrated transport weight int |M_E|^2 dE for one direction.
+
+    laser is one LaserConfig (returns a float) or a sequence of them
+    (returns an array with one weight each); all lasers of a sequence are
+    solved together, one batch per energy step.
 
     Evaluated as the incoherent sum of single-crest spectral integrals:
     over a window spanning many photon orders the inter-crest comb terms
@@ -436,9 +530,13 @@ def directional_weight(laser: LaserConfig, cfg: JunctionConfig, *,
     """
     energies = DEFAULT_ENERGIES if energies is None \
         else np.asarray(energies, dtype=float)
-    _, amp, _ = _crest_amplitudes(_directed(laser, direction), cfg,
-                                  cfg.workfunction_tip, energies)
-    return float(np.trapezoid(np.sum(np.abs(amp) ** 2, axis=0), energies))
+    single = isinstance(laser, LaserConfig)
+    lasers = [laser] if single else list(laser)
+    rows = _crest_amplitudes([_directed(las, direction) for las in lasers],
+                             cfg, cfg.workfunction_tip, energies)
+    weights = np.array([np.trapezoid(np.sum(np.abs(amp) ** 2, axis=0), energies)
+                        for _, amp, _ in rows])
+    return float(weights[0]) if single else weights
 
 
 def delay_scan_sf(laser: LaserConfig, cfg: JunctionConfig, tau0_values, *,
@@ -446,14 +544,12 @@ def delay_scan_sf(laser: LaserConfig, cfg: JunctionConfig, tau0_values, *,
     """Net directional spectral weight versus two-colour delay.
 
     For each tau0, integrates |M_E|^2 over final energies for tip->sample
-    and sample->tip transport and returns the normalized difference. The
-    output is amplitude-normalized (prefactor eta = 1 leaves absolute
-    magnitudes undefined)."""
-    out = np.empty(len(tau0_values))
-    for i, tau0 in enumerate(tau0_values):
-        las = replace(laser, base_delay_tau0=float(tau0))
-        fwd = directional_weight(las, cfg, direction=1, energies=energies)
-        bwd = directional_weight(las, cfg, direction=-1, energies=energies)
-        out[i] = fwd - bwd
+    and sample->tip transport and returns the normalized difference. One
+    directional_weight call per direction covers every delay. The output
+    is amplitude-normalized (prefactor eta = 1 leaves absolute magnitudes
+    undefined)."""
+    lasers = [replace(laser, base_delay_tau0=float(tau0)) for tau0 in tau0_values]
+    out = (directional_weight(lasers, cfg, direction=1, energies=energies)
+           - directional_weight(lasers, cfg, direction=-1, energies=energies))
     peak = np.max(np.abs(out))
     return out / peak if peak > 0 else out

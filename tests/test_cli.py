@@ -444,6 +444,21 @@ def test_lockin_complex_modes_name_missing_value_columns(tmp_path, capsys, mode)
     assert not any(out.glob("lockin_*"))
 
 
+@pytest.mark.parametrize("columns, beta", [
+    ({"value": np.ones(64)}, 0.02),                  # a forward-mode input
+    ({"value_re": np.ones(64), "value_im": np.zeros(64)}, 0.9),  # bad beta
+])
+def test_lockin_rejected_invert_leaves_no_out_dir(tmp_path, columns, beta):
+    src = tmp_path / "trace.csv"
+    write_csv(src, {"delay_fs": np.linspace(-10, 10, 64), **columns})
+    path = write_config(tmp_path, {"lockin": {"input_csv": str(src),
+                                              "beta": beta}})
+    out = tmp_path / "never"
+    assert run_cli("lockin", "--config", path, "--mode", "invert",
+                   "--out", str(out)) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_lockin_beta_out_of_range(tmp_path, capsys):
     src, *_ = lockin_input(tmp_path)
     cfg = {"lockin": {"input_csv": str(src), "beta": 0.9}}

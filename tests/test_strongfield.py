@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from attostm.cli import build_junction, build_laser, load_config
 from attostm.config import JunctionConfig, LaserConfig
-from attostm.laser import effective_keldysh, field_crest_time
+from attostm.laser import (effective_keldysh, electric_field, field_crest_time,
+                           find_field_crests)
 from attostm.potential import mean_image_magnitude
-from attostm.strongfield import (SaddleConvergenceError, action,
+from attostm.strongfield import (DEFAULT_ENERGIES, SaddleConvergenceError,
+                                 _crest_amplitudes, _directed, action,
                                  cutoff_energy, delay_scan_sf,
                                  directional_spectrum, directional_weight,
                                  drift_energy_bound,
@@ -26,6 +31,13 @@ def las8():
 @pytest.fixture(scope="module")
 def las10():
     return LaserConfig(field_F1=10.0)
+
+
+@pytest.fixture(scope="module")
+def anchor():
+    # the fig4bc recipe's junction and pulse
+    data = load_config("fig4bc")
+    return build_junction(data), build_laser(data)
 
 
 def test_action_zero_field_reduction(cfg):
@@ -260,3 +272,83 @@ def test_delay_scan_sf_period_and_eta0(cfg, las8):
         directional_spectrum(las8, cfg, e_grid, direction=1) ** 2
         - directional_spectrum(las8, cfg, e_grid, direction=-1) ** 2, e_grid)
     assert abs(net0) < 0.02 * abs(net2)
+
+
+def _one_by_one_amplitudes(laser, cfg, E0, energies):
+    """The crest x energy loop with one public solve_saddle per crest and
+    energy: continuation in E, a fresh heuristic seed after a failure,
+    split sub-crest dedup and the anti-Stokes drop."""
+    crests = find_field_crests(laser)
+    amp = np.zeros((crests.size, energies.size), dtype=complex)
+    lost = np.zeros(amp.shape, dtype=bool)
+    seen = [[] for _ in energies]
+    for c, tc in enumerate(crests):
+        seed = None
+        for k, e in enumerate(energies):
+            try:
+                sol = solve_saddle(e, E0, laser, cfg, seed, crest_time=float(tc))
+            except SaddleConvergenceError:
+                lost[c, k] = True
+                seed = None
+                continue
+            seed = (sol.t1, sol.t2)
+            if any(abs(sol.t1 - t) < 1e-6 for t in seen[k]):
+                continue
+            seen[k].append(sol.t1)
+            s = action(sol.t1, sol.t2, e, E0, laser, cfg)
+            if s.imag < 0:
+                continue
+            pref = np.sqrt(1j / (8.0 * np.pi * EMASS * HBAR_EVFS**3
+                                 * (sol.t2 - sol.t1)))
+            amp[c, k] = pref * np.exp(1j * s / HBAR_EVFS)
+    return crests, amp, lost
+
+
+def test_batched_crest_amplitudes_match_one_by_one_solves(anchor):
+    # both directions at three delays in one batch: lost pairs, retries and
+    # restarts in some rows must not leak into the others
+    cfg, laser = anchor
+    e0 = cfg.workfunction_tip
+    lasers = [_directed(replace(laser, base_delay_tau0=tau), direction)
+              for direction in (1, -1) for tau in (0.25, 1.79, 2.94)]
+    batched = _crest_amplitudes(lasers, cfg, e0, DEFAULT_ENERGIES)
+    assert len(batched) == len(lasers)
+    lost_pairs = [int(lost.sum()) for _, _, lost in batched]
+    assert sum(lost_pairs[:3]) > 0 and sum(lost_pairs[3:]) > 0
+    for las, (crests, amp, lost) in zip(lasers, batched):
+        ref_crests, ref_amp, ref_lost = _one_by_one_amplitudes(
+            las, cfg, e0, DEFAULT_ENERGIES)
+        np.testing.assert_array_equal(crests, ref_crests)
+        np.testing.assert_array_equal(lost, ref_lost)
+        assert np.max(np.abs(amp - ref_amp)) <= 1e-12 * np.max(np.abs(ref_amp))
+
+
+def test_lost_pairs_pinned_at_benchmark_delays(anchor):
+    # saddle_lockin's seed-0 delays: root selection is pinned through the
+    # crest/energy pairs that lose their root, (dominant, all) per direction
+    cfg, laser = anchor
+    step = laser.sh_period / 8
+    delays = np.random.default_rng(0).uniform(0.0, step) + step * np.arange(8)
+    counts = {}
+    for direction in (1, -1):
+        lasers = [_directed(replace(laser, base_delay_tau0=float(tau)), direction)
+                  for tau in delays]
+        dominant = total = 0
+        for las, (crests, _, lost) in zip(lasers, _crest_amplitudes(
+                lasers, cfg, cfg.workfunction_tip, DEFAULT_ENERGIES)):
+            field = np.abs(electric_field(las, crests))
+            dominant += int(lost[field >= 0.8 * field.max()].sum())
+            total += int(lost.sum())
+        counts[direction] = (dominant, total)
+    assert counts == {1: (29, 47), -1: (30, 41)}
+
+
+def test_directional_weight_of_a_sequence(cfg, las8):
+    energies = np.arange(0.5, 12.0, 1.0)
+    lasers = (replace(las8, base_delay_tau0=0.0), replace(las8, base_delay_tau0=1.2))
+    weights = directional_weight(lasers, cfg, direction=-1, energies=energies)
+    assert weights.shape == (2,)
+    for las, w in zip(lasers, weights):
+        single = directional_weight(las, cfg, direction=-1, energies=energies)
+        assert isinstance(single, float)
+        assert w == pytest.approx(single, rel=1e-12)
