@@ -319,9 +319,15 @@ def cmd_saddle(data, out_dir, args, configs, snapshot) -> int:
     cfg, laser, _, _ = configs
     s = data.get("saddle", {})
     binding = s.get("binding_eV", cfg.workfunction_tip)
+    vbar = mean_image_magnitude(cfg)
+    if binding <= vbar:
+        raise ConfigError(f"saddle.binding_eV ({binding}) must exceed the "
+                          f"junction's mean image potential {vbar:.4f} eV")
+    count = s.get("energy_count", 55)
+    if count < 1:
+        raise ConfigError(f"saddle.energy_count must be >= 1, got {count}")
     energies = np.linspace(s.get("energy_start_eV", 0.5),
-                           s.get("energy_stop_eV", 14.0),
-                           int(s.get("energy_count", 55)))
+                           s.get("energy_stop_eV", 14.0), count)
     try:
         phases = strongfield.emission_phase_curve(energies, laser, cfg,
                                                   binding=binding)
@@ -340,11 +346,10 @@ def cmd_saddle(data, out_dir, args, configs, snapshot) -> int:
                 "p_tilde": [sol.p_tilde.real, sol.p_tilde.imag],
                 "mean_image_eV": sol.mean_image,
                 "residuals": [r1, r2, r3]})
-    except (SaddleConvergenceError, ValueError) as exc:
+    except SaddleConvergenceError as exc:
         print(f"saddle solve failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     out_dir.mkdir(parents=True, exist_ok=True)
-    vbar = mean_image_magnitude(cfg)
     gamma_mod = effective_keldysh(laser, binding - vbar)
     gamma_std = effective_keldysh(replace(laser, ratio_eta=0.0), binding - vbar)
     write_csv(out_dir / "emission_phase.csv",

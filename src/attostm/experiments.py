@@ -128,6 +128,25 @@ def net_delay_charge(cfg, laser, grid, *, absorber=None,
     return 0.5 * (q0p + qdp) - 0.5 * (q0m + qdm)
 
 
+# swept parameter -> (unit, the (junction, laser) pair at value v): the
+# robustness parameters and the power, width and ratio scans' axes
+ROBUSTNESS_PARAMETERS = {
+    "field": ("V_per_nm", lambda c, l, v: (c, replace(l, field_F1=float(v)))),
+    "ratio": ("dimensionless",
+              lambda c, l, v: (c, replace(l, ratio_eta=float(np.sqrt(v))))),
+    "width": ("nm", lambda c, l, v: (replace(c, width_d=float(v)), l)),
+    "workfunction": ("eV",
+                     lambda c, l, v: (replace(c, workfunction_tip=float(v)), l)),
+}
+
+
+def _sweep_points(parameter, cfg, laser, values):
+    """The (junction, laser) pair of every swept value, all built (and so
+    validated) before the first point is computed."""
+    vary = ROBUSTNESS_PARAMETERS[parameter][1]
+    return [vary(cfg, laser, v) for v in values]
+
+
 def delay_scan_tdse(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
                     tau0_values, *,
                     absorber: AbsorberSpec | None = None) -> ScanResult:
@@ -157,9 +176,9 @@ def power_scan(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     """Two-colour modulation amplitude versus field strength, with an
     equivalent incident-power axis (F1/enhancement)^2."""
     field_values = np.asarray(field_values, dtype=float)
-    amps = [modulation_amplitude(cfg, replace(laser, field_F1=float(f)), grid,
-                                 n_delays=n_delays, absorber=absorber)
-            for f in field_values]
+    amps = [modulation_amplitude(c, l, grid, n_delays=n_delays,
+                                 absorber=absorber)
+            for c, l in _sweep_points("field", cfg, laser, field_values)]
     power = (field_values / enhancement[0]) ** 2
     return ScanResult(
         "field_F1", "V_per_nm", field_values, "modulation_amplitude",
@@ -183,9 +202,8 @@ def width_scan(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     least-squares exponential fit A0 exp(-d/L) in the metadata."""
     d_values = np.asarray(d_values, dtype=float)
     amps = np.asarray(
-        [modulation_amplitude(replace(cfg, width_d=float(d)), laser, grid,
-                              n_delays=n_delays, absorber=absorber)
-         for d in d_values])
+        [modulation_amplitude(c, l, grid, n_delays=n_delays, absorber=absorber)
+         for c, l in _sweep_points("width", cfg, laser, d_values)])
     fit = exponential_fit(d_values, amps)
     return ScanResult(
         "width_d", "nm", d_values, "modulation_amplitude", "electrons", amps,
@@ -226,10 +244,10 @@ def directionality(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     current's split never saturates.
     """
     ratio_values = np.asarray(ratio_values, dtype=float)
+    points = _sweep_points("ratio", cfg, laser, ratio_values)
     shared = initial_state(cfg, grid)
 
-    def one(ratio):
-        las = replace(laser, ratio_eta=float(np.sqrt(ratio)))
+    def one(ratio, las):
         (_, jp), (_, jm) = _wall_charges(cfg, las, grid, absorber=absorber,
                                          initial=shared)
         for direction, q in (("tip->sample", jp), ("sample->tip", jm)):
@@ -241,22 +259,11 @@ def directionality(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
                     "grid or enable the absorber")
         return abs(jp - jm) / (jp + jm) if jp + jm > 0 else 0.0
 
-    deltas = [one(ratio) for ratio in ratio_values]
+    deltas = [one(ratio, las) for ratio, (_, las) in zip(ratio_values, points)]
     return ScanResult("intensity_ratio", "dimensionless", ratio_values,
                       "directionality", "dimensionless", np.asarray(deltas),
                       config_snapshot(cfg, laser, grid, absorber, kind="ratio",
                                       ratio_values=ratio_values.tolist()))
-
-
-# robustness parameter -> (unit, the (junction, laser) pair at value v)
-ROBUSTNESS_PARAMETERS = {
-    "field": ("V_per_nm", lambda c, l, v: (c, replace(l, field_F1=float(v)))),
-    "ratio": ("dimensionless",
-              lambda c, l, v: (c, replace(l, ratio_eta=float(np.sqrt(v))))),
-    "width": ("nm", lambda c, l, v: (replace(c, width_d=float(v)), l)),
-    "workfunction": ("eV",
-                     lambda c, l, v: (replace(c, workfunction_tip=float(v)), l)),
-}
 
 
 def robustness_sweep(parameter: str, values, cfg: JunctionConfig,
@@ -267,11 +274,10 @@ def robustness_sweep(parameter: str, values, cfg: JunctionConfig,
     workfunction)."""
     if parameter not in ROBUSTNESS_PARAMETERS:
         raise ValueError(f"parameter must be one of {tuple(ROBUSTNESS_PARAMETERS)}")
-    unit, vary = ROBUSTNESS_PARAMETERS[parameter]
+    unit = ROBUSTNESS_PARAMETERS[parameter][0]
     values = np.asarray(values, dtype=float)
 
-    def one(v):
-        c, l = vary(cfg, laser, v)
+    def one(c, l):
         t0, t1 = default_time_span(l, burst_only=True)
         res = propagate(c, l, grid, t0, t1, probes=(None,),
                         absorber=absorber)
@@ -279,7 +285,7 @@ def robustness_sweep(parameter: str, values, cfg: JunctionConfig,
                            cycle_fs=2.0 * np.pi / l.omega)
         return bm.fwhm
 
-    fwhms = [one(v) for v in values]
+    fwhms = [one(c, l) for c, l in _sweep_points(parameter, cfg, laser, values)]
     return ScanResult(parameter, unit, values, "burst_fwhm", "as",
                       np.asarray(fwhms),
                       config_snapshot(cfg, laser, grid, absorber,

@@ -14,12 +14,17 @@ omega tau} forward convention, so the J1 argument sign is unambiguous.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import j1
 
 # global maximum of |J1|, attained at x = +-1.8412
 J1_MAX = 0.5818652242574184
 DEFAULT_BETA = 0.02
+
+# select_beta's candidate cutoffs, and the largest amplified-noise share of
+# the signal energy, as an amplitude fraction
+BETA_GRID = np.geomspace(2e-4, 0.9 * J1_MAX, 30)
+BETA_GRID.flags.writeable = False
+_NOISE_FRACTION = 0.5
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
 
@@ -95,6 +100,10 @@ def forward_lockin(trace: DelayTrace, mod: ModulationSpec,
         raise LockinSupportError(
             f"trace must exceed the output range by delta = {delta} fs "
             f"on each side (supported: [{lo:.6g}, {hi:.6g}])")
+    # imported on first use: only this function needs scipy.interpolate,
+    # and it is slow to import
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(trace.delays, trace.values)
     x = np.pi * _GL_X  # [-1, 1] nodes mapped to the modulation phase [-pi, pi]
     w = np.pi * _GL_W
@@ -144,29 +153,26 @@ def reconstruct(lockin: DelayTrace, mod: ModulationSpec,
 
 
 def select_beta(lockin: DelayTrace, mod: ModulationSpec,
-                noise_estimate: float, *, threshold: float = 0.5,
-                grid=None) -> float:
-    """Smallest regularization cutoff that keeps the amplified noise below
-    a threshold fraction of the signal energy.
+                noise_estimate: float, *, grid=BETA_GRID) -> float:
+    """Smallest regularization cutoff of `grid` that keeps the amplified
+    noise below a fixed fraction of the signal energy.
 
     The spectral division amplifies white noise of per-sample deviation
     sigma by 1/max(|J1(delta*omega)|, beta) in each bin; beta grows until
-    sigma^2 * mean(amplification^2) <= threshold^2 * signal energy. With
-    noise_estimate = 0 the scan is skipped and the documented default 0.02
-    is returned.
+    sigma^2 * mean(amplification^2) <= _NOISE_FRACTION^2 * signal energy.
+    With noise_estimate = 0 the scan is skipped and the documented default
+    0.02 is returned.
     """
     if noise_estimate < 0:
         raise ValueError("noise_estimate must be non-negative")
     if noise_estimate == 0.0:
         return DEFAULT_BETA
-    if grid is None:
-        grid = np.geomspace(2e-4, 0.9 * J1_MAX, 30)
     omega = 2.0 * np.pi * np.fft.fftfreq(2 * lockin.values.size,
                                          d=lockin.spacing)
     absj = np.abs(j1(omega * mod.amplitude_delta))
     signal_energy = max(float(np.mean(np.abs(lockin.values) ** 2))
                         - noise_estimate**2, 0.0)
-    cap = threshold**2 * signal_energy
+    cap = _NOISE_FRACTION**2 * signal_energy
     for beta in grid:
         gain2 = float(np.mean(1.0 / np.maximum(absj, beta) ** 2))
         if noise_estimate**2 * gain2 <= cap:

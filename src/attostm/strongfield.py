@@ -75,11 +75,6 @@ class SaddleSolution:
         return _p_tilde(self.junction.width_d, self.t1, self.t2,
                         _a_integral(self.laser, self.t1, self.t2))
 
-    @property
-    def emission_phase(self) -> float:
-        """sinh(omega * Im t1), the quantity the Keldysh parameter tracks."""
-        return float(np.sinh(self.laser.omega * self.t1.imag))
-
     def residuals(self) -> tuple[float, float, float]:
         """|residual| of the emission-energy, displacement and arrival-energy
         saddle equations, in eV / nm / eV."""
@@ -275,9 +270,13 @@ def _solve_saddles(E, E0, problems, cfg, seeds=None):
     return t1, t2, gnorm, status
 
 
-def _failure(status, t1, t2, gnorm, crest_time):
-    """The SaddleConvergenceError message of a failed status."""
-    return {
+def _only_root(roots, crest_time):
+    """(t1, t2) of a batch of one, or the SaddleConvergenceError that names
+    why it has no physical root."""
+    [t1], [t2], [gnorm], [status] = roots
+    if status == _ROOT:
+        return t1, t2
+    raise SaddleConvergenceError({
         _SINGULAR: "singular Jacobian",
         _STALLED: f"Newton stalled (|G| = {gnorm:.2e}); try a different seed",
         _NO_CONVERGENCE: f"no convergence after {_NEWTON_MAX_ITER} iterations "
@@ -289,7 +288,26 @@ def _failure(status, t1, t2, gnorm, crest_time):
                   f"emission Re t1 = {t1.real:.3f} fs",
         _BRANCH: f"unphysical arrival branch: Im t2 = {t2.imag:.3f} fs "
                  f"outside [-0.2, 1] x Im t1 = {t1.imag:.3f} fs",
-    }[status]
+    }[status])
+
+
+def _continued_roots(energies, E0, problems, cfg):
+    """Saddle roots of every problem of the batch, continued in final energy.
+
+    Energies are stepped in the given order, and each step solves every
+    problem as one batch (_solve_saddles). A problem's root seeds that
+    problem at the next energy; a problem without a root starts again from
+    its heuristic crest seed.
+
+    Yields (t1, t2, |G|, status) per energy, as _solve_saddles returns them.
+    """
+    t1 = t2 = np.zeros(problems.crest.size, dtype=complex)
+    found = np.zeros(problems.crest.size, dtype=bool)
+    for e in energies:
+        t1, t2, gnorm, status = _solve_saddles(e, E0, problems, cfg,
+                                               (t1, t2, found))
+        found = status == _ROOT
+        yield t1, t2, gnorm, status
 
 
 def solve_saddle(E: float, E0: float, laser: LaserConfig, cfg: JunctionConfig,
@@ -308,26 +326,23 @@ def solve_saddle(E: float, E0: float, laser: LaserConfig, cfg: JunctionConfig,
     seeds = None if seed is None else (
         np.array([complex(seed[0])]), np.array([complex(seed[1])]),
         np.ones(1, dtype=bool))
-    t1, t2, gnorm, status = _solve_saddles(E, E0, problem, cfg, seeds)
-    if status[0] != _ROOT:
-        raise SaddleConvergenceError(
-            _failure(status[0], t1[0], t2[0], gnorm[0], crest_time))
-    return SaddleSolution(t1[0], t2[0], float(E), -abs(E0), vbar, laser, cfg)
+    t1, t2 = _only_root(_solve_saddles(E, E0, problem, cfg, seeds), crest_time)
+    return SaddleSolution(t1, t2, float(E), -abs(E0), vbar, laser, cfg)
 
 
 def emission_phase_curve(energies, laser: LaserConfig, cfg: JunctionConfig, *,
                          binding: float | None = None):
     """sinh(omega Im t1) at the dominant crest for each final energy.
 
-    Solves with continuation in E (previous root seeds the next)."""
+    The crest's root is continued in E (_continued_roots); the first energy
+    without a root raises SaddleConvergenceError, as solve_saddle would."""
     e0 = cfg.workfunction_tip if binding is None else binding
     crest = field_crest_time(laser)
+    problem = _Problems.build([(laser, crest)], cfg)
     out = np.empty(len(energies))
-    seed = None
-    for i, e in enumerate(energies):
-        sol = solve_saddle(e, e0, laser, cfg, seed, crest_time=crest)
-        out[i] = sol.emission_phase
-        seed = (sol.t1, sol.t2)
+    for i, roots in enumerate(_continued_roots(energies, e0, problem, cfg)):
+        t1, _ = _only_root(roots, crest)
+        out[i] = np.sinh(laser.omega * t1.imag)
     return out
 
 
@@ -381,10 +396,8 @@ def _crest_amplitudes(lasers, cfg: JunctionConfig, E0: float, energies):
     Each crest of the force toward the sample contributes
     sqrt(i/(8 pi m hbar^3 (t2-t1))) * exp(i S / hbar) at each energy; the
     transition prefactor is taken as 1, so magnitudes are meaningful only
-    relative to each other. Energies are stepped with continuation: the
-    previous energy's root seeds the next, and after a failure the next
-    solve starts from the heuristic crest seed again. Each energy step
-    solves every (laser, crest) problem as one batch (_solve_saddles).
+    relative to each other. Every (laser, crest) root is continued in
+    energy as one batch (_continued_roots).
 
     Returns one (crest times, amplitudes of shape (crest, energy), lost)
     per laser, where lost marks the crest/energy pairs whose saddle solve
@@ -399,11 +412,8 @@ def _crest_amplitudes(lasers, cfg: JunctionConfig, E0: float, energies):
         [(las, float(tc)) for las, cs in zip(lasers, crests) for tc in cs], cfg)
     amp = np.zeros((owner.size, energies.size), dtype=complex)
     lost = np.zeros(amp.shape, dtype=bool)
-    t1 = t2 = np.zeros(owner.size, dtype=complex)
-    found = np.zeros(owner.size, dtype=bool)
-    for k, e in enumerate(energies):
-        t1, t2, _, status = _solve_saddles(e, E0, problems, cfg,
-                                           (t1, t2, found))
+    roots = _continued_roots(energies, E0, problems, cfg)
+    for k, (e, (t1, t2, _, status)) in enumerate(zip(energies, roots)):
         found = status == _ROOT
         lost[:, k] = ~found
         seen = [[] for _ in lasers]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from attostm import experiments
+from attostm import experiments, strongfield
 from attostm.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, RECIPES,
                          SCAN_KINDS, build_grid, load_config, main)
 from attostm.results import ScanResult, config_hash, read_csv, write_csv
@@ -369,6 +369,23 @@ def test_saddle_eta0_columns_match(tmp_path):
     assert run_cli("saddle", "--config", path, "--out", str(out)) == EXIT_OK
     cols, _ = read_csv(out / "emission_phase.csv")
     assert np.array_equal(cols["gamma_modified"], cols["gamma_standard_eta0"])
+
+
+@pytest.mark.parametrize("saddle, message", [
+    ({"energy_count": 0}, "saddle.energy_count must be >= 1"),
+    ({"binding_eV": 0.5}, "saddle.binding_eV (0.5) must exceed"),
+], ids=["energy_count", "binding"])
+def test_saddle_rejects_bad_section_before_solving(tmp_path, capsys,
+                                                  monkeypatch, saddle, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a saddle solve started")
+
+    monkeypatch.setattr(strongfield, "_solve_saddles", no_solve)
+    path = write_config(tmp_path, {"saddle": saddle})
+    out = tmp_path / "sk"
+    assert run_cli("saddle", "--config", path, "--out", str(out)) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def lockin_input(tmp_path):

@@ -186,3 +186,20 @@ def test_delay_scan_strongfield_rerun_keeps_energy_grid(sf_scan):
     again = rerun_from_metadata(sf_scan)
     assert np.array_equal(sf_scan.results, again.results)
     assert config_hash(sf_scan.metadata) == config_hash(again.metadata)
+
+
+@pytest.mark.parametrize("scan, values, message", [
+    ("directionality", [0.5, 1.5], "ratio_eta must lie in"),
+    ("width_scan", [1.0, 0.5, -0.5], "width_d must be positive"),
+    ("power_scan", [7.0, -1.0], "field_F1 must be non-negative"),
+], ids=["directionality", "width_scan", "power_scan"])
+def test_sweep_rejects_bad_point_before_propagating(monkeypatch, scan, values,
+                                                    message):
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("a propagation started")
+
+    monkeypatch.setattr(experiments, "initial_state", no_propagation)
+    monkeypatch.setattr(experiments, "propagate", no_propagation)
+    with pytest.raises(ValueError, match=message):
+        getattr(experiments, scan)(JunctionConfig(), tiny_laser(), tiny_grid(),
+                                   values)

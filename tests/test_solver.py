@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -469,3 +470,24 @@ def test_probe_inside_the_tip_moves_the_cut():
     bare = propagate(cfg, las, grid, t0, t0 + 1.0, probes=(), initial=st)
     assert bare.records == []
     assert -grid.dz < bare.tip_cut_nm <= 0.0
+
+
+def test_charges_converge_at_second_order_in_dt():
+    # Crank-Nicolson is second order in dt: each halving of the step shrinks
+    # the change of the transferred charge about fourfold. Measured ratios of
+    # successive differences: 3.60 for Q(0) and 4.02 for Q(d). The bounds
+    # 4 +- 0.8 hold both with room to spare and exclude a first-order (2) or
+    # third-order (8) scheme.
+    grid = small_grid()
+    cfg = JunctionConfig()
+    las = LaserConfig(field_F1=7.0, duration_tau1=4.0, duration_tau2=5.0)
+    t0, t1 = default_time_span(las, burst_only=True)
+    st = initial_state(cfg, grid)
+    charges = []
+    for halvings in range(3):
+        res = propagate(cfg, las, replace(grid, dt=grid.dt / 2**halvings),
+                        t0, t1, probes=(0.0, None), initial=st)
+        charges.append([transferred_charge(r) for r in res.records])
+    steps = np.diff(charges, axis=0)
+    ratios = steps[0] / steps[1]
+    assert np.all((3.2 < ratios) & (ratios < 4.8)), ratios

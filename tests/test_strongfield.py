@@ -352,3 +352,33 @@ def test_directional_weight_of_a_sequence(cfg, las8):
         single = directional_weight(las, cfg, direction=-1, energies=energies)
         assert isinstance(single, float)
         assert w == pytest.approx(single, rel=1e-12)
+
+
+def _solve_saddle_chain(energies, e0, laser, cfg):
+    """sinh(omega Im t1) along a chain of public solve_saddle calls at the
+    dominant crest, each root seeding the next energy."""
+    crest = field_crest_time(laser)
+    out, seed = [], None
+    for e in energies:
+        sol = solve_saddle(e, e0, laser, cfg, seed, crest_time=crest)
+        out.append(np.sinh(laser.omega * sol.t1.imag))
+        seed = (sol.t1, sol.t2)
+    return np.array(out)
+
+
+def test_emission_phase_curve_is_a_chain_of_solve_saddle_calls():
+    data = load_config("figSK")
+    cfg, laser = build_junction(data), build_laser(data)
+    energies = np.linspace(0.5, 14.0, 55)
+    e0 = cfg.workfunction_tip
+    np.testing.assert_array_equal(
+        emission_phase_curve(energies, laser, cfg),
+        _solve_saddle_chain(energies, e0, laser, cfg))
+    # at a 9 eV binding the chain down in energy breaks at 2.5 eV: the curve
+    # raises there with the chain's own message
+    with pytest.raises(SaddleConvergenceError) as chain:
+        _solve_saddle_chain(energies[::-1], 9.0, laser, cfg)
+    with pytest.raises(SaddleConvergenceError) as curve:
+        emission_phase_curve(energies[::-1], laser, cfg, binding=9.0)
+    assert "unphysical arrival branch" in str(chain.value)
+    assert str(curve.value) == str(chain.value)
