@@ -326,15 +326,25 @@ def cmd_saddle(data, out_dir, args, configs, snapshot) -> int:
     count = s.get("energy_count", 55)
     if count < 1:
         raise ConfigError(f"saddle.energy_count must be >= 1, got {count}")
-    energies = np.linspace(s.get("energy_start_eV", 0.5),
-                           s.get("energy_stop_eV", 14.0), count)
+    start = s.get("energy_start_eV", 0.5)
+    stop = s.get("energy_stop_eV", 14.0)
+    trajectory_energies = s.get("trajectory_energies_eV", [0.0, 4.4, 6.7])
+    # the saddle condition k(t2) = sqrt(2m(E + Vbar)) needs E > -Vbar
+    for key, values in (("energy_start_eV", [start]), ("energy_stop_eV", [stop]),
+                        ("trajectory_energies_eV", trajectory_energies)):
+        for e in values:
+            if e <= -vbar:
+                raise ConfigError(f"saddle.{key} ({e}) must exceed minus the "
+                                  f"junction's mean image potential, "
+                                  f"{-vbar:.4f} eV")
+    energies = np.linspace(start, stop, count)
     try:
         phases = strongfield.emission_phase_curve(energies, laser, cfg,
                                                   binding=binding)
         cutoff = strongfield.cutoff_energy(laser, cfg, binding=binding)
         trajectories = {}
         solutions = []
-        for e in s.get("trajectory_energies_eV", [0.0, 4.4, 6.7]):
+        for e in trajectory_energies:
             sol = strongfield.solve_saddle(float(e), binding, laser, cfg)
             tr = strongfield.trajectory(sol)
             trajectories[float(e)] = tr

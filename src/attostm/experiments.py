@@ -142,9 +142,16 @@ ROBUSTNESS_PARAMETERS = {
 
 def _sweep_points(parameter, cfg, laser, values):
     """The (junction, laser) pair of every swept value, all built (and so
-    validated) before the first point is computed."""
+    validated) before the first point is computed. An invalid point raises
+    ValueError naming the parameter and the value."""
     vary = ROBUSTNESS_PARAMETERS[parameter][1]
-    return [vary(cfg, laser, v) for v in values]
+    points = []
+    for v in values:
+        try:
+            points.append(vary(cfg, laser, v))
+        except ValueError as exc:
+            raise ValueError(f"{parameter} = {v}: {exc}") from None
+    return points
 
 
 def delay_scan_tdse(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,

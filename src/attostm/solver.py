@@ -36,6 +36,9 @@ from .units import AUTIME_FS, BOHR_NM, EMASS, HARTREE_EV, HBAR_EVFS, HBAR2_OVER_
 # reflection-risk check run once per chunk
 CHUNK_STEPS = 512
 
+# half-width (eV) of initial_state's first eigen window around -W_t
+_FIRST_HALF_WIDTH = 0.02
+
 
 class InitialStateError(SolverError):
     """No acceptable Fermi-level eigenstate found."""
@@ -166,21 +169,33 @@ def initial_state(cfg: JunctionConfig, grid: GridSpec, *,
 
     Picks the eigenvalue of the discretized laser-off Hamiltonian closest to
     -W_t among states holding >= 99% of their probability at z < 0; raises
-    InitialStateError when the +-0.5 eV window holds no such state.
+    InitialStateError when +-window eV around it holds no such state.
+
+    The eigen-solve pays for every pair it returns, so it starts at
+    +-_FIRST_HALF_WIDTH eV and doubles up to +-window until a tip-localized
+    state lies at a distance delta with delta + 1e-12 < the half-width.
+    Every closer eigenvalue, and any equidistant partner under the 1e-12
+    tie rule, then lies inside, so the pick equals that of the full window.
     """
     if not (grid.z_min < 0.0 < cfg.width_d < grid.z_max):
         raise ValueError("grid must bracket the junction: z_min < 0 < d < z_max")
     profile = sample_static_profile(cfg, grid.z)
     main, off = build_hamiltonian_diagonals(profile, grid)
+    offs = np.full(main.size - 1, off)
     target = -cfg.workfunction_tip
-    w, v = eigh_tridiagonal(main, np.full(main.size - 1, off), select="v",
-                            select_range=(target - window, target + window))
+    tip = grid.z[1:-1] < 0.0
+    half = min(_FIRST_HALF_WIDTH, window)
+    while True:
+        w, v = eigh_tridiagonal(main, offs, select="v",
+                                select_range=(target - half, target + half))
+        tip_frac = np.sum(v[tip, :] ** 2, axis=0)
+        dist = np.abs(w - target)
+        if half >= window or np.any(dist[tip_frac >= 0.99] + 1e-12 < half):
+            break
+        half = min(2.0 * half, window)
     if w.size == 0:
         raise InitialStateError(
             f"no eigenvalue within +-{window} eV of {target} eV")
-    tip = grid.z[1:-1] < 0.0
-    tip_frac = np.sum(v[tip, :] ** 2, axis=0)
-    dist = np.abs(w - target)
     order = np.argsort(dist, kind="stable")
     localized = [i for i in order if tip_frac[i] >= 0.99]
     if not localized:

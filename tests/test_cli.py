@@ -1,5 +1,6 @@
 import inspect
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,8 @@ import yaml
 from attostm import experiments, strongfield
 from attostm.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, RECIPES,
                          SCAN_KINDS, build_grid, load_config, main)
+from attostm.config import JunctionConfig
+from attostm.potential import mean_image_magnitude
 from attostm.results import ScanResult, config_hash, read_csv, write_csv
 from attostm.solver import ReflectionRiskWarning
 
@@ -385,6 +388,49 @@ def test_saddle_rejects_bad_section_before_solving(tmp_path, capsys,
     out = tmp_path / "sk"
     assert run_cli("saddle", "--config", path, "--out", str(out)) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scan_names_the_invalid_sweep_point(tmp_path, capsys, monkeypatch):
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("a propagation started")
+
+    monkeypatch.setattr(experiments, "initial_state", no_propagation)
+    monkeypatch.setattr(experiments, "propagate", no_propagation)
+    cfg = tiny_tdse_config(
+        scan={"kind": "ratio", "start": 0.0, "stop": 1.5, "count": 2})
+    path = write_config(tmp_path, cfg)
+    assert run_cli("scan", "--config", path, "--out",
+                   str(tmp_path / "x")) == EXIT_CONFIG
+    assert ("ratio = 1.5: ratio_eta must lie in [0, 1]"
+            in capsys.readouterr().err)
+
+
+# -Vbar of the default junction, the lowest final energy a saddle can reach
+MINUS_VBAR = -mean_image_magnitude(JunctionConfig())
+
+
+@pytest.mark.parametrize("saddle, key", [
+    ({"energy_start_eV": -3.0}, "energy_start_eV"),
+    ({"energy_start_eV": MINUS_VBAR}, "energy_start_eV"),
+    ({"energy_stop_eV": -1.5}, "energy_stop_eV"),
+    ({"trajectory_energies_eV": [4.4, -1.2]}, "trajectory_energies_eV"),
+], ids=["start_below", "start_at", "stop_below", "trajectory_below"])
+def test_saddle_rejects_final_energy_at_or_below_minus_vbar(
+        tmp_path, capsys, monkeypatch, saddle, key):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a saddle solve started")
+
+    monkeypatch.setattr(strongfield, "_solve_saddles", no_solve)
+    path = write_config(tmp_path, {"saddle": saddle})
+    out = tmp_path / "sk"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("saddle", "--config", path,
+                       "--out", str(out)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"saddle.{key} (" in err
+    assert f"mean image potential, {MINUS_VBAR:.4f} eV" in err
     assert not out.exists()
 
 

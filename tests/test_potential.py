@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from attostm.config import JunctionConfig
-from attostm.potential import (PotentialProfile, clamp_level,
+from attostm.potential import (IMAGE_MAX_TERMS, IMAGE_TERM_TOL,
+                               PotentialProfile, clamp_level,
                                clamped_image_average, image_potential,
                                laser_interaction, mean_image_magnitude,
                                sample_static_profile, static_potential)
@@ -53,6 +54,48 @@ def test_image_series_convergence():
     assert np.max(np.abs(base - doubled)) < 1e-10
     tighter = image_potential(z, 1.0, term_tol=1e-15)
     assert np.max(np.abs(base - tighter)) < 1e-10
+
+
+def looped_image_series(z, d, term_tol=IMAGE_TERM_TOL,
+                        max_terms=IMAGE_MAX_TERMS):
+    # the series added one n at a time, stopped like image_potential and
+    # closed with its tail remainder; 0 < z < d
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    total = 1.0 / (2.0 * z)
+    z2 = z * z
+    n = 1
+    for n in range(1, max_terms + 1):
+        nd = n * d
+        term = z2 / (nd * (nd * nd - z2))
+        total = total + term
+        if IMAGE_PREFACTOR_EVNM * np.max(term) < term_tol:
+            break
+    x2 = z2 / (d * d)
+    tail = (x2 / d) * ((0.5 / n**2 - 0.5 / n**3 + 0.25 / n**4)
+                       + x2 * 0.25 / n**4)
+    return -IMAGE_PREFACTOR_EVNM * (total + tail)
+
+
+GAP = np.linspace(0.01, 0.99, 37)
+
+
+@pytest.mark.parametrize("z, d, options", [
+    (0.5, 1.0, {}),
+    (0.35, 0.7, {}),
+    (GAP, 1.0, {}),
+    (GAP, 1.0, {"max_terms": 20_000}),
+    (GAP, 1.0, {"term_tol": 1e-15}),
+    (GAP, 1.0, {"max_terms": 100}),
+    (0.5, 1.0, {"max_terms": 513}),
+    ((np.arange(2048) + 0.5) / 2048, 1.0, {}),
+], ids=["midpoint", "midpoint_d07", "gap", "max_terms_20000",
+        "term_tol_1e-15", "max_terms_100", "max_terms_513", "dense_gap"])
+def test_image_sum_order_is_one_n_after_the_other(z, d, options):
+    # mean_image_magnitude's pinned saddle outputs rest on this exact order
+    # of additions, so the comparison is bit for bit
+    got = image_potential(z, d, **options)
+    want = looped_image_series(z, d, **options)
+    assert np.array_equal(np.atleast_1d(got), want)
 
 
 def test_clamping(junction):

@@ -3,10 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.sparse import diags
 from scipy.sparse.linalg import eigsh
 
+from attostm import solver
 from attostm.config import JunctionConfig, LaserConfig
 from attostm.experiments import default_time_span
 from attostm.grid import AbsorberSpec, GridSpec, bandwidth_steps, desk_grid, reference_grid
@@ -119,6 +120,51 @@ def test_initial_state_errors():
     with pytest.raises(InitialStateError):
         # window far narrower than the level spacing: no eigenvalue inside
         initial_state(cfg, grid, window=1e-9)
+
+
+def one_shot_pick(cfg, grid):
+    """Energy and |eigenvector| of the nearest tip-localised state over the
+    whole +-0.5 eV, every pair from one eigen-solve (the tie goes to the
+    more localised state), and the tip fraction of the nearest eigenvalue."""
+    main, off = build_hamiltonian_diagonals(
+        sample_static_profile(cfg, grid.z), grid)
+    target = -cfg.workfunction_tip
+    w, v = eigh_tridiagonal(main, np.full(main.size - 1, off), select="v",
+                            select_range=(target - 0.5, target + 0.5))
+    tip_frac = np.sum(v[grid.z[1:-1] < 0.0] ** 2, axis=0)
+    dist = np.abs(w - target)
+    order = np.argsort(dist, kind="stable")
+    localized = [i for i in order if tip_frac[i] >= 0.99]
+    best = localized[0]
+    for i in localized[1:]:
+        if abs(dist[i] - dist[best]) < 1e-12 and tip_frac[i] > tip_frac[best]:
+            best = i
+    return w[best], np.abs(v[:, best]), tip_frac[order[0]]
+
+
+@pytest.mark.parametrize("grid, widens", [
+    (desk_grid(), False),
+    # the eigenvalue nearest -W_t is a sample state (tip fraction 8e-8) and
+    # the pick lies 32 meV away, outside the first window
+    (small_grid(), True),
+], ids=["desk", "pm20"])
+def test_initial_state_matches_the_full_window_pick(monkeypatch, grid, widens):
+    cfg = JunctionConfig()
+    energy, magnitude, nearest_tip_frac = one_shot_pick(cfg, grid)
+    windows = []
+
+    def recording(*args, select_range, **kwargs):
+        windows.append(0.5 * (select_range[1] - select_range[0]))
+        return eigh_tridiagonal(*args, select_range=select_range, **kwargs)
+
+    monkeypatch.setattr(solver, "eigh_tridiagonal", recording)
+    st = initial_state(cfg, grid)
+    assert (nearest_tip_frac < 0.99) == widens
+    assert (len(windows) > 1) == widens
+    assert max(windows) < 0.5
+    assert st.energy == pytest.approx(energy, abs=1e-12)
+    got = np.abs(st.psi[1:-1]) * np.sqrt(grid.dz)
+    assert np.max(np.abs(got - magnitude)) <= 1e-12 * np.max(magnitude)
 
 
 def test_step_norm_conservation():
