@@ -4,7 +4,8 @@ CSV/JSON artifacts.
 Every physical quantity in a config carries its unit in the key name.
 Unknown keys are hard errors; a junction or laser key left out keeps its
 dataclass default. Exit codes: 0 success, 2 config/validation failure,
-3 compute failure, 4 I/O failure.
+3 compute failure, 4 I/O failure. The output directory is created by the
+first write, so a run rejected before it leaves none behind.
 """
 
 import argparse
@@ -24,7 +25,8 @@ from . import __version__, experiments, kernels, lockin as lockin_mod, strongfie
 from .config import JunctionConfig, LaserConfig
 from .grid import DESK_ABSORBER, AbsorberSpec, desk_grid, reference_grid
 from .laser import effective_keldysh, field_crest_time
-from .potential import mean_image_magnitude, sample_static_profile, static_potential, laser_interaction
+from .potential import (clamp_level, laser_interaction, mean_image_magnitude,
+                        sample_static_profile, static_potential)
 from .results import (config_snapshot, record_to_csv, read_csv, save_scan,
                       state_to_json, write_csv, write_json)
 from .solver import MapSpec, SolverError, propagate
@@ -192,7 +194,6 @@ def build_grid(data, preset_override=None):
 def cmd_potential(data, out_dir, args, configs, snapshot) -> int:
     cfg, laser, grid, _ = configs
     profile = sample_static_profile(cfg, grid.z)
-    out_dir.mkdir(parents=True, exist_ok=True)
     columns = {"z_nm": profile.grid_z, "V0_eV": profile.values}
     for t in data.get("potential", {}).get("snapshot_times_fs", []):
         total = profile.values + laser_interaction(cfg, laser, profile.grid_z, t)
@@ -202,8 +203,7 @@ def cmd_potential(data, out_dir, args, configs, snapshot) -> int:
     checks = {
         "tip_plateau_eV": float(static_potential(cfg, grid.z_min / 2)),
         "sample_plateau_eV": float(static_potential(cfg, grid.z_max / 2 + cfg.width_d)),
-        "clamp_level_eV": float(min(cfg.tip_interior_level,
-                                    cfg.sample_interior_level)),
+        "clamp_level_eV": clamp_level(cfg),
         "mean_image_eV": mean_image_magnitude(cfg),
         "all_finite": bool(np.all(np.isfinite(profile.values))),
     }
@@ -229,18 +229,14 @@ def cmd_propagate(data, out_dir, args, configs, snapshot) -> int:
     started = time.perf_counter()
     try:
         # record the run's warnings (reflection risk) for the sidecar, then
-        # emit them as usual
+        # emit them as usual, also when the run fails
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             res = propagate(cfg, laser, grid, t0, t1, probes=probes,
                             absorber=absorber, map_spec=map_spec)
-    except SolverError as exc:
-        print(f"propagation failed: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
     finally:
         for w in caught:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for rec in res.records:
         record_to_csv(rec, out_dir / f"current_z{rec.probe_z:+.3f}nm.csv",
                       {"code_version": __version__})
@@ -302,13 +298,8 @@ def cmd_scan(data, out_dir, args, configs, snapshot) -> int:
         options["enhancement"] = (scan.get("enhancement_fund", 1.0),
                                   scan.get("enhancement_sh", 1.0))
     started = time.perf_counter()
-    try:
-        result = experiments.run_scan(kind, cfg, laser, grid, values,
-                                      absorber=absorber, **options)
-    except (SolverError, SaddleConvergenceError, experiments.BurstError,
-            experiments.DirectionalityError) as exc:
-        print(f"scan failed: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+    result = experiments.run_scan(kind, cfg, laser, grid, values,
+                                  absorber=absorber, **options)
     result.metadata["wall_time_s"] = time.perf_counter() - started
     csv_path, _ = save_scan(result, out_dir)
     print(f"wrote {csv_path}")
@@ -338,28 +329,23 @@ def cmd_saddle(data, out_dir, args, configs, snapshot) -> int:
                                   f"junction's mean image potential, "
                                   f"{-vbar:.4f} eV")
     energies = np.linspace(start, stop, count)
-    try:
-        phases = strongfield.emission_phase_curve(energies, laser, cfg,
-                                                  binding=binding)
-        cutoff = strongfield.cutoff_energy(laser, cfg, binding=binding)
-        trajectories = {}
-        solutions = []
-        for e in trajectory_energies:
-            sol = strongfield.solve_saddle(float(e), binding, laser, cfg)
-            tr = strongfield.trajectory(sol)
-            trajectories[float(e)] = tr
-            r1, r2, r3 = sol.residuals()
-            solutions.append({
-                "final_energy_eV": float(e),
-                "t1_fs": [sol.t1.real, sol.t1.imag],
-                "t2_fs": [sol.t2.real, sol.t2.imag],
-                "p_tilde": [sol.p_tilde.real, sol.p_tilde.imag],
-                "mean_image_eV": sol.mean_image,
-                "residuals": [r1, r2, r3]})
-    except SaddleConvergenceError as exc:
-        print(f"saddle solve failed: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    out_dir.mkdir(parents=True, exist_ok=True)
+    phases = strongfield.emission_phase_curve(energies, laser, cfg,
+                                              binding=binding)
+    cutoff = strongfield.cutoff_energy(laser, cfg, binding=binding)
+    trajectories = {}
+    solutions = []
+    for e in trajectory_energies:
+        sol = strongfield.solve_saddle(float(e), binding, laser, cfg)
+        tr = strongfield.trajectory(sol)
+        trajectories[float(e)] = tr
+        r1, r2, r3 = sol.residuals()
+        solutions.append({
+            "final_energy_eV": float(e),
+            "t1_fs": [sol.t1.real, sol.t1.imag],
+            "t2_fs": [sol.t2.real, sol.t2.imag],
+            "p_tilde": [sol.p_tilde.real, sol.p_tilde.imag],
+            "mean_image_eV": sol.mean_image,
+            "residuals": [r1, r2, r3]})
     gamma_mod = effective_keldysh(laser, binding - vbar)
     gamma_std = effective_keldysh(replace(laser, ratio_eta=0.0), binding - vbar)
     write_csv(out_dir / "emission_phase.csv",
@@ -394,16 +380,10 @@ def cmd_lockin(data, out_dir, args, configs, snapshot) -> int:
     mod = lockin_mod.ModulationSpec(l["delta_fs"]) if "delta_fs" in l \
         else lockin_mod.ModulationSpec()
     beta = l.get("beta", lockin_mod.DEFAULT_BETA)
-    try:
-        columns, _ = read_csv(l["input_csv"])
-    except OSError as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
-        return EXIT_IO
+    columns, _ = read_csv(l["input_csv"])
     if "delay_fs" not in columns:
         raise ConfigError("input CSV needs a delay_fs column")
     delays = columns["delay_fs"]
-    # out_dir is made only once there is something to write, so that a run
-    # rejected for its input or beta leaves nothing behind
     meta = {"delta_fs": mod.amplitude_delta, "beta": beta,
             "transform_convention": "forward e^{-i omega tau}",
             "code_version": __version__}
@@ -413,7 +393,6 @@ def cmd_lockin(data, out_dir, args, configs, snapshot) -> int:
             raise ConfigError("input CSV needs a value_re (or value) column")
         trace = lockin_mod.DelayTrace(delays, values, kind="physical_current")
         out = lockin_mod.forward_lockin(trace, mod)
-        out_dir.mkdir(parents=True, exist_ok=True)
         write_csv(out_dir / "lockin_forward.csv",
                   {"delay_fs": out.delays, "value_re": out.values.real,
                    "value_im": out.values.imag}, meta)
@@ -427,7 +406,6 @@ def cmd_lockin(data, out_dir, args, configs, snapshot) -> int:
         kind="lockin_complex")
     if mode == "invert":
         rec = lockin_mod.reconstruct(trace, mod, beta)
-        out_dir.mkdir(parents=True, exist_ok=True)
         write_csv(out_dir / "lockin_inverted.csv",
                   {"delay_fs": rec.delays, "value_re": rec.values,
                    "value_im": np.zeros(rec.values.size)}, meta)
@@ -435,7 +413,6 @@ def cmd_lockin(data, out_dir, args, configs, snapshot) -> int:
     else:
         beta_sel = lockin_mod.select_beta(trace, mod,
                                           l.get("noise_estimate", 0.0))
-        out_dir.mkdir(parents=True, exist_ok=True)
         write_json(out_dir / "lockin_beta.json", dict(meta, beta=beta_sel))
         print(f"selected beta: {beta_sel}")
     return EXIT_OK
@@ -482,7 +459,11 @@ def main(argv=None) -> int:
             return EXIT_OK
         out_dir = Path(args.out or data.get("output_dir", "out"))
         return args.run(data, out_dir, args, configs, snapshot)
-    except (ConfigError, ValueError) as exc:
+    except (SolverError, SaddleConvergenceError, experiments.BurstError,
+            experiments.DirectionalityError) as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

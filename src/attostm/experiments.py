@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import JunctionConfig, LaserConfig
 from .grid import AbsorberSpec, GridSpec
-from .laser import field_crest_time, pulse_onset
+from .laser import _parabolic_refine, field_crest_time, pulse_onset
 from .results import ScanResult, config_snapshot, configs_from_snapshot
 from .solver import (CurrentRecord, initial_state, propagate,
                      transferred_charge)
@@ -72,11 +72,7 @@ def burst_metrics(record: CurrentRecord, *, crest_time: float,
         raise BurstError("half-maximum crossings fall outside the record")
     t_lo = np.interp(half, [aj[lo - 1], aj[lo]], [t[lo - 1], t[lo]])
     t_hi = np.interp(half, [aj[hi + 1], aj[hi]], [t[hi + 1], t[hi]])
-    # parabolic refinement of the peak position
-    denom = aj[ipk - 1] - 2.0 * aj[ipk] + aj[ipk + 1]
-    tpk = t[ipk]
-    if denom != 0.0:
-        tpk += 0.5 * (aj[ipk - 1] - aj[ipk + 1]) / denom * (t[1] - t[0])
+    tpk = _parabolic_refine(t, aj, ipk)
     return BurstMetrics(fwhm=float((t_hi - t_lo) * 1e3),
                         peak_time=float((tpk - crest_time) * 1e3),
                         peak_height=float(peak))

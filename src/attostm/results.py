@@ -83,7 +83,8 @@ def _fmt(x) -> str:
 
 
 def write_csv(path, columns: dict, comments: dict | None = None) -> None:
-    """Comma-separated table with '#' metadata comments and repr floats."""
+    """Comma-separated table with '#' metadata comments and repr floats;
+    creates the parent directory."""
     path = Path(path)
     lines = []
     for key, val in (comments or {}).items():
@@ -93,6 +94,7 @@ def write_csv(path, columns: dict, comments: dict | None = None) -> None:
     lines.append(",".join(names))
     for i in range(cols[0].shape[0]):
         lines.append(",".join(_fmt(c[i]) for c in cols))
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -116,8 +118,11 @@ def read_csv(path):
 
 
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True,
-                                     default=_json_default) + "\n")
+    """Sorted, indented JSON; creates the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
+                               default=_json_default) + "\n")
 
 
 def _json_default(obj):
@@ -133,7 +138,6 @@ def _json_default(obj):
 def save_scan(scan: ScanResult, out_dir) -> tuple[Path, Path]:
     """Write the CSV/JSON pair; returns (csv_path, json_path)."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     kind = scan.metadata.get("kind", "scan")
     h = config_hash(scan.metadata)
     stem = f"{kind}_{h}"

@@ -248,6 +248,9 @@ def _solve_saddles(E, E0, problems, cfg, seeds=None):
     e0_eff = abs(E0) - vbar
     if e0_eff <= 0:
         raise ValueError("effective binding |E0| - mean_image must be positive")
+    if E + vbar <= 0:
+        raise ValueError(f"final energy E = {E} eV must exceed -Vbar = "
+                         f"{-vbar:.4f} eV, minus the mean image potential")
     k1_target = 1j * np.sqrt(2.0 * EMASS * e0_eff)
     k2_target = np.sqrt(2.0 * EMASS * (E + vbar))
     d = cfg.width_d

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 import yaml
 
-from attostm import experiments, strongfield
-from attostm.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, RECIPES,
+from attostm import cli, experiments, strongfield
+from attostm.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_IO, EXIT_OK, RECIPES,
                          SCAN_KINDS, build_grid, load_config, main)
 from attostm.config import JunctionConfig
 from attostm.potential import mean_image_magnitude
 from attostm.results import ScanResult, config_hash, read_csv, write_csv
-from attostm.solver import ReflectionRiskWarning
+from attostm.solver import ReflectionRiskWarning, SolverError
 
 
 def run_cli(*argv):
@@ -240,6 +240,22 @@ def test_scan_ratio_refusal_is_compute_failure(tmp_path, capsys,
     assert "scan failed: sample->tip charge < 0" in capsys.readouterr().err
 
 
+def test_propagate_failure_is_compute_failure(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        warnings.warn("reflection risk", ReflectionRiskWarning)
+        raise SolverError("solve residual 1e-3")
+
+    monkeypatch.setattr(cli, "propagate", fail)
+    path = write_config(tmp_path, tiny_tdse_config())
+    out = tmp_path / "prop"
+    # the failed run still shows the warnings it raised
+    with pytest.warns(ReflectionRiskWarning, match="reflection risk"):
+        assert run_cli("propagate", "--config", path,
+                       "--out", str(out)) == EXIT_COMPUTE
+    assert "propagate failed: solve residual 1e-3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scan_rejects_bad_kind(tmp_path):
     cfg = tiny_tdse_config()
     cfg["scan"] = {"kind": "delay", "start": 0.0, "stop": 1.0, "count": 3}
@@ -406,6 +422,19 @@ def test_scan_names_the_invalid_sweep_point(tmp_path, capsys, monkeypatch):
             in capsys.readouterr().err)
 
 
+def test_saddle_failure_is_compute_failure(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise strongfield.SaddleConvergenceError("singular Jacobian")
+
+    monkeypatch.setattr(strongfield, "emission_phase_curve", fail)
+    path = write_config(tmp_path, {"saddle": {"energy_count": 3}})
+    out = tmp_path / "sk"
+    assert run_cli("saddle", "--config", path, "--out", str(out)) \
+        == EXIT_COMPUTE
+    assert "saddle failed: singular Jacobian" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -Vbar of the default junction, the lowest final energy a saddle can reach
 MINUS_VBAR = -mean_image_magnitude(JunctionConfig())
 
@@ -481,6 +510,17 @@ def test_lockin_rejects_empty_input(tmp_path, capsys):
     assert run_cli("lockin", "--config", path, "--mode", "forward",
                    "--out", str(tmp_path / "x")) == EXIT_CONFIG
     assert f"{src}: no data rows" in capsys.readouterr().err
+
+
+def test_lockin_missing_input_is_io_failure(tmp_path, capsys):
+    src = tmp_path / "absent.csv"
+    path = write_config(tmp_path, {"lockin": {"input_csv": str(src)}})
+    out = tmp_path / "x"
+    assert run_cli("lockin", "--config", path, "--mode", "forward",
+                   "--out", str(out)) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "I/O error:" in err and str(src) in err
+    assert not out.exists()
 
 
 def test_lockin_forward_names_missing_value_column(tmp_path, capsys):

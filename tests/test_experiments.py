@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from attostm.experiments import (BurstError, BurstMetrics,
                                  rerun_from_metadata, robustness_sweep)
 from attostm.grid import DESK_ABSORBER, GridSpec, bandwidth_steps
 from attostm.results import (ScanResult, config_hash, read_csv, save_scan,
-                             state_from_json, state_to_json, write_csv)
+                             state_from_json, state_to_json, write_csv,
+                             write_json)
 from attostm.solver import CurrentRecord, initial_state
 
 
@@ -84,6 +87,15 @@ def test_csv_round_trip(tmp_path):
     assert comments["note"] == "x"
     for k in cols:
         assert np.array_equal(back[k], cols[k])
+
+
+def test_writers_create_missing_directories(tmp_path):
+    csv_path = tmp_path / "a" / "b" / "t.csv"
+    json_path = tmp_path / "c" / "d" / "t.json"
+    write_csv(csv_path, {"a": np.array([1.0, 2.0])})
+    write_json(json_path, {"x": np.array([1.0])})
+    assert np.array_equal(read_csv(csv_path)[0]["a"], [1.0, 2.0])
+    assert json.loads(json_path.read_text()) == {"x": [1.0]}
 
 
 def test_state_json_round_trip(tmp_path):

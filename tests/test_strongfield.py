@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -214,6 +215,21 @@ def test_direction_must_be_plus_or_minus_one(cfg, las8):
         directional_spectrum(las8, cfg, [1.0, 2.0], direction=2)
     with pytest.raises(ValueError, match="direction"):
         tunnelling_amplitude(2.0, 5.1, las8, cfg, direction=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda las, cfg: solve_saddle(-3.0, 5.1, las, cfg),
+    lambda las, cfg: directional_weight(las, cfg, energies=[-3.0, -2.0]),
+    lambda las, cfg: directional_spectrum(las, cfg, [-3.0, 1.0]),
+], ids=["solve_saddle", "directional_weight", "directional_spectrum"])
+def test_final_energy_below_minus_vbar_is_refused(cfg, las8, call):
+    # k(t2) = sqrt(2m(E + Vbar)) has no real root there: refuse before
+    # Newton runs on NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"E = -3\.0 eV must exceed "
+                           rf"-Vbar = {-mean_image_magnitude(cfg):.4f} eV"):
+            call(las8, cfg)
 
 
 def test_forward_spectrum_is_amplitude_modulus(cfg, las8):
