@@ -1,10 +1,19 @@
 """Parameter sweeps over the solver and strong-field model.
 
-Every sweep point owns its propagation; points run one after another in
-parameter order, and results are returned in that order. ScanResult
+Every sweep point owns its propagations; points run one after another in
+parameter order, and results are returned in that order. Within a point,
+the two runs of a net-current pair (the waveform and its negation) step
+at the same time in two processes: the negation runs in a child made by
+POSIX fork, so this module needs a platform with os.fork. ScanResult
 metadata snapshots all inputs for exact re-runs.
 """
 
+import ctypes
+import os
+import pickle
+import signal
+import sys
+import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -12,7 +21,9 @@ import numpy as np
 
 from .config import JunctionConfig, LaserConfig
 from .grid import AbsorberSpec, GridSpec
+from .kernels import SolverError
 from .laser import _parabolic_refine, field_crest_time, pulse_onset
+from .potential import sample_static_profile
 from .results import ScanResult, config_snapshot, configs_from_snapshot
 from .solver import (CurrentRecord, initial_state, propagate,
                      transferred_charge)
@@ -89,19 +100,99 @@ def default_time_span(laser: LaserConfig, *, burst_only: bool = False):
     return t0, 2.5 * max(laser.duration_tau1, laser.duration_tau2)
 
 
-def _wall_charges(cfg, laser, grid, *, absorber=None,
-                  initial=None) -> list[tuple[float, float]]:
+def _wall_charges(cfg, laser, grid, *, absorber=None, initial=None,
+                  static_profile=None) -> list[tuple[float, float]]:
     """[(Q(0), Q(d)) under laser, (Q(0), Q(d)) under its negation]: each
     run's signed transferred charge through the tip wall z = 0 and the
-    sample wall z = d."""
+    sample wall z = d.
+
+    The initial state and the static profile, built here unless given,
+    serve both runs. The run under the negation steps in a forked child
+    while this process steps the run under laser. The child pipes back its
+    charges, or the exception it raised, and the warnings it raised, which
+    are re-emitted here in order before that exception is re-raised. A
+    child that dies without a result raises SolverError. If this
+    process's run fails or is interrupted, the child is killed; it is
+    reaped before return.
+    """
     t0, t1 = default_time_span(laser)
-    out = []
-    for las in (laser, laser.flipped()):
+    if initial is None:
+        initial = initial_state(cfg, grid)
+    if static_profile is None:
+        static_profile = sample_static_profile(cfg, grid.z)
+
+    def charges(las):
         res = propagate(cfg, las, grid, t0, t1, probes=(0.0, None),
-                        absorber=absorber, initial=initial)
-        out.append((transferred_charge(res.records[0]),
-                    transferred_charge(res.records[1])))
-    return out
+                        absorber=absorber, static_profile=static_profile,
+                        initial=initial)
+        return (transferred_charge(res.records[0]),
+                transferred_charge(res.records[1]))
+
+    parent = os.getpid()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # never return into the caller's stack, and leave the parent's
+        # buffered std streams and exit handlers alone
+        status = 1
+        try:
+            os.close(read_fd)
+            _exit_with_parent(parent)
+            _run_in_child(write_fd, charges, laser.flipped())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            ours = charges(laser)
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0 or not data:
+        how = (f"killed by signal {-status} ({signal.strsignal(-status)})"
+               if status < 0 else f"exit status {status}")
+        raise SolverError(f"the run under the negated waveform ended without "
+                          f"a result: {how}")
+    (theirs, exc), raised = pickle.loads(data)
+    for message, category, filename, lineno in raised:
+        warnings.warn_explicit(message, category, filename, lineno)
+    if exc is not None:
+        raise exc
+    return [ours, theirs]
+
+
+def _exit_with_parent(parent):
+    """Have the kernel kill this forked child when its parent dies (Linux),
+    so that a parent killed outright leaves no run behind."""
+    if sys.platform.startswith("linux"):
+        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    if os.getppid() != parent:
+        os._exit(1)
+
+
+def _run_in_child(fd, charges, laser):
+    """Write pickle((charges(laser), None) or (None, exception), warnings)
+    to fd, each warning as (message, category, filename, lineno)."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            outcome = (charges(laser), None)
+        except BaseException as exc:
+            outcome = (None, exc)
+    raised = [(str(w.message), w.category, w.filename, w.lineno)
+              for w in caught]
+    with os.fdopen(fd, "wb") as pipe:
+        pipe.write(pickle.dumps((outcome, raised)))
+
+
+def _net_charge(walls) -> float:
+    """Net charge of _wall_charges' pair: each run's charge averaged over
+    the two walls, the negation's subtracted."""
+    (q0p, qdp), (q0m, qdm) = walls
+    return 0.5 * (q0p + qdp) - 0.5 * (q0m + qdm)
 
 
 def net_delay_charge(cfg, laser, grid, *, absorber=None,
@@ -119,9 +210,8 @@ def net_delay_charge(cfg, laser, grid, *, absorber=None,
     zero over a delay period and sign-inverting under waveform flip.
     Single-electrode quantities (the Fig-4c-style bursts) use one run.
     """
-    (q0p, qdp), (q0m, qdm) = _wall_charges(cfg, laser, grid,
-                                           absorber=absorber, initial=initial)
-    return 0.5 * (q0p + qdp) - 0.5 * (q0m + qdm)
+    return _net_charge(_wall_charges(cfg, laser, grid, absorber=absorber,
+                                     initial=initial))
 
 
 # swept parameter -> (unit, the (junction, laser) pair at value v): the
@@ -156,8 +246,10 @@ def delay_scan_tdse(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     """Net laser-induced charge versus two-colour base delay."""
     tau0_values = np.asarray(tau0_values, dtype=float)
     shared = initial_state(cfg, grid)
-    charges = [net_delay_charge(cfg, replace(laser, base_delay_tau0=float(tau0)),
-                                grid, absorber=absorber, initial=shared)
+    profile = sample_static_profile(cfg, grid.z)
+    charges = [_net_charge(_wall_charges(
+                   cfg, replace(laser, base_delay_tau0=float(tau0)), grid,
+                   absorber=absorber, initial=shared, static_profile=profile))
                for tau0 in tau0_values]
     return ScanResult("tau0", "fs", tau0_values, "net_charge", "electrons",
                       np.asarray(charges),
@@ -249,10 +341,12 @@ def directionality(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     ratio_values = np.asarray(ratio_values, dtype=float)
     points = _sweep_points("ratio", cfg, laser, ratio_values)
     shared = initial_state(cfg, grid)
+    profile = sample_static_profile(cfg, grid.z)
 
     def one(ratio, las):
         (_, jp), (_, jm) = _wall_charges(cfg, las, grid, absorber=absorber,
-                                         initial=shared)
+                                         initial=shared,
+                                         static_profile=profile)
         for direction, q in (("tip->sample", jp), ("sample->tip", jm)):
             if q < 0.0:
                 raise DirectionalityError(

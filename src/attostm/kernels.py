@@ -26,6 +26,12 @@ from scipy.fft import dst
 from scipy.linalg.lapack import zgtsv
 
 
+# longest slice of the tip block's closure dot: OpenBLAS runs a zdotu over
+# more than 10 000 elements on several threads, which makes its rounding
+# depend on the thread count and spins every core
+DOT_BLOCK = 8192
+
+
 class SolverError(RuntimeError):
     """Propagation failure (instability, non-finite amplitudes, bad solve)."""
 
@@ -41,6 +47,13 @@ def current(psi, idx, jcoef):
     return jcoef * np.imag(np.conj(psi[idx]) * (psi[idx + 1] - psi[idx - 1]))
 
 
+def _dot_blocks(a, b):
+    """Pairs of views of a and b, each at most DOT_BLOCK long, that cover
+    them (one pair of empty views when they are empty)."""
+    return [(a[i:i + DOT_BLOCK], b[i:i + DOT_BLOCK])
+            for i in range(0, max(a.shape[0], 1), DOT_BLOCK)]
+
+
 class TipBlock:
     """Homogeneous tip rows 1 ... J-1 as Crank-Nicolson sine modes.
 
@@ -50,6 +63,10 @@ class TipBlock:
     c_q = (1 - i half_dt lambda_q)/(1 + i half_dt lambda_q) and
     beta_q = i half_dt koff u_q(J-1)/(1 + i half_dt lambda_q); row J-1 is
     then g + ell0 (psi_J^{n+1} + psi_J^n), g = sum_q u_q(J-1) c_q a_q.
+
+    g and ell0 are summed over slices at most DOT_BLOCK long (dot_blocks
+    holds views of w and of the in-place updated modes); up to DOT_BLOCK
+    modes that is one dot over whole-array views.
     """
 
     def __init__(self, psi_tip, level, half_dt, koff):
@@ -63,8 +80,13 @@ class TipBlock:
         self.c = (1.0 - 1j * half_dt * lam) / den
         self.beta = 1j * half_dt * koff * u_last / den
         self.w = u_last * self.c
-        self.ell0 = complex(u_last @ self.beta)
+        (u0, b0), *rest = _dot_blocks(u_last, self.beta)
+        ell0 = u0 @ b0
+        for ub, bb in rest:
+            ell0 += ub @ bb
+        self.ell0 = complex(ell0)
         self.modes = self._dst(np.asarray(psi_tip, dtype=np.complex128))
+        self.dot_blocks = _dot_blocks(self.w, self.modes)
 
     @staticmethod
     def _dst(x):
@@ -93,13 +115,16 @@ def cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, step_off, record,
     a_off = -1j * half_dt * koff
     off = np.full(n - 3, a_off, dtype=np.complex128)
     ell0 = tip.ell0
+    (w0, m0), *w_rest = tip.dot_blocks
     for s in range(efield.shape[0]):
         record(psi, step_off + s)
         v = vs + efield[s] * zc
         am = 1.0 + 1j * half_dt * (2.0 * koff + v)
         r = -a_off * (p[:-2] + p[2:]) + (2.0 - am) * p[1:-1]
         # row J sees row J-1 at the new time through the block's closure
-        g = tip.w @ tip.modes
+        g = w0 @ m0
+        for wb, mb in w_rest:
+            g += wb @ mb
         am[0] += a_off * ell0
         r[0] -= a_off * (g + ell0 * p[1])
         x, info = zgtsv(off, am, off, r)[3:]

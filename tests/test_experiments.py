@@ -1,8 +1,16 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import attostm
 from attostm.config import JunctionConfig, LaserConfig
 from attostm import experiments
 from attostm.experiments import (BurstError, BurstMetrics,
@@ -15,7 +23,9 @@ from attostm.grid import DESK_ABSORBER, GridSpec, bandwidth_steps
 from attostm.results import (ScanResult, config_hash, read_csv, save_scan,
                              state_from_json, state_to_json, write_csv,
                              write_json)
-from attostm.solver import CurrentRecord, initial_state
+from attostm.kernels import SolverError
+from attostm.solver import (CurrentRecord, ReflectionRiskWarning,
+                            initial_state, propagate, transferred_charge)
 
 
 def tiny_grid():
@@ -215,3 +225,135 @@ def test_sweep_rejects_bad_point_before_propagating(monkeypatch, scan, values,
     with pytest.raises(ValueError, match=message):
         getattr(experiments, scan)(JunctionConfig(), tiny_laser(), tiny_grid(),
                                    values)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _flipped_run_replaced(monkeypatch, flipped_run):
+    """Route the run under the negated waveform to flipped_run(), the other
+    run to the real propagate."""
+    real = experiments.propagate
+
+    def routed(cfg, laser, *args, **kwargs):
+        if laser.field_sign < 0:
+            flipped_run()
+        return real(cfg, laser, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "propagate", routed)
+
+
+def test_wall_charges_equal_two_sequential_runs():
+    cfg, grid, laser = JunctionConfig(), tiny_grid(), tiny_laser()
+    shared = initial_state(cfg, grid)
+    t0, t1 = experiments.default_time_span(laser)
+    sequential = []
+    for las in (laser, laser.flipped()):
+        res = propagate(cfg, las, grid, t0, t1, probes=(0.0, None),
+                        initial=shared)
+        sequential.append(tuple(transferred_charge(r) for r in res.records))
+    pair = experiments._wall_charges(cfg, laser, grid, initial=shared)
+    assert pair == sequential
+    _assert_no_child_left()
+
+
+def test_wall_charges_pass_on_a_failure_of_the_flipped_run(monkeypatch):
+    def fail():
+        raise SolverError("non-finite amplitudes at step 7")
+
+    _flipped_run_replaced(monkeypatch, fail)
+    with pytest.raises(SolverError, match="^non-finite amplitudes at step 7$"):
+        experiments._wall_charges(JunctionConfig(), tiny_laser(), tiny_grid())
+    _assert_no_child_left()
+
+
+def test_wall_charges_name_a_killed_flipped_run(monkeypatch):
+    _flipped_run_replaced(monkeypatch,
+                          lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(SolverError, match="killed by signal 9"):
+        experiments._wall_charges(JunctionConfig(), tiny_laser(), tiny_grid())
+    _assert_no_child_left()
+
+
+def test_wall_charges_kill_the_child_when_their_own_run_fails(monkeypatch):
+    def stalled_or_failing(cfg, laser, *args, **kwargs):
+        if laser.field_sign < 0:
+            time.sleep(60.0)
+        raise SolverError("own run failed")
+
+    monkeypatch.setattr(experiments, "propagate", stalled_or_failing)
+    started = time.perf_counter()
+    with pytest.raises(SolverError, match="own run failed"):
+        experiments._wall_charges(JunctionConfig(), tiny_laser(), tiny_grid())
+    assert time.perf_counter() - started < 30.0
+    _assert_no_child_left()
+
+
+def test_wall_charges_reemit_the_flipped_runs_warnings(monkeypatch):
+    def warn():
+        warnings.warn("flipped first", ReflectionRiskWarning)
+        warnings.warn("flipped second", ReflectionRiskWarning)
+
+    _flipped_run_replaced(monkeypatch, warn)
+    with pytest.warns(ReflectionRiskWarning) as caught:
+        experiments._wall_charges(JunctionConfig(), tiny_laser(), tiny_grid())
+    flipped = [str(w.message) for w in caught
+               if str(w.message).startswith("flipped")]
+    assert flipped == ["flipped first", "flipped second"]
+    _assert_no_child_left()
+
+
+_KILLED_PARENT = """
+import os, sys, time
+from attostm import experiments
+from attostm.config import JunctionConfig, LaserConfig
+from attostm.grid import GridSpec, bandwidth_steps
+
+
+def stall(cfg, laser, *args, **kwargs):
+    if laser.field_sign < 0:
+        with open(sys.argv[1] + ".tmp", "w") as fh:
+            fh.write(str(os.getpid()))
+        os.replace(sys.argv[1] + ".tmp", sys.argv[1])
+    time.sleep(60.0)
+
+
+experiments.propagate = stall
+dz, dt = bandwidth_steps(50.0)
+experiments._wall_charges(JunctionConfig(), LaserConfig(field_F1=7.0),
+                          GridSpec(-20.0, 20.0, dz, dt, 50.0))
+"""
+
+
+def _process_state(pid):
+    """State letter of a process (Z for a zombie), None once it is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the child's parent-death signal is Linux-only")
+def test_wall_charges_child_dies_with_a_killed_parent(tmp_path):
+    pid_file = tmp_path / "child.pid"
+    src = str(Path(attostm.__file__).resolve().parents[1])
+    parent = subprocess.Popen([sys.executable, "-c", _KILLED_PARENT,
+                               str(pid_file)],
+                              env=dict(os.environ, PYTHONPATH=src))
+    try:
+        deadline = time.monotonic() + 30.0
+        while not pid_file.exists() and time.monotonic() < deadline:
+            time.sleep(0.05)
+    finally:
+        parent.kill()
+        parent.wait()
+    child = int(pid_file.read_text())
+    deadline = time.monotonic() + 10.0
+    while (_process_state(child) not in (None, "Z")
+           and time.monotonic() < deadline):
+        time.sleep(0.05)
+    assert _process_state(child) in (None, "Z")

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+import attostm
 from attostm.kernels import SolverError, TipBlock, cn_chunk
 
 
@@ -127,3 +133,42 @@ def test_empty_tip_block_is_the_full_grid_step(rng):
         r = -a_off * (ref[:-2] + ref[2:]) + (2.0 - ab[1]) * ref[1:-1]
         ref[1:-1] = solve_banded((1, 1), ab, r, check_finite=False)
     assert np.array_equal(psi, ref)
+
+
+_TALL_STEPS = """
+import hashlib
+from attostm.config import JunctionConfig, LaserConfig
+from attostm.grid import GridSpec, bandwidth_steps
+from attostm.laser import pulse_onset
+from attostm.solver import gaussian_packet, propagate
+
+dz, dt = bandwidth_steps(50.0)
+grid = GridSpec(-300.0, 60.0, dz, dt, 50.0)
+laser = LaserConfig(field_F1=8.0)
+t0 = pulse_onset(laser)
+packet = gaussian_packet(grid, -150.0, 20.0, 5.0, time=t0)
+res = propagate(JunctionConfig(), laser, grid, t0, t0 + 20 * dt,
+                initial=packet)
+print(round((res.tip_cut_nm - grid.z_min) / grid.dz),
+      hashlib.sha256(res.final_state.psi.tobytes()).hexdigest())
+"""
+
+
+def test_tall_tip_steps_do_not_depend_on_blas_threads():
+    # OpenBLAS spreads a zdotu over more than 10 000 elements across its
+    # threads, which changes the rounding; the tall grid's tip block
+    # carries more modes than that. The packet stands in for
+    # initial_state, whose eigenvector solve depends on the BLAS threads
+    # on this grid as well
+    src = str(Path(attostm.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", None):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        run = subprocess.run([sys.executable, "-c", _TALL_STEPS], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.append(run.stdout.split())
+    assert int(outputs[0][0]) > 10_000
+    assert outputs[0] == outputs[1]
