@@ -22,6 +22,7 @@ import numpy as np
 import yaml
 
 from . import __version__, experiments, kernels, lockin as lockin_mod, strongfield
+from ._fork import LostRunError
 from .config import JunctionConfig, LaserConfig
 from .grid import DESK_ABSORBER, AbsorberSpec, desk_grid, reference_grid
 from .laser import effective_keldysh, field_crest_time
@@ -459,8 +460,8 @@ def main(argv=None) -> int:
             return EXIT_OK
         out_dir = Path(args.out or data.get("output_dir", "out"))
         return args.run(data, out_dir, args, configs, snapshot)
-    except (SolverError, SaddleConvergenceError, experiments.BurstError,
-            experiments.DirectionalityError) as exc:
+    except (SolverError, SaddleConvergenceError, LostRunError,
+            experiments.BurstError, experiments.DirectionalityError) as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except ValueError as exc:

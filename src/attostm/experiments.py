@@ -3,22 +3,19 @@
 Every sweep point owns its propagations; points run one after another in
 parameter order, and results are returned in that order. Within a point,
 the two runs of a net-current pair (the waveform and its negation) step
-at the same time in two processes: the negation runs in a child made by
-POSIX fork, so this module needs a platform with os.fork. ScanResult
-metadata snapshots all inputs for exact re-runs.
+at the same time in two processes: the negation runs in a child forked by
+_fork.run_pair, so this module needs a platform with os.fork. The
+strong-field delay scan forks the same way, once per scan
+(strongfield.delay_scan_sf). ScanResult metadata snapshots all inputs for
+exact re-runs.
 """
 
-import ctypes
-import os
-import pickle
-import signal
-import sys
-import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
+from ._fork import run_pair
 from .config import JunctionConfig, LaserConfig
 from .grid import AbsorberSpec, GridSpec
 from .kernels import SolverError
@@ -107,13 +104,10 @@ def _wall_charges(cfg, laser, grid, *, absorber=None, initial=None,
     sample wall z = d.
 
     The initial state and the static profile, built here unless given,
-    serve both runs. The run under the negation steps in a forked child
-    while this process steps the run under laser. The child pipes back its
-    charges, or the exception it raised, and the warnings it raised, which
-    are re-emitted here in order before that exception is re-raised. A
-    child that dies without a result raises SolverError. If this
-    process's run fails or is interrupted, the child is killed; it is
-    reaped before return.
+    serve both runs. The run under the negation steps in a child forked by
+    _fork.run_pair while this process steps the run under laser; the
+    child's exception and warnings reach the caller, and a child that dies
+    without a result raises SolverError.
     """
     t0, t1 = default_time_span(laser)
     if initial is None:
@@ -128,64 +122,9 @@ def _wall_charges(cfg, laser, grid, *, absorber=None, initial=None,
         return (transferred_charge(res.records[0]),
                 transferred_charge(res.records[1]))
 
-    parent = os.getpid()
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        # never return into the caller's stack, and leave the parent's
-        # buffered std streams and exit handlers alone
-        status = 1
-        try:
-            os.close(read_fd)
-            _exit_with_parent(parent)
-            _run_in_child(write_fd, charges, laser.flipped())
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    with os.fdopen(read_fd, "rb") as pipe:
-        try:
-            ours = charges(laser)
-            data = pipe.read()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status != 0 or not data:
-        how = (f"killed by signal {-status} ({signal.strsignal(-status)})"
-               if status < 0 else f"exit status {status}")
-        raise SolverError(f"the run under the negated waveform ended without "
-                          f"a result: {how}")
-    (theirs, exc), raised = pickle.loads(data)
-    for message, category, filename, lineno in raised:
-        warnings.warn_explicit(message, category, filename, lineno)
-    if exc is not None:
-        raise exc
-    return [ours, theirs]
-
-
-def _exit_with_parent(parent):
-    """Have the kernel kill this forked child when its parent dies (Linux),
-    so that a parent killed outright leaves no run behind."""
-    if sys.platform.startswith("linux"):
-        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
-    if os.getppid() != parent:
-        os._exit(1)
-
-
-def _run_in_child(fd, charges, laser):
-    """Write pickle((charges(laser), None) or (None, exception), warnings)
-    to fd, each warning as (message, category, filename, lineno)."""
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            outcome = (charges(laser), None)
-        except BaseException as exc:
-            outcome = (None, exc)
-    raised = [(str(w.message), w.category, w.filename, w.lineno)
-              for w in caught]
-    with os.fdopen(fd, "wb") as pipe:
-        pipe.write(pickle.dumps((outcome, raised)))
+    return run_pair(charges, laser, laser.flipped(),
+                    theirs_name="the run under the negated waveform",
+                    lost=SolverError)
 
 
 def _net_charge(walls) -> float:

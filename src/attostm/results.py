@@ -78,24 +78,26 @@ def config_hash(metadata: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:10]
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def write_csv(path, columns: dict, comments: dict | None = None) -> None:
     """Comma-separated table with '#' metadata comments and repr floats;
-    creates the parent directory."""
+    creates the parent directory. Columns of unequal length raise
+    ValueError."""
     path = Path(path)
-    lines = []
-    for key, val in (comments or {}).items():
-        lines.append(f"# {key}: {val}")
     names = list(columns)
-    cols = [np.asarray(columns[n]) for n in names]
-    lines.append(",".join(names))
-    for i in range(cols[0].shape[0]):
-        lines.append(",".join(_fmt(c[i]) for c in cols))
+    arrays = [np.asarray(columns[n], dtype=float) for n in names]
+    for name, col in zip(names, arrays):
+        if len(col) != len(arrays[0]):
+            raise ValueError(f"column {name!r} has {len(col)} rows, column "
+                             f"{names[0]!r} has {len(arrays[0])}")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    # row by row: the whole table as Python floats, or as one string, would
+    # take several times the memory of its arrays
+    with path.open("w") as fh:
+        for key, val in (comments or {}).items():
+            fh.write(f"# {key}: {val}\n")
+        fh.write(",".join(names) + "\n")
+        for row in np.column_stack(arrays):
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_csv(path):

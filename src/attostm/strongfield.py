@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._fork import LostRunError, run_pair
 from .config import JunctionConfig, LaserConfig
 from .laser import (_Pulse, _field, _mul, _potential, _pulses, effective_keldysh,
                     electric_field, field_crest_time, find_field_crests,
@@ -558,11 +559,21 @@ def delay_scan_sf(laser: LaserConfig, cfg: JunctionConfig, tau0_values, *,
 
     For each tau0, integrates |M_E|^2 over final energies for tip->sample
     and sample->tip transport and returns the normalized difference. One
-    directional_weight call per direction covers every delay. The output
-    is amplitude-normalized (prefactor eta = 1 leaves absolute magnitudes
-    undefined)."""
+    directional_weight call per direction covers every delay; the two run
+    at the same time, the backward one in a child forked by
+    _fork.run_pair (POSIX only). Its exception and warnings reach the
+    caller, and a child that dies without a result raises
+    _fork.LostRunError. The output is amplitude-normalized (prefactor
+    eta = 1 leaves absolute magnitudes undefined)."""
     lasers = [replace(laser, base_delay_tau0=float(tau0)) for tau0 in tau0_values]
-    out = (directional_weight(lasers, cfg, direction=1, energies=energies)
-           - directional_weight(lasers, cfg, direction=-1, energies=energies))
+
+    def weights(direction):
+        return directional_weight(lasers, cfg, direction=direction,
+                                  energies=energies)
+
+    forward, backward = run_pair(weights, 1, -1,
+                                 theirs_name="the backward (sample -> tip) run",
+                                 lost=LostRunError)
+    out = forward - backward
     peak = np.max(np.abs(out))
     return out / peak if peak > 0 else out

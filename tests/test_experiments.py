@@ -99,6 +99,27 @@ def test_csv_round_trip(tmp_path):
         assert np.array_equal(back[k], cols[k])
 
 
+def test_csv_text_is_repr_of_float(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, {"n": np.array([1, -2, 3]),
+                     "x": np.array([-0.0, 1e-300, 0.1]),
+                     "y": [0.1 + 0.2, 2.0 / 3.0, 1e16]}, {"note": "x"})
+    assert path.read_text() == ("# note: x\n"
+                                "n,x,y\n"
+                                "1.0,-0.0,0.30000000000000004\n"
+                                "-2.0,1e-300,0.6666666666666666\n"
+                                "3.0,0.1,1e+16\n")
+
+
+@pytest.mark.parametrize("b", [[1.0, 2.0, 3.0], [1.0]], ids=["longer", "shorter"])
+def test_csv_refuses_columns_of_unequal_length(tmp_path, b):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError,
+                       match=f"column 'b' has {len(b)} rows, column 'a' has 2"):
+        write_csv(path, {"a": [1.0, 2.0], "b": b})
+    assert not path.exists()
+
+
 def test_writers_create_missing_directories(tmp_path):
     csv_path = tmp_path / "a" / "b" / "t.csv"
     json_path = tmp_path / "c" / "d" / "t.json"

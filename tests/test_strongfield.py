@@ -1,10 +1,18 @@
+import os
+import re
+import signal
+import time
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
-from attostm.cli import build_junction, build_laser, load_config
+from attostm import experiments, strongfield
+from attostm._fork import LostRunError
+from attostm.cli import (EXIT_COMPUTE, build_junction, build_laser,
+                         load_config, main)
 from attostm.config import JunctionConfig, LaserConfig
 from attostm.laser import (effective_keldysh, electric_field, field_crest_time,
                            find_field_crests)
@@ -398,3 +406,86 @@ def test_emission_phase_curve_is_a_chain_of_solve_saddle_calls():
         emission_phase_curve(energies[::-1], laser, cfg, binding=9.0)
     assert "unphysical arrival branch" in str(chain.value)
     assert str(curve.value) == str(chain.value)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _backward_run_replaced(monkeypatch, backward_run):
+    """Route the backward directional_weight to backward_run(), the forward
+    one to the real directional_weight."""
+    real = strongfield.directional_weight
+
+    def routed(lasers, cfg, *, direction, energies):
+        if direction == -1:
+            backward_run()
+        return real(lasers, cfg, direction=direction, energies=energies)
+
+    monkeypatch.setattr(strongfield, "directional_weight", routed)
+
+
+PAIR_TAUS = np.linspace(0.0, 3.0, 4)
+PAIR_ENERGIES = np.arange(1.0, 10.0, 1.5)
+
+
+def test_delay_scan_sf_equals_two_sequential_weights(cfg, las8):
+    lasers = [replace(las8, base_delay_tau0=float(t)) for t in PAIR_TAUS]
+    net = (directional_weight(lasers, cfg, direction=1, energies=PAIR_ENERGIES)
+           - directional_weight(lasers, cfg, direction=-1,
+                                energies=PAIR_ENERGIES))
+    scan = delay_scan_sf(las8, cfg, PAIR_TAUS, energies=PAIR_ENERGIES)
+    assert np.array_equal(scan, net / np.max(np.abs(net)))
+    _assert_no_child_left()
+
+
+def test_delay_scan_sf_passes_on_a_failure_of_the_backward_run(
+        monkeypatch, cfg, las8):
+    def fail():
+        raise SaddleConvergenceError("no root at crest 3")
+
+    _backward_run_replaced(monkeypatch, fail)
+    with pytest.raises(SaddleConvergenceError, match="^no root at crest 3$"):
+        delay_scan_sf(las8, cfg, PAIR_TAUS, energies=PAIR_ENERGIES)
+    _assert_no_child_left()
+
+
+def test_delay_scan_sf_names_a_killed_backward_run(tmp_path, monkeypatch,
+                                                   capsys, cfg, las8):
+    _backward_run_replaced(monkeypatch,
+                           lambda: os.kill(os.getpid(), signal.SIGKILL))
+    message = ("the backward (sample -> tip) run ended without a result: "
+               "killed by signal 9")
+    with pytest.raises(LostRunError, match="^" + re.escape(message)):
+        delay_scan_sf(las8, cfg, PAIR_TAUS, energies=PAIR_ENERGIES)
+    _assert_no_child_left()
+    # delay_sf is not a kind of `attostm scan`: its delay scan stands in
+    # for the TDSE one, so that main meets the error as a scan would
+    monkeypatch.setattr(experiments, "delay_scan_tdse",
+                        lambda cfg, laser, tau0_values, **_:
+                        experiments.delay_scan_strongfield(
+                            cfg, laser, tau0_values, energies=PAIR_ENERGIES))
+    config = tmp_path / "scan.yaml"
+    config.write_text(yaml.safe_dump({"scan": {
+        "kind": "delay", "start": 0.0, "stop": 3.0, "count": 2}}))
+    code = main(["scan", "--config", str(config), "--out",
+                 str(tmp_path / "out")])
+    assert code == EXIT_COMPUTE
+    assert f"scan failed: {message}" in capsys.readouterr().err
+    _assert_no_child_left()
+
+
+def test_delay_scan_sf_kills_the_child_when_the_forward_run_fails(
+        monkeypatch, cfg, las8):
+    def stalled_or_failing(lasers, cfg, *, direction, energies):
+        if direction == -1:
+            time.sleep(60.0)
+        raise SaddleConvergenceError("forward run failed")
+
+    monkeypatch.setattr(strongfield, "directional_weight", stalled_or_failing)
+    started = time.perf_counter()
+    with pytest.raises(SaddleConvergenceError, match="forward run failed"):
+        delay_scan_sf(las8, cfg, PAIR_TAUS, energies=PAIR_ENERGIES)
+    assert time.perf_counter() - started < 30.0
+    _assert_no_child_left()
