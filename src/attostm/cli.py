@@ -24,6 +24,7 @@ import yaml
 from . import __version__, experiments, kernels, lockin as lockin_mod, strongfield
 from ._fork import LostRunError
 from .config import JunctionConfig, LaserConfig
+from .experiments import SCAN_KINDS
 from .grid import DESK_ABSORBER, AbsorberSpec, desk_grid, reference_grid
 from .laser import effective_keldysh, field_crest_time
 from .potential import (clamp_level, laser_interaction, mean_image_magnitude,
@@ -40,7 +41,6 @@ EXIT_IO = 4
 
 RECIPES = ("fig3a", "fig4a", "fig4bc", "figSK", "figDecay", "figDirect",
            "figVariation")
-SCAN_KINDS = tuple(k for k, s in experiments.SCAN_KINDS.items() if s.tdse)
 LOCKIN_MODES = ("forward", "invert", "select-beta")
 
 
@@ -86,7 +86,7 @@ _SCHEMA = {
     "scan": {
         "kind": str, "start": float, "stop": float, "count": int,
         "spacing": str, "n_delays": int, "enhancement_fund": float,
-        "enhancement_sh": float, "parameter": str,
+        "enhancement_sh": float, "parameter": str, "energies_eV": [float],
     },
     "saddle": {
         "energy_start_eV": float, "energy_stop_eV": float, "energy_count": int,
@@ -298,6 +298,10 @@ def cmd_scan(data, out_dir, args, configs, snapshot) -> int:
     if {"enhancement_fund", "enhancement_sh"} & set(scan):
         options["enhancement"] = (scan.get("enhancement_fund", 1.0),
                                   scan.get("enhancement_sh", 1.0))
+    if "energies_eV" in scan:
+        if len(scan["energies_eV"]) < 2:
+            raise ConfigError("scan.energies_eV needs at least two energies")
+        options["energies"] = scan["energies_eV"]
     started = time.perf_counter()
     result = experiments.run_scan(kind, cfg, laser, grid, values,
                                   absorber=absorber, **options)
@@ -442,7 +446,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--dry-run", action="store_true",
                        help="validate and print the resolved config only")
         if name == "scan":
-            p.add_argument("--kind", choices=SCAN_KINDS)
+            p.add_argument("--kind", choices=tuple(SCAN_KINDS))
         if name == "lockin":
             p.add_argument("--mode", choices=LOCKIN_MODES)
     return parser

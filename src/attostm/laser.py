@@ -4,10 +4,10 @@ All evaluators accept real or complex time arguments; the strong-field
 model relies on analytic continuation of the Gaussian envelopes.
 """
 
-import operator
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import wofz
 
 from .config import LaserConfig
 from .units import EMASS
@@ -48,39 +48,57 @@ def _pulses(lasers) -> _Pulse:
     return _Pulse(*table.reshape(-1, len(_Pulse._fields)).T[:, :, None])
 
 
-def _mul(a, b):
-    """Complex product of two arrays of one shape, rounded term by term as
-    numpy's scalar arithmetic rounds it (its array loops fuse multiply-adds)."""
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    out = np.empty(a.shape, dtype=complex)
-    out.real = ar * br - ai * bi
-    out.imag = ar * bi + ai * br
-    return out
-
-
-# The formulas take the product of two complex factors as mul(a, b). With
-# the default operator, a 0-d time rounds as numpy rounds scalars and an
-# array as its loops do; the batched saddle solver passes _mul to evaluate
-# many single times exactly as scalar calls would.
-
-def _potential(p: _Pulse, t, mul=operator.mul):
+def _potential(p: _Pulse, t):
     w = p.omega
-    fund = mul((p.f1 / w) * np.exp(-p.rate1 * t**2), np.sin(w * t))
+    fund = (p.f1 / w) * np.exp(-p.rate1 * t**2) * np.sin(w * t)
     x = t - p.sh_center
-    sh = mul((p.f2 / (2.0 * w)) * np.exp(-p.rate2 * mul(x, x)),
-             np.sin(2.0 * w * t - p.sh_phase))
+    sh = (p.f2 / (2.0 * w)) * np.exp(-p.rate2 * (x * x)) \
+        * np.sin(2.0 * w * t - p.sh_phase)
     return p.sign * (fund + sh)
 
 
-def _field(p: _Pulse, t, mul=operator.mul):
+def _potential_integral(p: _Pulse, t1, t2):
+    """int_t1^t2 A(tau) dtau in closed form; A is entire, so the path does
+    not matter. t1 and t2 are arrays of one shape, one time per pulse row.
+
+    A is the sum of four waves g = c exp(-a (tau - c0)^2 + i k tau): the
+    fundamental at rate1 with k = +-omega, the SH at rate2 about sh_center
+    with k = +-2 omega. Each integrates to -sqrt(pi)/(2 sqrt(a)) g w(zeta),
+    w the Faddeeva function and zeta = i sqrt(a) (tau - c0) + k/(2 sqrt(a)).
+    Where Im zeta < 0 (Re tau < c0), g w(zeta) = 2 c exp(i k c0 - k^2/4a)
+    - g w(-zeta), so that w is only evaluated in the upper half-plane, where
+    it is bounded. The constant is left out: each colour is odd about its
+    own centre (sh_center = sh_phase / 2 omega), so the constants of its
+    two waves cancel. Kept, it would round g w away in the far wings,
+    where it outweighs it.
+    """
+    w, c = p.omega, p.sh_center
+    fund = p.sign * p.f1 / (2j * w)
+    sh = p.sign * p.f2 / (4j * w)
+    phase = np.exp(1j * p.sh_phase)
+    # the four waves on the last axis: amplitude c, rate a, centre c0, k
+    amp, rate, centre, k = (np.stack(wave, axis=-1) for wave in (
+        (fund, -fund, sh / phase, -sh * phase),
+        (p.rate1, p.rate1, p.rate2, p.rate2), (0.0 * c, 0.0 * c, c, c),
+        (w, -w, 2.0 * w, -2.0 * w)))
+    root = np.sqrt(rate)
+    tau = np.stack((t1, t2), axis=-1)[..., None]  # (..., end, wave)
+    x = tau - centre
+    side = np.where(x.real < 0, -1.0, 1.0)  # the sign of Im zeta
+    gw = side * amp * np.exp(1j * k * tau - rate * x**2) \
+        * wofz(side * (1j * root * x + k / (2.0 * root)))
+    ends = np.sum(-np.sqrt(np.pi) / (2.0 * root) * gw, axis=-1)
+    return ends[..., 1] - ends[..., 0]
+
+
+def _field(p: _Pulse, t):
     w, a1, a2 = p.omega, p.rate1, p.rate2
     x = t - p.sh_center
     g1 = np.exp(-a1 * t**2)
-    g2 = np.exp(-a2 * mul(x, x))
-    dfund = mul(p.f1 * g1,
-                np.cos(w * t) - mul(2.0 * a1 * t / w, np.sin(w * t)))
+    g2 = np.exp(-a2 * (x * x))
+    dfund = p.f1 * g1 * (np.cos(w * t) - 2.0 * a1 * t / w * np.sin(w * t))
     arg = 2.0 * w * t - p.sh_phase
-    dsh = mul(p.f2 * g2, np.cos(arg) - mul(a2 * x / w, np.sin(arg)))
+    dsh = p.f2 * g2 * (np.cos(arg) - a2 * x / w * np.sin(arg))
     return -p.sign * (dfund + dsh)
 
 

@@ -17,14 +17,14 @@ import numpy as np
 
 from ._fork import LostRunError, run_pair
 from .config import JunctionConfig, LaserConfig
-from .laser import (_Pulse, _field, _mul, _potential, _pulses, effective_keldysh,
-                    electric_field, field_crest_time, find_field_crests,
-                    vector_potential)
+from .laser import (_Pulse, _field, _potential, _potential_integral, _pulse,
+                    _pulses, effective_keldysh, electric_field,
+                    field_crest_time, find_field_crests, vector_potential)
 from .potential import mean_image_magnitude
 from .units import EMASS, HBAR_EVFS
 
-_GL_ORDER = 64
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_ORDER)
+# nodes of action's Gauss-Legendre rule for p~ and int A^2
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
 
 # final-energy grid (eV) of directional_weight when none is given
 DEFAULT_ENERGIES = np.arange(0.3, 14.0, 0.35)
@@ -37,20 +37,6 @@ _CUTOFF_DEPARTURE = 0.10  # relative departure from the Keldysh line
 
 class SaddleConvergenceError(RuntimeError):
     """Newton iteration on the saddle equations failed."""
-
-
-def _segment_potential(laser, t1, t2):
-    """Half-length of the straight segment t1 -> t2 and A(tau) at its
-    Gauss-Legendre nodes (A is entire, so any contour will do)."""
-    mid = 0.5 * (t1 + t2)
-    half = 0.5 * (t2 - t1)
-    return half, vector_potential(laser, mid + half * _GL_X)
-
-
-def _a_integral(laser, t1, t2):
-    """int_t1^t2 A(tau) dtau along the straight segment."""
-    half, a = _segment_potential(laser, t1, t2)
-    return half * np.sum(_GL_W * a)
 
 
 def _p_tilde(d, t1, t2, a_integral):
@@ -74,13 +60,13 @@ class SaddleSolution:
     def p_tilde(self) -> complex:
         """Canonical momentum, derived from t1, t2 (eV fs / nm)."""
         return _p_tilde(self.junction.width_d, self.t1, self.t2,
-                        _a_integral(self.laser, self.t1, self.t2))
+                        _potential_integral(_pulse(self.laser), self.t1, self.t2))
 
     def residuals(self) -> tuple[float, float, float]:
         """|residual| of the emission-energy, displacement and arrival-energy
         saddle equations, in eV / nm / eV."""
         d = self.junction.width_d
-        a_int = _a_integral(self.laser, self.t1, self.t2)
+        a_int = _potential_integral(_pulse(self.laser), self.t1, self.t2)
         pt = _p_tilde(d, self.t1, self.t2, a_int)
         # kinetic momentum p~ - e A(t) = p~ + A(t)
         k1 = pt + vector_potential(self.laser, self.t1)
@@ -100,12 +86,17 @@ def action(t1: complex, t2: complex, E: float, E0: float,
     E t2 + p~^2/(2m)(t2-t1) - int e^2 A^2/(2m) - int V_imag[z] + |E0| t1,
     with the image integral taken as -Vbar * (t2 - t1), Vbar the junction's
     mean_image_magnitude. p~ and the A^2 integral share one evaluation of A
-    at the segment's nodes.
+    at the Gauss-Legendre nodes of the straight segment (A is entire, so
+    any contour will do).
     """
+    # Scalar, one call per kept root, because perfbench's tracer inspects
+    # each result. Batching S, and with it a closed form for p~ and int A^2
+    # in place of this rule, goes with ROADMAP item 4, step 2.
     if t2 == t1:
         raise ValueError("t1 and t2 must differ")
     vbar = mean_image_magnitude(cfg)
-    half, a = _segment_potential(laser, t1, t2)
+    half = 0.5 * (t2 - t1)
+    a = vector_potential(laser, 0.5 * (t1 + t2) + half * _GL_X)
     pt = _p_tilde(cfg.width_d, t1, t2, half * np.sum(_GL_W * a))
     a2 = half * np.sum(_GL_W * a**2)
     return (E * t2 + pt**2 / (2.0 * EMASS) * (t2 - t1)
@@ -155,10 +146,8 @@ class _Problems:
 
 def _kinetic(pulse, d, t1, t2):
     """Kinetic momenta p~ + A(t) at both ends of each segment t1 -> t2."""
-    half = 0.5 * (t2 - t1)
-    a = _potential(pulse, (0.5 * (t1 + t2))[:, None] + half[:, None] * _GL_X)
-    pt = _p_tilde(d, t1, t2, _mul(half, np.sum(_GL_W * a, axis=1)))
-    ends = _potential(pulse, np.stack((t1, t2), axis=1), _mul)
+    pt = _p_tilde(d, t1, t2, _potential_integral(pulse, t1, t2))
+    ends = _potential(pulse, np.stack((t1, t2), axis=1))
     return pt + ends[:, 0], pt + ends[:, 1]
 
 
@@ -169,7 +158,8 @@ def _kinetic(pulse, d, t1, t2):
 
 def _newton(problems, t1, t2, k1_target, k2_target, d):
     """Damped Newton on every problem at once, then the physical-branch
-    checks. Returns (t1, t2, |G| at the last accepted iterate, status)."""
+    checks; k2_target holds one value per problem. Returns (t1, t2, |G| at
+    the last accepted iterate, status)."""
     t1, t2 = t1.copy(), t2.copy()
     k1, k2 = _kinetic(problems.pulse, d, t1, t2)
     gnorm = abs(k1 - k1_target) + abs(k2 - k2_target)
@@ -183,23 +173,20 @@ def _newton(problems, t1, t2, k1_target, k2_target, d):
             break
         pulse = _rows(problems.pulse, live)
         a1, a2, b1, b2 = t1[live], t2[live], k1[live], k2[live]
-        g1, g2 = b1 - k1_target, b2 - k2_target
-        ap = -_field(pulse, np.stack((a1, a2), axis=1), _mul)  # A'(t1), A'(t2)
+        g1, g2 = b1 - k1_target, b2 - k2_target[live]
+        ap = -_field(pulse, np.stack((a1, a2), axis=1))  # A'(t1), A'(t2)
         dt21 = a2 - a1
         j11 = b1 / dt21 + ap[:, 0]
         j12 = -b2 / dt21
         j21 = b1 / dt21
         j22 = -b2 / dt21 + ap[:, 1]
-        # Cramer's rule: det = j11 j22 - j12 j21, step numerators
-        # -g1 j22 + g2 j12 and -g2 j11 + g1 j21
-        p = _mul(np.stack((j11, j12, -g1, g2, -g2, g1)),
-                 np.stack((j22, j21, j22, j12, j11, j21)))
-        det = p[0] - p[1]
+        # Cramer's rule
+        det = j11 * j22 - j12 * j21
         failed = det == 0
         status[live[failed]] = _SINGULAR
         det[failed] = 1.0  # no step is taken from a singular Jacobian
-        d1 = (p[2] + p[3]) / det
-        d2 = (p[4] + p[5]) / det
+        d1 = (g2 * j12 - g1 * j22) / det
+        d2 = (g1 * j21 - g2 * j11) / det
         # damped update: halve until the residual shrinks
         search = np.flatnonzero(~failed)  # positions in live
         for h in range(10):
@@ -208,7 +195,7 @@ def _newton(problems, t1, t2, k1_target, k2_target, d):
             valid = np.flatnonzero(c2 != c1)
             at = search[valid]
             q1, q2 = _kinetic(_rows(pulse, at), d, c1[valid], c2[valid])
-            qnorm = abs(q1 - k1_target) + abs(q2 - k2_target)
+            qnorm = abs(q1 - k1_target) + abs(q2 - k2_target[live[at]])
             better = qnorm < gnorm[live[at]]
             rows = live[at[better]]
             t1[rows], t2[rows] = c1[valid[better]], c2[valid[better]]
@@ -232,30 +219,41 @@ def _newton(problems, t1, t2, k1_target, k2_target, d):
     return t1, t2, gnorm, status
 
 
-def _solve_saddles(E, E0, problems, cfg, seeds=None):
-    """Saddle roots of every problem of the batch at final energy E.
-
-    Works on the square-rooted branch conditions k(t1) = i sqrt(2m|E0|_eff)
-    and k(t2) = +sqrt(2m(E + Vbar)), which fixes the physical root
-    (Im t1 > 0, forward arrival); the displacement equation holds by
-    construction of p~. seeds = (t1, t2, seeded) continues the seeded
-    problems from (t1, t2); the others start from the heuristic crest seed,
-    and a seeded problem that fails gets one more attempt from it.
-
-    Returns (t1, t2, |G|, status); status is _ROOT where a physical root was
-    found and otherwise names the failure.
-    """
+def _branch_targets(E, E0, cfg):
+    """The kinetic momenta of the physical branch, k(t1) = i sqrt(2m|E0|_eff)
+    and k(t2) = +sqrt(2m(E + Vbar)), and the travel time d/v(E); k(t2) and
+    the travel time have the shape of E."""
     vbar = mean_image_magnitude(cfg)
     e0_eff = abs(E0) - vbar
     if e0_eff <= 0:
         raise ValueError("effective binding |E0| - mean_image must be positive")
-    if E + vbar <= 0:
-        raise ValueError(f"final energy E = {E} eV must exceed -Vbar = "
+    E = np.asarray(E, dtype=float)
+    below = E + vbar <= 0
+    if np.any(below):
+        raise ValueError(f"final energy E = {E[below][0]} eV must exceed -Vbar = "
                          f"{-vbar:.4f} eV, minus the mean image potential")
-    k1_target = 1j * np.sqrt(2.0 * EMASS * e0_eff)
-    k2_target = np.sqrt(2.0 * EMASS * (E + vbar))
+    travel = cfg.width_d / np.sqrt(2.0 * np.maximum(E + vbar, 0.1) / EMASS)
+    return (1j * np.sqrt(2.0 * EMASS * e0_eff),
+            np.sqrt(2.0 * EMASS * (E + vbar)), travel)
+
+
+def _solve_saddles(E, E0, problems, cfg, seeds=None):
+    """Saddle roots of every problem of the batch at final energy E, one
+    energy for all problems or one per problem.
+
+    Works on the square-rooted branch conditions of _branch_targets, which
+    fix the physical root (Im t1 > 0, forward arrival); the displacement
+    equation holds by construction of p~. seeds = (t1, t2, seeded) continues
+    the seeded problems from (t1, t2); the others start from the heuristic
+    crest seed, and a seeded problem that fails gets one more attempt from
+    it.
+
+    Returns (t1, t2, |G|, status); status is _ROOT where a physical root was
+    found and otherwise names the failure.
+    """
+    k1_target, k2_target, travel = _branch_targets(E, E0, cfg)
+    k2_target = np.broadcast_to(k2_target, problems.crest.shape)
     d = cfg.width_d
-    travel = d / np.sqrt(2.0 * max(E + vbar, 0.1) / EMASS)
     h1 = problems.crest + 1j * problems.depth
     h2 = problems.crest + travel + 0.25j * problems.depth
     if seeds is None:
@@ -270,7 +268,8 @@ def _solve_saddles(E, E0, problems, cfg, seeds=None):
     again = np.flatnonzero(seeded & (status != _ROOT))
     if again.size:
         (t1[again], t2[again], gnorm[again], status[again]) = _newton(
-            problems[again], h1[again], h2[again], k1_target, k2_target, d)
+            problems[again], h1[again], h2[again], k1_target,
+            k2_target[again], d)
     return t1, t2, gnorm, status
 
 
@@ -338,16 +337,39 @@ def emission_phase_curve(energies, laser: LaserConfig, cfg: JunctionConfig, *,
                          binding: float | None = None):
     """sinh(omega Im t1) at the dominant crest for each final energy.
 
-    The crest's root is continued in E (_continued_roots); the first energy
-    without a root raises SaddleConvergenceError, as solve_saddle would."""
+    All energies are solved as one batch, one row per energy, from the
+    heuristic crest seed; where that fails, the row is continued in rounds
+    from the root of the nearest earlier energy (in the given order) that
+    has one, and from each such root at most once. The first energy left
+    without a root raises the SaddleConvergenceError of its crest-seed
+    solve, as solve_saddle would."""
     e0 = cfg.workfunction_tip if binding is None else binding
     crest = field_crest_time(laser)
-    problem = _Problems.build([(laser, crest)], cfg)
-    out = np.empty(len(energies))
-    for i, roots in enumerate(_continued_roots(energies, e0, problem, cfg)):
-        t1, _ = _only_root(roots, crest)
-        out[i] = np.sinh(laser.omega * t1.imag)
-    return out
+    energies = np.asarray(energies, dtype=float)
+    rows = np.arange(energies.size)
+    problems = _Problems.build([(laser, crest)], cfg)[np.zeros_like(rows)]
+    t1, t2, gnorm, status = _solve_saddles(energies, e0, problems, cfg)
+    k1_target, k2_target, _ = _branch_targets(energies, e0, cfg)
+    tried = np.full(rows.size, -1)  # the seed row of a row's last attempt
+    while True:
+        found = status == _ROOT
+        nearest = np.maximum.accumulate(np.where(found, rows, -1))
+        seed = np.concatenate(([-1], nearest[:-1]))  # nearest earlier root
+        again = np.flatnonzero(~found & (seed > tried))
+        if again.size == 0:
+            break
+        tried[again] = seed[again]
+        c1, c2, _, got = _newton(problems[again], t1[seed[again]],
+                                 t2[seed[again]], k1_target, k2_target[again],
+                                 cfg.width_d)
+        solved = got == _ROOT
+        t1[again[solved]], t2[again[solved]] = c1[solved], c2[solved]
+        status[again[solved]] = _ROOT
+    lost = np.flatnonzero(status != _ROOT)
+    if lost.size:
+        i = lost[0]
+        _only_root([a[i:i + 1] for a in (t1, t2, gnorm, status)], crest)
+    return np.sinh(laser.omega * t1.imag)
 
 
 def cutoff_energy(laser: LaserConfig, cfg: JunctionConfig, *,

@@ -302,6 +302,9 @@ RERUN_SCANS = {
     "robustness": ({"start": 4.9, "stop": 5.3, "count": 2,
                     "parameter": "workfunction"},
                    {"parameter": "workfunction"}),
+    "delay_sf": ({"start": 0.0, "stop": 1.5, "count": 2,
+                  "energies_eV": [2.0, 4.0, 6.0]},
+                 {"energies": [2.0, 4.0, 6.0]}),
 }
 
 
@@ -354,6 +357,17 @@ def test_scan_and_rerun_call_the_same_function(tmp_path, monkeypatch, kind):
     assert calls[1] == calls[0]
     assert options.items() <= calls[0][1].items()
     assert config_hash(again.metadata) == config_hash(md)
+
+
+def test_scan_refuses_fewer_than_two_energies(tmp_path, capsys):
+    path = write_config(tmp_path, tiny_tdse_config(scan={
+        "kind": "delay_sf", "start": 0.0, "stop": 1.5, "count": 2,
+        "energies_eV": [2.0]}))
+    out = tmp_path / "none"
+    assert run_cli("scan", "--config", path, "--out", str(out)) == EXIT_CONFIG
+    assert "scan.energies_eV needs at least two energies" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_saddle_command(tmp_path):

@@ -14,8 +14,9 @@ from attostm._fork import LostRunError
 from attostm.cli import (EXIT_COMPUTE, build_junction, build_laser,
                          load_config, main)
 from attostm.config import JunctionConfig, LaserConfig
-from attostm.laser import (effective_keldysh, electric_field, field_crest_time,
-                           find_field_crests)
+from attostm.laser import (_potential_integral, _pulse, _pulses,
+                           effective_keldysh, electric_field, field_crest_time,
+                           find_field_crests, vector_potential)
 from attostm.potential import mean_image_magnitude
 from attostm.strongfield import (DEFAULT_ENERGIES, SaddleConvergenceError,
                                  _crest_amplitudes, _directed, action,
@@ -85,27 +86,28 @@ def test_saddle_residuals_small(cfg, las8):
 
 
 # (t1, t2, residuals(), action) at E0 = 5.1 eV on LaserConfig(field_F1=8),
-# recorded before the saddle core shared its A evaluations
+# recorded before the saddle core shared its A evaluations; residuals()
+# re-recorded when int A dtau went from quadrature to closed form
 PINNED_SADDLES = {
     0.0: (0.28673109455005535 + 0.641625520456147j,
           1.6537451642325836 - 0.0639264497504323j,
-          (2.351778669746939e-13, 1.1102230246251565e-16,
-           1.0534741975335433e-13),
+          (2.3445927001053493e-13, 1.1102230246251565e-16,
+           1.0580090413034094e-13),
           -2.241613359357687 + 1.8250932799823296j),
     2.0: (0.16695078907722427 + 0.5971970343730296j,
           1.2284481729461878 - 0.04545321680168601j,
-          (6.490789092755992e-12, 1.1769086276701484e-16,
-           4.114053023477916e-12),
+          (6.4890683285330865e-12, 1.1102230246251565e-16,
+           4.115933270647228e-12),
           0.6111480738831088 + 1.7120148984256738j),
     4.4: (-0.06372547307167091 + 0.5986598670061757j,
           0.796000985224592 + 0.029439569930487634j,
-          (2.0067170156387878e-15, 1.1272643224980471e-16,
-           2.0942020727109477e-15),
+          (2.1337722051610274e-15, 1.1102230246251565e-16,
+           1.802516196794476e-15),
           3.0465266829772037 + 1.6705313837278912j),
     6.7: (-0.23983826117324106 + 0.796030929385939j,
           0.4931285134596064 + 0.31734787366698486j,
-          (1.3323874701798546e-11, 7.810729888470119e-17,
-           1.636952113161685e-11),
+          (1.3323691327081197e-11, 1.3574498805901583e-16,
+           1.6372213653120023e-11),
           4.458968629908366 + 2.0452524100550513j),
 }
 
@@ -390,14 +392,29 @@ def _solve_saddle_chain(energies, e0, laser, cfg):
     return np.array(out)
 
 
+def _fresh_seed_phases(energies, e0, laser, cfg):
+    """sinh(omega Im t1) of one fresh-seed solve_saddle per energy at the
+    dominant crest; NaN where that solve fails."""
+    crest = field_crest_time(laser)
+    out = np.full(len(energies), np.nan)
+    for i, e in enumerate(energies):
+        try:
+            sol = solve_saddle(e, e0, laser, cfg, crest_time=crest)
+        except SaddleConvergenceError:
+            continue
+        out[i] = np.sinh(laser.omega * sol.t1.imag)
+    return out
+
+
 def test_emission_phase_curve_is_a_chain_of_solve_saddle_calls():
     data = load_config("figSK")
     cfg, laser = build_junction(data), build_laser(data)
     energies = np.linspace(0.5, 14.0, 55)
     e0 = cfg.workfunction_tip
+    # each row is its own fresh-seed solve_saddle, bit for bit
     np.testing.assert_array_equal(
         emission_phase_curve(energies, laser, cfg),
-        _solve_saddle_chain(energies, e0, laser, cfg))
+        _fresh_seed_phases(energies, e0, laser, cfg))
     # at a 9 eV binding the chain down in energy breaks at 2.5 eV: the curve
     # raises there with the chain's own message
     with pytest.raises(SaddleConvergenceError) as chain:
@@ -489,3 +506,113 @@ def test_delay_scan_sf_kills_the_child_when_the_forward_run_fails(
         delay_scan_sf(las8, cfg, PAIR_TAUS, energies=PAIR_ENERGIES)
     assert time.perf_counter() - started < 30.0
     _assert_no_child_left()
+
+
+@pytest.mark.parametrize("recipe", ["figSK", "fig4bc"])
+def test_emission_phase_rows_equal_single_solves(recipe):
+    # a batch row rounds as a batch of one: every row whose fresh-seed
+    # solve_saddle succeeds equals it; on figSK that solve fails above
+    # 32.5 eV, and the curve continues those rows from the root below
+    data = load_config(recipe)
+    cfg, laser = build_junction(data), build_laser(data)
+    energies = np.linspace(1.0, 33.0, 129)
+    curve = emission_phase_curve(energies, laser, cfg)
+    single = _fresh_seed_phases(energies, cfg.workfunction_tip, laser, cfg)
+    fresh = np.isfinite(single)
+    assert np.all(np.isfinite(curve))
+    assert np.sum(~fresh) == (2 if recipe == "figSK" else 0)
+    np.testing.assert_array_equal(curve[fresh], single[fresh])
+
+
+def test_directional_weight_of_eight_lasers_equals_each_alone(anchor):
+    cfg, laser = anchor
+    step = laser.sh_period / 8
+    lasers = [replace(laser, base_delay_tau0=float(tau))
+              for tau in 0.1 + step * np.arange(8)]
+    for direction in (1, -1):
+        batch = directional_weight(lasers, cfg, direction=direction)
+        alone = [directional_weight(las, cfg, direction=direction)
+                 for las in lasers]
+        np.testing.assert_array_equal(batch, alone)
+
+
+def test_emission_phase_curve_ends_when_no_row_has_a_seed():
+    # at a 9 eV binding the crest seed fails at 0.5-2.5 eV; ascending, no
+    # earlier row has a root to continue from, so the curve raises the
+    # crest-seed failure of the first energy instead of looping
+    data = load_config("figSK")
+    cfg, laser = build_junction(data), build_laser(data)
+    energies = np.linspace(0.5, 14.0, 55)
+
+    def hung(signum, frame):
+        raise TimeoutError("emission_phase_curve did not end")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(SaddleConvergenceError) as curve:
+            emission_phase_curve(energies, laser, cfg, binding=9.0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    for e in energies[energies <= 2.5]:
+        with pytest.raises(SaddleConvergenceError) as single:
+            solve_saddle(e, 9.0, laser, cfg)
+        if e == energies[0]:
+            assert str(curve.value) == str(single.value)
+
+
+_GL256_X, _GL256_W = np.polynomial.legendre.leggauss(256)
+
+
+def _gl256_integral(laser, t1, t2):
+    half = 0.5 * (t2 - t1)
+    return half * np.sum(
+        _GL256_W * vector_potential(laser, 0.5 * (t1 + t2) + half * _GL256_X))
+
+
+# (t1, t2): the fundamental centres at 0 and the SH at sh_center, and a
+# wave's Faddeeva argument changes half-plane where Re t crosses its centre
+CLOSED_FORM_SEGMENTS = [
+    (-0.7 + 0.5j, 0.9 - 0.05j),     # crosses Re t = 0
+    (0.3 + 1.0j, 1.5 + 0.2j),       # Im t1 = 1 fs
+    (-2.0 + 1.0j, -0.5 + 1.0j),     # both ends 1 fs above the real axis
+    (-0.24 + 0.8j, 0.49 + 0.32j),   # a saddle segment above the cutoff
+    (2.5 + 0.3j, 4.0 - 0.1j),
+    (-118.0 + 0.5j, -116.0),        # envelope wings, both sides: A is
+    (116.0 + 0.5j, 118.0 - 0.1j),   # 1e-14 (35 fs) to 1e-113 (12 fs) or 0
+]
+
+
+@pytest.mark.parametrize("laser", [
+    LaserConfig(field_F1=8.0),
+    LaserConfig(field_F1=10.0, base_delay_tau0=1.3, phase_phi=0.7),
+    LaserConfig(field_F1=8.0, base_delay_tau0=-2.1).flipped(),
+    LaserConfig(field_F1=8.0, ratio_eta=0.0, duration_tau1=12.0),
+    LaserConfig(field_F1=8.0, duration_tau1=6.0, duration_tau2=4.0,
+                base_delay_tau0=0.3, phase_phi=0.7),
+], ids=["anchor", "delayed", "flipped", "fundamental", "short"])
+def test_closed_form_segment_integral_matches_quadrature(laser):
+    p = _pulse(laser)
+    for t1, t2 in CLOSED_FORM_SEGMENTS + [(laser.sh_center - 0.6 + 0.4j,
+                                           laser.sh_center + 0.8)]:
+        ref = _gl256_integral(laser, t1, t2)
+        got = _potential_integral(p, np.array(t1), np.array(t2))
+        assert abs(got - ref) <= 1e-13 * abs(ref), (t1, t2)
+    # beyond every envelope: finite, and zero where A underflows
+    far = _potential_integral(p, np.array([-5000.0 + 1j, 3000.0]),
+                              np.array([-4998.0, 3002.0 + 1j]))
+    np.testing.assert_array_equal(far, [0.0, 0.0])
+
+
+def test_closed_form_segment_integral_of_a_batch_of_mixed_lasers():
+    lasers = [LaserConfig(field_F1=8.0),
+              LaserConfig(field_F1=10.0, base_delay_tau0=1.3, phase_phi=0.7),
+              LaserConfig(field_F1=8.0, base_delay_tau0=-2.1).flipped(),
+              LaserConfig(field_F1=8.0, ratio_eta=0.0, duration_tau1=12.0)]
+    t1, t2 = np.array(CLOSED_FORM_SEGMENTS[:len(lasers)]).T
+    got = _potential_integral(_pulses(lasers), t1, t2)
+    assert got.shape == (len(lasers),)
+    for las, a, b, g in zip(lasers, t1, t2, got):
+        ref = _gl256_integral(las, a, b)
+        assert abs(g - ref) <= 1e-13 * abs(ref)
