@@ -291,8 +291,11 @@ def cmd_scan(data, out_dir, args, configs, snapshot) -> int:
         raise ConfigError(f"scan.kind must be one of {', '.join(SCAN_KINDS)} "
                           f"(got {kind!r})")
     values = _sweep_values(scan)
-    # options left out keep the scan function's defaults
-    options = {"parameter": scan.get("parameter", "field")}
+    # options left out keep the scan function's defaults; a robustness
+    # sweep needs its parameter, by default the field
+    options = {}
+    if "parameter" in scan or kind == "robustness":
+        options["parameter"] = scan.get("parameter", "field")
     if "n_delays" in scan:
         options["n_delays"] = scan["n_delays"]
     if {"enhancement_fund", "enhancement_sh"} & set(scan):

@@ -20,7 +20,6 @@ from .config import JunctionConfig, LaserConfig
 from .grid import AbsorberSpec, GridSpec
 from .kernels import SolverError
 from .laser import _parabolic_refine, field_crest_time, pulse_onset
-from .potential import sample_static_profile
 from .results import ScanResult, config_snapshot, configs_from_snapshot
 from .solver import (CurrentRecord, initial_state, propagate,
                      transferred_charge)
@@ -97,28 +96,25 @@ def default_time_span(laser: LaserConfig, *, burst_only: bool = False):
     return t0, 2.5 * max(laser.duration_tau1, laser.duration_tau2)
 
 
-def _wall_charges(cfg, laser, grid, *, absorber=None, initial=None,
-                  static_profile=None) -> list[tuple[float, float]]:
+def _wall_charges(cfg, laser, grid, *, absorber=None,
+                  initial=None) -> list[tuple[float, float]]:
     """[(Q(0), Q(d)) under laser, (Q(0), Q(d)) under its negation]: each
     run's signed transferred charge through the tip wall z = 0 and the
     sample wall z = d.
 
-    The initial state and the static profile, built here unless given,
-    serve both runs. The run under the negation steps in a child forked by
-    _fork.run_pair while this process steps the run under laser; the
-    child's exception and warnings reach the caller, and a child that dies
-    without a result raises SolverError.
+    The initial state, built here unless given, serves both runs. The run
+    under the negation steps in a child forked by _fork.run_pair while
+    this process steps the run under laser; the child's exception and
+    warnings reach the caller, and a child that dies without a result
+    raises SolverError.
     """
     t0, t1 = default_time_span(laser)
     if initial is None:
         initial = initial_state(cfg, grid)
-    if static_profile is None:
-        static_profile = sample_static_profile(cfg, grid.z)
 
     def charges(las):
         res = propagate(cfg, las, grid, t0, t1, probes=(0.0, None),
-                        absorber=absorber, static_profile=static_profile,
-                        initial=initial)
+                        absorber=absorber, initial=initial)
         return (transferred_charge(res.records[0]),
                 transferred_charge(res.records[1]))
 
@@ -185,10 +181,9 @@ def delay_scan_tdse(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     """Net laser-induced charge versus two-colour base delay."""
     tau0_values = np.asarray(tau0_values, dtype=float)
     shared = initial_state(cfg, grid)
-    profile = sample_static_profile(cfg, grid.z)
     charges = [_net_charge(_wall_charges(
                    cfg, replace(laser, base_delay_tau0=float(tau0)), grid,
-                   absorber=absorber, initial=shared, static_profile=profile))
+                   absorber=absorber, initial=shared))
                for tau0 in tau0_values]
     return ScanResult("tau0", "fs", tau0_values, "net_charge", "electrons",
                       np.asarray(charges),
@@ -280,12 +275,10 @@ def directionality(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     ratio_values = np.asarray(ratio_values, dtype=float)
     points = _sweep_points("ratio", cfg, laser, ratio_values)
     shared = initial_state(cfg, grid)
-    profile = sample_static_profile(cfg, grid.z)
 
     def one(ratio, las):
         (_, jp), (_, jm) = _wall_charges(cfg, las, grid, absorber=absorber,
-                                         initial=shared,
-                                         static_profile=profile)
+                                         initial=shared)
         for direction, q in (("tip->sample", jp), ("sample->tip", jm)):
             if q < 0.0:
                 raise DirectionalityError(
@@ -368,15 +361,22 @@ SCAN_KINDS = {
 
 def run_scan(kind: str, cfg: JunctionConfig, laser: LaserConfig, grid,
              values, *, absorber=None, **options) -> ScanResult:
-    """Run scan `kind` of SCAN_KINDS over `values`, with those of
-    `options` that its function takes; the others are ignored."""
+    """Run scan `kind` of SCAN_KINDS over `values` with `options`; an
+    option that the kind's function does not take raises ValueError."""
     spec = SCAN_KINDS[kind]
-    kwargs = {k: v for k, v in options.items() if k in spec.options}
+    # named by the metadata keys that record them, as in a scan section
+    recorded = {k: key for s in SCAN_KINDS.values()
+                for k, key in s.options.items()}
+    refused = sorted(f"scan.{recorded.get(k, k)}"
+                     for k in options.keys() - spec.options.keys())
+    if refused:
+        raise ValueError(f"scan kind {kind!r} does not take "
+                         f"{', '.join(refused)}")
     if spec.tdse:
-        kwargs.update(grid=grid, absorber=absorber)
+        options.update(grid=grid, absorber=absorber)
     # through the module namespace, so that a wrapped function is called
     return globals()[spec.function](cfg=cfg, laser=laser,
-                                    **{spec.swept: values}, **kwargs)
+                                    **{spec.swept: values}, **options)
 
 
 def rerun_from_metadata(scan: ScanResult) -> ScanResult:

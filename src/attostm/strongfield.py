@@ -563,9 +563,16 @@ def directional_weight(laser: LaserConfig | Sequence[LaserConfig],
     spread over one SH period, crests with |E| >= 0.8 of the maximum lose
     their root at 59 crest/energy pairs (29 forward, 30 backward), all
     below 2 eV.
+
+    energies must be 1-D, at least two and strictly increasing, or the
+    integral would be zero or negative; anything else raises ValueError.
     """
     energies = DEFAULT_ENERGIES if energies is None \
         else np.asarray(energies, dtype=float)
+    if energies.ndim != 1 or energies.size < 2 \
+            or not np.all(np.diff(energies) > 0):
+        raise ValueError("energies must be a 1-D grid of at least two "
+                         f"strictly increasing values, got {energies.tolist()}")
     single = isinstance(laser, LaserConfig)
     lasers = [laser] if single else list(laser)
     rows = _crest_amplitudes([_directed(las, direction) for las in lasers],

@@ -359,6 +359,51 @@ def test_scan_and_rerun_call_the_same_function(tmp_path, monkeypatch, kind):
     assert config_hash(again.metadata) == config_hash(md)
 
 
+@pytest.mark.parametrize("kind, key, value, named", [
+    ("ratio", "n_delays", 3, "n_delays"),
+    ("delay", "parameter", "width", "parameter"),
+    ("delay", "energies_eV", [2.0, 4.0], "energies_eV"),
+    ("width", "enhancement_fund", 2.0, "enhancement"),
+], ids=["n_delays_under_ratio", "parameter_under_delay",
+        "energies_under_delay", "enhancement_under_width"])
+def test_scan_refuses_a_key_its_kind_does_not_take(tmp_path, capsys,
+                                                  monkeypatch, kind, key,
+                                                  value, named):
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("a propagation started")
+
+    monkeypatch.setattr(experiments, "initial_state", no_propagation)
+    monkeypatch.setattr(experiments, "propagate", no_propagation)
+    path = write_config(tmp_path, tiny_tdse_config(scan={
+        "kind": kind, "start": 0.0, "stop": 1.0, "count": 2, key: value}))
+    out = tmp_path / "none"
+    assert run_cli("scan", "--config", path, "--out", str(out)) == EXIT_CONFIG
+    assert f"scan kind {kind!r} does not take scan.{named}" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("recipe", [r for r in RECIPES
+                                    if "scan" in load_config(r)])
+def test_recipe_scan_keys_are_taken_by_their_kind(tmp_path, monkeypatch,
+                                                  recipe):
+    scan = load_config(recipe)["scan"]
+
+    class Reached(Exception):
+        pass
+
+    spec = SCAN_KINDS[scan["kind"]]
+    real = getattr(experiments, spec.function)
+
+    def reached(*args, **kwargs):
+        inspect.signature(real).bind(*args, **kwargs)
+        raise Reached
+
+    monkeypatch.setattr(experiments, spec.function, reached)
+    with pytest.raises(Reached):
+        run_cli("scan", "--config", recipe, "--out", str(tmp_path / "out"))
+
+
 def test_scan_refuses_fewer_than_two_energies(tmp_path, capsys):
     path = write_config(tmp_path, tiny_tdse_config(scan={
         "kind": "delay_sf", "start": 0.0, "stop": 1.5, "count": 2,

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from attostm.config import JunctionConfig
-from attostm.potential import (IMAGE_MAX_TERMS, IMAGE_TERM_TOL,
-                               PotentialProfile, clamp_level,
+from attostm.potential import (PotentialProfile, clamp_level,
                                clamped_image_average, image_potential,
                                laser_interaction, mean_image_magnitude,
                                sample_static_profile, static_potential)
@@ -47,55 +46,44 @@ def test_image_symmetry(junction):
     assert np.max(np.abs(v - v_mirror)) < 1e-9
 
 
-def test_image_series_convergence():
-    z = np.linspace(0.05, 0.95, 50)
-    base = image_potential(z, 1.0, max_terms=10_000)
-    doubled = image_potential(z, 1.0, max_terms=20_000)
-    assert np.max(np.abs(base - doubled)) < 1e-10
-    tighter = image_potential(z, 1.0, term_tol=1e-15)
-    assert np.max(np.abs(base - tighter)) < 1e-10
+def test_image_midpoint_is_two_ln_two():
+    # psi(1/2) = -gamma - 2 ln 2, so V(d/2) = -prefactor * 2 ln 2 / d
+    for d in (0.5, 0.7, 1.0, 2.0):
+        want = -IMAGE_PREFACTOR_EVNM * 2.0 * np.log(2.0) / d
+        assert abs(image_potential(0.5 * d, d) - want) \
+            <= 2 * np.spacing(abs(want)), d
 
 
-def looped_image_series(z, d, term_tol=IMAGE_TERM_TOL,
-                        max_terms=IMAGE_MAX_TERMS):
-    # the series added one n at a time, stopped like image_potential and
-    # closed with its tail remainder; 0 < z < d
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    total = 1.0 / (2.0 * z)
-    z2 = z * z
-    n = 1
-    for n in range(1, max_terms + 1):
-        nd = n * d
-        term = z2 / (nd * (nd * nd - z2))
-        total = total + term
-        if IMAGE_PREFACTOR_EVNM * np.max(term) < term_tol:
-            break
-    x2 = z2 / (d * d)
-    tail = (x2 / d) * ((0.5 / n**2 - 0.5 / n**3 + 0.25 / n**4)
-                       + x2 * 0.25 / n**4)
-    return -IMAGE_PREFACTOR_EVNM * (total + tail)
+# from next to the tip wall to next to the sample wall, as one array
+WALL_TO_WALL = np.array([0.01, 0.02, 0.05, 0.11, 0.3, 0.5, 0.62, 0.85, 0.98,
+                         0.99])
 
 
-GAP = np.linspace(0.01, 0.99, 37)
+@pytest.mark.parametrize("d", [0.7, 1.0, 2.0])
+def test_image_matches_the_series_with_its_tail(d):
+    # 200 000 terms plus the analytic remainder z^2/(2 N^2 d^3) of the
+    # bracket, point by point, against one call over the whole gap
+    n_terms = 200_000
+    z = WALL_TO_WALL * d
+    got = image_potential(z, d)
+    for zi, gi in zip(z, got):
+        want = oracle_image_series(zi, d, n_terms) \
+            - IMAGE_PREFACTOR_EVNM * zi**2 / (2.0 * n_terms**2 * d**3)
+        assert abs(gi - want) <= 1e-12, zi
 
 
-@pytest.mark.parametrize("z, d, options", [
-    (0.5, 1.0, {}),
-    (0.35, 0.7, {}),
-    (GAP, 1.0, {}),
-    (GAP, 1.0, {"max_terms": 20_000}),
-    (GAP, 1.0, {"term_tol": 1e-15}),
-    (GAP, 1.0, {"max_terms": 100}),
-    (0.5, 1.0, {"max_terms": 513}),
-    ((np.arange(2048) + 0.5) / 2048, 1.0, {}),
-], ids=["midpoint", "midpoint_d07", "gap", "max_terms_20000",
-        "term_tol_1e-15", "max_terms_100", "max_terms_513", "dense_gap"])
-def test_image_sum_order_is_one_n_after_the_other(z, d, options):
-    # mean_image_magnitude's pinned saddle outputs rest on this exact order
-    # of additions, so the comparison is bit for bit
-    got = image_potential(z, d, **options)
-    want = looped_image_series(z, d, **options)
-    assert np.array_equal(np.atleast_1d(got), want)
+def test_image_is_minus_infinity_at_and_past_the_walls():
+    d = 0.7
+    for z in (-0.3, 0.0, d, 1.5):
+        got = image_potential(z, d)
+        assert isinstance(got, float) and got == -np.inf
+    inside = WALL_TO_WALL * d
+    z = np.concatenate([[-0.3, 0.0], inside, [d, 1.5]])
+    got = image_potential(z, d)
+    assert got.shape == z.shape
+    assert np.all(got[[0, 1, -2, -1]] == -np.inf)
+    # each point's value does not depend on the others in the call
+    assert np.array_equal(got[2:-2], [image_potential(zi, d) for zi in inside])
 
 
 def test_clamping(junction):

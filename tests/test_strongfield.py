@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from attostm import experiments, strongfield
+from attostm import strongfield
 from attostm._fork import LostRunError
 from attostm.cli import (EXIT_COMPUTE, build_junction, build_laser,
                          load_config, main)
@@ -96,7 +96,7 @@ PINNED_SADDLES = {
           -2.241613359357687 + 1.8250932799823296j),
     2.0: (0.16695078907722427 + 0.5971970343730296j,
           1.2284481729461878 - 0.04545321680168601j,
-          (6.4890683285330865e-12, 1.1102230246251565e-16,
+          (6.4873476381424504e-12, 1.1102230246251565e-16,
            4.115933270647228e-12),
           0.6111480738831088 + 1.7120148984256738j),
     4.4: (-0.06372547307167091 + 0.5986598670061757j,
@@ -106,8 +106,8 @@ PINNED_SADDLES = {
           3.0465266829772037 + 1.6705313837278912j),
     6.7: (-0.23983826117324106 + 0.796030929385939j,
           0.4931285134596064 + 0.31734787366698486j,
-          (1.3323691327081197e-11, 1.3574498805901583e-16,
-           1.6372213653120023e-11),
+          (1.3318583604935346e-11, 1.3574498805901583e-16,
+           1.6374130139908153e-11),
           4.458968629908366 + 2.0452524100550513j),
 }
 
@@ -380,6 +380,15 @@ def test_directional_weight_of_a_sequence(cfg, las8):
         assert w == pytest.approx(single, rel=1e-12)
 
 
+@pytest.mark.parametrize("energies", [[2.0], [], [[1.0, 2.0], [3.0, 4.0]],
+                                      [6.0, 4.0, 2.0], [1.0, 2.0, 2.0, 3.0]],
+                         ids=["one", "none", "2-d", "decreasing", "repeated"])
+def test_directional_weight_refuses_a_bad_energy_grid(cfg, las8, energies):
+    # one energy integrates to 0, a decreasing grid to a negative weight
+    with pytest.raises(ValueError, match="strictly increasing"):
+        directional_weight(las8, cfg, energies=energies)
+
+
 def _solve_saddle_chain(energies, e0, laser, cfg):
     """sinh(omega Im t1) along a chain of public solve_saddle calls at the
     dominant crest, each root seeding the next energy."""
@@ -477,15 +486,10 @@ def test_delay_scan_sf_names_a_killed_backward_run(tmp_path, monkeypatch,
     with pytest.raises(LostRunError, match="^" + re.escape(message)):
         delay_scan_sf(las8, cfg, PAIR_TAUS, energies=PAIR_ENERGIES)
     _assert_no_child_left()
-    # delay_sf is not a kind of `attostm scan`: its delay scan stands in
-    # for the TDSE one, so that main meets the error as a scan would
-    monkeypatch.setattr(experiments, "delay_scan_tdse",
-                        lambda cfg, laser, tau0_values, **_:
-                        experiments.delay_scan_strongfield(
-                            cfg, laser, tau0_values, energies=PAIR_ENERGIES))
     config = tmp_path / "scan.yaml"
     config.write_text(yaml.safe_dump({"scan": {
-        "kind": "delay", "start": 0.0, "stop": 3.0, "count": 2}}))
+        "kind": "delay_sf", "start": 0.0, "stop": 3.0, "count": 2,
+        "energies_eV": PAIR_ENERGIES.tolist()}}))
     code = main(["scan", "--config", str(config), "--out",
                  str(tmp_path / "out")])
     assert code == EXIT_COMPUTE
