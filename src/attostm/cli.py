@@ -255,7 +255,8 @@ def cmd_propagate(data, out_dir, args, configs, snapshot) -> int:
         "norm_initial": res.norm_initial, "norm_final": res.norm_final,
         "norm_deficit": abs(1.0 - res.norm_final),
         "max_solve_residual": res.max_residual,
-        "tip_cut_nm": res.tip_cut_nm, "stepped_points": res.stepped_points,
+        "tip_cut_nm": res.tip_cut_nm, "sample_block_nm": res.sample_block_nm,
+        "stepped_points": res.stepped_points,
         "backend": kernels.default_backend_name(),
         "warnings": [{"category": w.category.__name__, "message": str(w.message)}
                      for w in caught],

@@ -5,11 +5,16 @@ static junction profile plus the instantaneous laser term, advances the
 wavefunction with the unitary Cayley form, and records the probability
 current density j = (hbar/m) Im(psi* dpsi/dz) at probe positions.
 
-The tip interior below the first point that sees the laser, the junction
-potential, a probe or the map is homogeneous. `propagate` finds that block
-from the data, carries it as exact sine modes (kernels.TipBlock) and steps
-only the window above it; the result equals a full-grid run up to rounding,
-and z_min still sets the box the modes live in.
+Two runs of grid rows are homogeneous and carried as exact sine modes
+(kernels.ModeBlock) instead of being stepped. The tip block is the tip
+interior below the first point that sees the laser, the junction
+potential, a probe or the map. The sample block is the longest run of rows
+with one level and one laser coefficient lying more than one row above
+every probe and map point: on the sample side, the plateau from just above
+the gap up to the absorber (or to z_max without one), driven by the
+uniform laser term E(t) d. `propagate` finds both from the data and steps
+only the rows between and above them; the result equals a full-grid run up
+to rounding, and z_min and z_max still set the box the modes live in.
 
 Internally the Hamiltonian is converted to Hartree atomic units; all
 public quantities stay in eV / nm / fs. Before propagation the static
@@ -26,7 +31,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .config import JunctionConfig, LaserConfig
 from .grid import AbsorberSpec, GridSpec
-from .kernels import SolverError, TipBlock, cn_chunk, current
+from .kernels import ModeBlock, SolverError, cn_chunk, current
 from .laser import electric_field, pulse_onset
 from .potential import PotentialProfile, sample_static_profile
 from .units import AUTIME_FS, BOHR_NM, EMASS, HARTREE_EV, HBAR_EVFS, HBAR2_OVER_2M
@@ -147,6 +152,8 @@ class PropagationResult:
     norm_final: float = 1.0
     max_residual: float = 0.0
     tip_cut_nm: float = 0.0  # top of the tip block carried as sine modes
+    # (lowest, highest) z of the sample block carried as sine modes
+    sample_block_nm: tuple[float, float] | None = None
     stepped_points: int = 0  # grid points the tridiagonal solve updates
 
 
@@ -233,6 +240,20 @@ def _tip_cut(vstat, zcoef, watched):
     return 1 + int(np.argmin(np.append(flat, False)))
 
 
+def _sample_block(vstat, zcoef, first):
+    """(start, stop) of the sample block, rows start ... stop-1: the
+    longest run of rows at or above row first, below the last grid row,
+    that share one level and one laser coefficient; (first, first) when no
+    two such rows are adjacent."""
+    v, z = vstat[first:-1], zcoef[first:-1]
+    same = np.concatenate(([0], (v[1:] == v[:-1]) & (z[1:] == z[:-1]), [0]))
+    edges = np.flatnonzero(np.diff(same.astype(np.int8)))
+    if edges.size == 0:
+        return first, first
+    k = int(np.argmax(edges[1::2] - edges[::2]))
+    return first + int(edges[2 * k]), first + int(edges[2 * k + 1]) + 1
+
+
 def _interior_index(grid: GridSpec, z: float, what: str) -> int:
     """Index of the grid point nearest z; ValueError unless it is interior."""
     i = int(round((z - grid.z_min) / grid.dz))
@@ -264,6 +285,7 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
         [_interior_index(grid, cfg.width_d if p is None else float(p), "probe")
          for p in probes], dtype=np.int64)
     watched = int(probe_idx.min(initial=grid.n_points - 1))
+    top = int(probe_idx.max(initial=0))
     if map_spec is not None:
         map_i0 = _interior_index(grid, map_spec.z_lo, "map edge z_lo")
         map_i1 = _interior_index(grid, map_spec.z_hi, "map edge z_hi")
@@ -271,6 +293,7 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
             raise ValueError("map window is narrower than one grid step")
         map_idx = np.arange(map_i0, map_i1)
         watched = min(watched, map_i0)
+        top = max(top, map_i1 - 1)
     onset = pulse_onset(laser)
     if laser.field_F1 > 0 and t_start > onset:
         warnings.warn(f"t_start = {t_start} fs is after the pulse onset at "
@@ -314,14 +337,24 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     norm_initial = WaveState.norm_squared_of(psi, dz)
 
     cut = _tip_cut(vstat, zcoef, watched)
-    tip = TipBlock(psi[1:cut], vstat[1], half_dt, koff)
+    tip = ModeBlock(psi[1:cut], vstat[1], half_dt, koff)
+    # the sample block lies above row J and above every row a probe or map
+    # point reads (top + 1)
+    start, stop = _sample_block(vstat, zcoef, max(top + 2, cut + 1))
+    sample = None
+    if stop > start:
+        sample = ModeBlock(psi[start:stop], vstat[start], half_dt, koff,
+                           start=start, above=stop < grid.n_points - 1,
+                           zcoef=zcoef[start])
     max_resid = 0.0
     done = 0
     while done < n_steps:
         todo = min(CHUNK_STEPS, n_steps - done)
         resid = cn_chunk(psi, vstat, zcoef, efield[done:done + todo], half_dt,
-                         koff, done, record, tip)
+                         koff, done, record, tip, sample)
         psi[1:cut] = tip.interior()
+        if sample is not None:
+            psi[start:stop] = sample.interior()
         max_resid = max(max_resid, resid)
         done += todo
         if not np.all(np.isfinite(psi)):
@@ -348,7 +381,10 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
                              norm_final=final.norm_squared,
                              max_residual=max_resid,
                              tip_cut_nm=float(grid.z[cut - 1]),
-                             stepped_points=grid.n_points - 1 - cut)
+                             sample_block_nm=None if sample is None else
+                             (float(grid.z[start]), float(grid.z[stop - 1])),
+                             stepped_points=grid.n_points - 1 - cut
+                             - (stop - start))
 
 
 def transferred_charge(record: CurrentRecord) -> float:

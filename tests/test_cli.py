@@ -191,8 +191,15 @@ def test_propagate_records_tip_cut(tmp_path, capsys):
     dz = build_grid(cfg)[0].dz
     # the tip block ends two rows below the map's first point
     assert sidecar["tip_cut_nm"] == pytest.approx(-1.0 - 2 * dz, abs=0.5 * dz)
+    # the sample block starts two rows above the map's last point and
+    # ends below the absorber, which starts at 16 nm
+    lo, hi = sidecar["sample_block_nm"]
+    assert lo == pytest.approx(2.0 + dz, abs=0.5 * dz)
+    assert 16.0 - dz < hi <= 16.0
+    # the solve updates the rows between the blocks and the absorber's
     assert sidecar["stepped_points"] \
-        == round((20.0 - sidecar["tip_cut_nm"]) / dz) - 1
+        == round((lo - sidecar["tip_cut_nm"]) / dz) - 1 \
+        + round((20.0 - hi) / dz) - 1
     # an output, not an option
     cfg["propagate"]["tip_cut_nm"] = -5.0
     path = write_config(tmp_path, cfg)

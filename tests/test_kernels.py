@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 import attostm
-from attostm.kernels import SolverError, TipBlock, cn_chunk
+from attostm.kernels import ModeBlock, SolverError, TipBlock, cn_chunk
 
 
 def _no_record(psi, n):
@@ -109,6 +109,61 @@ def test_tip_block_closure_matches_dense_full_system(rng):
     # the tip rows below cut-1 are left to the modes
     assert np.array_equal(psi[:cut - 1], psi0[:cut - 1])
     assert resid < 1e-14
+
+
+def _check_sample_block(rng, n, cut, p0, p1, steps=5):
+    """cn_chunk with a tip block of rows 1 ... cut-1 and a driven sample
+    block of rows p0 ... p1 against the dense full system."""
+    half_dt, koff = 0.3, 1.7
+    psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi0[0] = psi0[-1] = 0.0
+    vstat = rng.normal(size=n) + 0j
+    vstat[1:cut] = 0.4
+    vstat[p0:p1 + 1] = -0.2
+    # a complex absorber above the sample block
+    vstat[p1 + 1:-1] -= 1j * rng.uniform(0.1, 0.8, size=n - p1 - 2)
+    zcoef = rng.uniform(0.0, 1.0, size=n)
+    zcoef[:cut] = 0.0
+    zcoef[p0:p1 + 1] = 0.6
+    efield = rng.normal(size=steps)
+    tip = ModeBlock(psi0[1:cut], vstat[1], half_dt, koff)
+    sample = ModeBlock(psi0[p0:p1 + 1], vstat[p0], half_dt, koff, start=p0,
+                       above=p1 < n - 2, zcoef=zcoef[p0])
+    assert np.max(np.abs(sample.interior() - psi0[p0:p1 + 1])) < 1e-14
+    psi = psi0.copy()
+    seen = []
+    resid = cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, 0,
+                     lambda p, n: seen.append(p[cut - 1:p0 + 1].copy()),
+                     tip, sample)
+
+    dense = psi0.copy()
+    for s, e in enumerate(efield):
+        # record sees the rows from the tip's top row to the sample
+        # block's first row at each step
+        assert np.max(np.abs(seen[s] - dense[cut - 1:p0 + 1])) < 1e-12
+        dense = _dense_step(dense, vstat + e * zcoef, half_dt, koff)
+    scale = np.max(np.abs(dense))
+    # a block closed by the Dirichlet end leaves its last row to the modes
+    top = p1 if p1 < n - 2 else n - 1
+    for lo, hi in ((cut - 1, p0 + 1), (top, n)):
+        assert np.max(np.abs(psi[lo:hi] - dense[lo:hi])) < 1e-12 * scale
+    assert np.max(np.abs(tip.interior() - dense[1:cut])) < 1e-12 * scale
+    assert np.max(np.abs(sample.interior() - dense[p0:p1 + 1])) \
+        < 1e-12 * scale
+    assert resid < 1e-14
+
+
+def test_driven_two_sided_block_matches_dense_full_system(rng):
+    # stepped rows 8 ... 12 below the block and 48 ... 59 above it
+    _check_sample_block(rng, n=61, cut=8, p0=13, p1=47)
+    # across a short block the end-to-end coupling is not negligible
+    _check_sample_block(rng, n=31, cut=8, p0=13, p1=16)
+
+
+def test_driven_block_at_the_dirichlet_end_matches_dense_full_system(rng):
+    # one stepped row between the tip block and a sample block that
+    # reaches the last interior row
+    _check_sample_block(rng, n=61, cut=8, p0=9, p1=59)
 
 
 def test_empty_tip_block_is_the_full_grid_step(rng):

@@ -10,7 +10,8 @@ from scipy.sparse.linalg import eigsh
 from attostm import solver
 from attostm.config import JunctionConfig, LaserConfig
 from attostm.experiments import default_time_span
-from attostm.grid import AbsorberSpec, GridSpec, bandwidth_steps, desk_grid, reference_grid
+from attostm.grid import (DESK_ABSORBER, AbsorberSpec, GridSpec, bandwidth_steps,
+                          desk_grid, reference_grid)
 from attostm.laser import electric_field
 from attostm.potential import PotentialProfile, sample_static_profile
 from attostm.solver import (CurrentRecord, InitialStateError, MapSpec,
@@ -416,11 +417,14 @@ def test_absorber_drains_outgoing_flux():
     assert np.max(np.abs(late)) < 1e-4 * np.max(np.abs(res.records[0].current_density))
 
 
-def full_grid_run(cfg, laser, grid, t0, t1, initial, probes, map_spec=None):
+def full_grid_run(cfg, laser, grid, t0, t1, initial, probes, map_spec=None,
+                  absorber=None):
     """(probe currents, map rows, final psi) of a plain Crank-Nicolson loop
-    over the whole grid with solve_banded: no tip block, no chunks."""
+    over the whole grid with solve_banded: no mode blocks, no chunks."""
     values = sample_static_profile(cfg, grid.z).values
-    vstat = (values - values.min()) / HARTREE_EV
+    vstat = (values - values.min()) / HARTREE_EV + 0j
+    if absorber is not None:
+        vstat -= 1j * absorber.profile(grid) / HARTREE_EV
     zcoef = np.clip(grid.z, 0.0, cfg.width_d) / HARTREE_EV
     koff = 0.5 / (grid.dz / BOHR_NM) ** 2
     half_dt = 0.5 * grid.dt / AUTIME_FS
@@ -477,8 +481,14 @@ def test_tip_closure_matches_full_grid():
                     map_spec=map_spec)
     # the tip block reaches up to two rows below the map's first point
     assert res.tip_cut_nm == pytest.approx(-0.5 - 2 * grid.dz, abs=0.5 * grid.dz)
-    assert res.stepped_points == round((grid.z_max - res.tip_cut_nm) / grid.dz) - 1
-    assert res.stepped_points < 0.6 * grid.n_points
+    # the sample block starts two rows above the map's last point and,
+    # with no absorber, reaches the Dirichlet end
+    lo, hi = res.sample_block_nm
+    assert lo == pytest.approx(cfg.width_d + 0.5 + grid.dz, abs=0.5 * grid.dz)
+    assert hi == pytest.approx(grid.z_max - grid.dz, abs=0.5 * grid.dz)
+    # the solve updates only the rows between the two blocks
+    assert res.stepped_points == round((lo - res.tip_cut_nm) / grid.dz) - 1
+    assert res.stepped_points < 0.1 * grid.n_points
     assert res.norm_initial == pytest.approx(st.norm_squared, rel=1e-12)
     assert_matches_full_grid(res, full_grid_run(
         cfg, las, grid, t0, t1, st, (0.0, cfg.width_d), map_spec))
@@ -500,6 +510,54 @@ def test_tip_closure_exact_after_reflection_off_z_min():
     # the reflected packet has reached the sample wall
     assert np.max(np.abs(ref[0][0, -200:])) > 1e-3 * np.max(np.abs(ref[0]))
     assert_matches_full_grid(res, ref)
+
+
+def test_sample_block_exact_through_the_absorber_and_back():
+    # a packet launched inside the sample block crosses it, enters the
+    # absorber, reflects off z_max and comes back through the block
+    grid = small_grid(-15.0, 15.0)
+    cfg = JunctionConfig()
+    las = short_pulse()
+    packet = gaussian_packet(grid, center=6.0, sigma=1.0, k0=20.0)
+    t0 = default_time_span(las)[0]
+    t1 = t0 + 8.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ReflectionRiskWarning)
+        res = propagate(cfg, las, grid, t0, t1, probes=(None,),
+                        initial=packet, absorber=DESK_ABSORBER)
+        ref = full_grid_run(cfg, las, grid, t0, t1, packet, (cfg.width_d,),
+                            absorber=DESK_ABSORBER)
+    lo, hi = res.sample_block_nm
+    # the block holds the packet and ends where the absorber starts
+    assert lo < 3.0 and 12.0 - grid.dz < hi < 12.0
+    psi = ref[2]
+    inside = (grid.z >= lo) & (grid.z <= hi)
+    dens = np.abs(psi) ** 2
+    flux = np.imag(np.conj(psi[1:-1]) * (psi[2:] - psi[:-2]))
+    # the absorber took most of the packet; what is left is back inside
+    # the block and runs toward the tip
+    assert res.norm_final < 1e-3 * res.norm_initial
+    assert np.sum(dens[inside]) > 0.9 * np.sum(dens)
+    assert np.sum(flux[inside[1:-1]]) < 0.0
+    assert_matches_full_grid(res, ref)
+
+
+def test_sample_side_warning_through_the_sample_block():
+    # without an absorber the sample block reaches the Dirichlet end; the
+    # edge check still sees a packet that crosses it, because its rows are
+    # rebuilt from the modes after every chunk
+    grid = small_grid(-15.0, 15.0)
+    cfg = JunctionConfig()
+    las = short_pulse()
+    packet = gaussian_packet(grid, center=2.5, sigma=0.5, k0=8.0)
+    t0 = default_time_span(las)[0]
+    t1 = t0 + 10.0
+    with pytest.warns(ReflectionRiskWarning, match="sample-side"):
+        res = propagate(cfg, las, grid, t0, t1, probes=(None,), initial=packet)
+    lo, hi = res.sample_block_nm
+    assert lo < 2.5 - 1.0 and hi == pytest.approx(grid.z[-2])
+    assert_matches_full_grid(res, full_grid_run(
+        cfg, las, grid, t0, t1, packet, (cfg.width_d,)))
 
 
 def test_probe_inside_the_tip_moves_the_cut():
