@@ -9,11 +9,18 @@ whose transfer function in delay-frequency space is J1(delta*omega). The
 inverse problem divides the spectrum by a regularized J1 (cutoff beta); the
 DC component is unrecoverable since J1(0) = 0. Transforms use the e^{-i
 omega tau} forward convention, so the J1 argument sign is unambiguous.
+
+The forward model interpolates the trace with its not-a-knot cubic spline,
+computed in this module with scipy.interpolate.CubicSpline's arithmetic (the
+same banded slope system, Hermite coefficients and PPoly evaluation order),
+so the values equal CubicSpline's bit for bit without importing
+scipy.interpolate. A DelayTrace refuses non-finite delays and values.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 from scipy.special import j1
 
 # global maximum of |J1|, attained at x = +-1.8412
@@ -27,6 +34,10 @@ BETA_GRID.flags.writeable = False
 _NOISE_FRACTION = 0.5
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
+
+# output delays whose spline values forward_lockin evaluates at once: bounds
+# the gather temporaries to a few (_SPLINE_ROWS x 64) arrays
+_SPLINE_ROWS = 128
 
 
 class LockinSupportError(ValueError):
@@ -62,6 +73,11 @@ class DelayTrace:
                        dtype=complex if self.kind == "lockin_complex" else float)
         if d.ndim != 1 or d.size < 8 or v.shape != d.shape:
             raise ValueError("delays/values must be 1-D, length >= 8, equal size")
+        for name, a in (("delays", d), ("values", v)):
+            bad = np.flatnonzero(~np.isfinite(a))
+            if bad.size:
+                raise ValueError(f"{name} must be finite; index {bad[0]} "
+                                 f"is {a[bad[0]]}")
         steps = np.diff(d)
         mean = (d[-1] - d[0]) / (d.size - 1)
         if mean <= 0 or np.any(steps <= 0):
@@ -76,13 +92,59 @@ class DelayTrace:
         return float((self.delays[-1] - self.delays[0]) / (self.delays.size - 1))
 
 
+def _spline_coefficients(x, y):
+    """Coefficients c[k, i] of (t - x[i])**(3-k) on interval i of the
+    not-a-knot cubic spline through (x, y), n >= 4.
+
+    The knot slopes solve CubicSpline's tridiagonal system, not-a-knot end
+    rows included, in one banded solve; the coefficients follow
+    CubicHermiteSpline. Every expression keeps scipy's operation order.
+    """
+    n = x.size
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    ab = np.zeros((3, n))
+    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    ab[0, 2:] = dx[:-1]
+    ab[-1, :-2] = dx[1:]
+    b = np.empty(n, dtype=y.dtype)
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    ab[1, 0], ab[0, 1] = dx[1], d
+    b[0] = ((dx[0] + 2*d) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    ab[1, -1], ab[-1, -2] = dx[-2], d
+    b[-1] = (dx[-1]**2 * slope[-2] + (2*d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), ab, b[:, None], overwrite_ab=True,
+                     overwrite_b=True, check_finite=False)[:, 0]
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
+def _spline_eval(x, c, t):
+    """The piecewise cubic (x, c) at times t, evaluated as PPoly does:
+    interval i with x[i] <= t < x[i+1] (the ends extend the outer
+    intervals), then c3 + c2 u + c1 u^2 + c0 u^3 summed in that order."""
+    i = np.searchsorted(x, t, side="right") - 1
+    np.clip(i, 0, x.size - 2, out=i)
+    u = t - x[i]
+    u2 = u * u
+    out = c[3, i] + c[2, i] * u
+    out += c[1, i] * u2
+    u2 *= u
+    out += c[0, i] * u2
+    return out
+
+
 def forward_lockin(trace: DelayTrace, mod: ModulationSpec,
                    out_delays=None) -> DelayTrace:
     """Demodulated lock-in signal of a physical current trace.
 
     Gauss-Legendre quadrature (order 64) over the modulation phase, with
-    cubic interpolation of the trace between samples; output delays default
-    to the interior of the input grid with +-delta support.
+    the trace interpolated between samples by its not-a-knot cubic spline
+    (CubicSpline's arithmetic, computed in this module); output delays
+    default to the interior of the input grid with +-delta support. The
+    trace is finite by construction: DelayTrace refuses NaN and inf.
     """
     if trace.kind != "physical_current":
         raise ValueError("forward_lockin expects a physical_current trace")
@@ -100,15 +162,18 @@ def forward_lockin(trace: DelayTrace, mod: ModulationSpec,
         raise LockinSupportError(
             f"trace must exceed the output range by delta = {delta} fs "
             f"on each side (supported: [{lo:.6g}, {hi:.6g}])")
-    # imported on first use: only this function needs scipy.interpolate,
-    # and it is slow to import
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(trace.delays, trace.values)
+    coef = _spline_coefficients(trace.delays, trace.values)
     x = np.pi * _GL_X  # [-1, 1] nodes mapped to the modulation phase [-pi, pi]
     w = np.pi * _GL_W
-    shifted = out_delays[:, None] + delta * np.sin(x)[None, :]
-    vals = spline(shifted) * np.exp(-1j * x)[None, :]
+    shift = delta * np.sin(x)[None, :]
+    # the quadrature stays one product over the whole array: splitting it
+    # changes its rounding
+    vals = np.empty((out_delays.size, x.size), dtype=complex)
+    for rows in range(0, out_delays.size, _SPLINE_ROWS):
+        block = slice(rows, rows + _SPLINE_ROWS)
+        vals[block] = _spline_eval(trace.delays, coef,
+                                   out_delays[block, None] + shift)
+    vals *= np.exp(-1j * x)[None, :]
     out = (vals @ w) / (2.0 * np.pi)
     return DelayTrace(out_delays, out, kind="lockin_complex")
 

@@ -33,6 +33,7 @@ DEFAULT_ENERGIES.flags.writeable = False
 _NEWTON_MAX_ITER = 200  # solve_saddle's iteration cap and residual bound
 _NEWTON_TOL = 1e-10
 _CUTOFF_DEPARTURE = 0.10  # relative departure from the Keldysh line
+_DRIFT_SLICE = 8192  # grid points per vector_potential call in drift_energy_bound
 
 
 class SaddleConvergenceError(RuntimeError):
@@ -400,10 +401,15 @@ def cutoff_energy(laser: LaserConfig, cfg: JunctionConfig, *,
 
 def drift_energy_bound(laser: LaserConfig) -> float:
     """Maximal drift kinetic energy max_t A(t)^2 / 2m (eV): the ceiling an
-    electron released at rest can be field-accelerated to."""
+    electron released at rest can be field-accelerated to.
+
+    max |A| is taken over the 200 001-point grid in slices of
+    _DRIFT_SLICE points, which bounds the temporaries of A's evaluation.
+    """
     span = 2.5 * max(laser.duration_tau1, laser.duration_tau2) + abs(laser.sh_center)
     tg = np.linspace(-span, span, 200_001)
-    amax = np.max(np.abs(vector_potential(laser, tg)))
+    amax = np.max([np.max(np.abs(vector_potential(laser, tg[k:k + _DRIFT_SLICE])))
+                   for k in range(0, tg.size, _DRIFT_SLICE)])
     return float(amax**2 / (2.0 * EMASS))
 
 

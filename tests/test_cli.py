@@ -1,12 +1,17 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import yaml
 
+import attostm
 from attostm import cli, experiments, strongfield
 from attostm.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_IO, EXIT_OK, RECIPES,
                          SCAN_KINDS, build_grid, load_config, main)
@@ -626,6 +631,61 @@ def test_lockin_rejected_invert_leaves_no_out_dir(tmp_path, columns, beta):
     assert run_cli("lockin", "--config", path, "--mode", "invert",
                    "--out", str(out)) == EXIT_CONFIG
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, columns", [
+    ("forward", ("value_re",)),
+    ("invert", ("value_re", "value_im")),
+    ("select-beta", ("value_re", "value_im")),
+])
+def test_lockin_refuses_a_nan_row(tmp_path, capsys, mode, columns):
+    values = np.ones(64)
+    values[21] = np.nan
+    src = tmp_path / "trace.csv"
+    write_csv(src, {"delay_fs": np.linspace(-10, 10, 64),
+                    **{c: values for c in columns}})
+    path = write_config(tmp_path, {"lockin": {"input_csv": str(src),
+                                              "noise_estimate": 0.01}})
+    out = tmp_path / "never"
+    assert run_cli("lockin", "--config", path, "--mode", mode,
+                   "--out", str(out)) == EXIT_CONFIG
+    assert "values must be finite; index 21" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_ONE_SHOT_MODULES = """
+import json, sys
+from pathlib import Path
+import numpy as np
+from attostm.cli import main
+from attostm.results import write_csv
+out = Path(sys.argv[1])
+assert main(["saddle", "--config", "figSK", "--out", str(out / "sk")]) == 0
+tau = np.linspace(-20, 20, 401)
+write_csv(out / "current.csv", {"delay_fs": tau, "value_re": np.cos(2 * tau)})
+for mode, src in (("forward", "current.csv"),
+                  ("select-beta", "lockin_forward.csv"),
+                  ("invert", "lockin_forward.csv")):
+    cfg = out / f"{mode}.yaml"
+    cfg.write_text(json.dumps({"lockin": {"input_csv": str(out / src),
+                                          "noise_estimate": 0.01}}))
+    assert main(["lockin", "--config", str(cfg), "--mode", mode,
+                 "--out", str(out)]) == 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith(("scipy.interpolate", "scipy.optimize")))))
+"""
+
+
+def test_saddle_and_lockin_round_trip_skip_interpolate_and_optimize(tmp_path):
+    # scipy.interpolate pulls in scipy.optimize, scipy.sparse.linalg and
+    # scipy.spatial: ~19 MB of resident memory and 0.15 s for a one-shot
+    # lock-in run
+    src = str(Path(attostm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", _ONE_SHOT_MODULES,
+                          str(tmp_path)], env=env, capture_output=True,
+                         text=True, check=True)
+    assert json.loads(run.stdout.splitlines()[-1]) == []
 
 
 def test_lockin_beta_out_of_range(tmp_path, capsys):

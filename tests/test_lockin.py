@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 from scipy.special import j1
 
-from attostm.lockin import (DEFAULT_BETA, J1_MAX, DelayTrace,
+from attostm.cli import build_laser, load_config
+from attostm.lockin import (_GL_W, _GL_X, DEFAULT_BETA, J1_MAX, DelayTrace,
                             LockinSupportError, ModulationSpec,
+                            _spline_coefficients, _spline_eval,
                             forward_lockin, reconstruct, regularized_transfer,
                             select_beta)
 
@@ -30,6 +35,86 @@ def test_trace_validation():
     bad[7] += 1e-3
     with pytest.raises(ValueError):
         DelayTrace(bad, np.zeros(bad.size))
+
+
+@pytest.mark.parametrize("kind", ["physical_current", "lockin_complex"])
+@pytest.mark.parametrize("column", ["delays", "values"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trace_refuses_non_finite(kind, column, bad):
+    arrays = {"delays": dense_grid(n=64), "values": np.ones(64)}
+    arrays[column][37] = bad
+    with pytest.raises(ValueError, match=f"{column} must be finite; index 37"):
+        DelayTrace(arrays["delays"], arrays["values"], kind=kind)
+
+
+def test_trace_refuses_complex_nan_part():
+    values = np.ones(64, dtype=complex)
+    values[5] = complex(1.0, np.nan)
+    with pytest.raises(ValueError, match="index 5"):
+        DelayTrace(dense_grid(n=64), values, kind="lockin_complex")
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 57, 1000, 3000])
+def test_spline_equals_cubicspline_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        x = DelayTrace(rng.uniform(-30, 30) + rng.uniform(1e-3, 1.0)
+                       * np.arange(n), np.zeros(n)).delays
+        y = rng.normal(size=n) * 10 ** rng.uniform(-3, 3)
+        t = np.concatenate([x, x[[0, -1]], rng.uniform(x[0], x[-1], 4000)])
+        ref = CubicSpline(x, y)
+        c = _spline_coefficients(x, y)
+        assert np.array_equal(c, ref.c)
+        assert np.array_equal(_spline_eval(x, c, t), ref(t))
+
+
+def cubicspline_forward(trace, mod):
+    """The forward model with scipy's CubicSpline, on the default output
+    delays."""
+    delta = mod.amplitude_delta
+    sel = ((trace.delays >= trace.delays[0] + delta - 1e-12)
+           & (trace.delays <= trace.delays[-1] - delta + 1e-12))
+    x = np.pi * _GL_X
+    shifted = trace.delays[sel][:, None] + delta * np.sin(x)[None, :]
+    vals = CubicSpline(trace.delays, trace.values)(shifted) \
+        * np.exp(-1j * x)[None, :]
+    return trace.delays[sel], (vals @ (np.pi * _GL_W)) / (2.0 * np.pi)
+
+
+def benchmark_trace(seed):
+    """The seeded noisy lock-in input of the benchmark's lock-in round
+    trip: 2 001 delays over +-20 fs, an SH-periodic current under an 8 fs
+    Gaussian envelope, noise 0.01 (the first draw sets a strong-field
+    delay offset there)."""
+    period = build_laser(load_config("fig4bc")).sh_period
+    rng = np.random.default_rng(seed)
+    rng.uniform(0.0, period / 8)
+    tau = np.linspace(-20.0, 20.0, 2001)
+    clean = np.cos(2.0 * np.pi * tau / period) * np.exp(-tau**2 / 128.0)
+    return DelayTrace(tau, clean + rng.normal(0.0, 0.01, tau.size))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_forward_equals_cubicspline_reference(seed):
+    trace = benchmark_trace(seed)
+    out = forward_lockin(trace, MOD)
+    delays, values = cubicspline_forward(trace, MOD)
+    assert np.array_equal(out.delays, delays)
+    assert np.array_equal(out.values, values)
+
+
+def test_forward_traced_peak_is_bounded():
+    # the spline values go row block by row block into one (delays x 64)
+    # complex array of 2 MB; gathering all coefficients at once took 6.7 MiB
+    trace = benchmark_trace(0)
+    forward_lockin(trace, MOD)
+    tracemalloc.start()
+    try:
+        forward_lockin(trace, MOD)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 2**20
 
 
 def test_forward_constant_vanishes():

@@ -2,6 +2,7 @@ import os
 import re
 import signal
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -171,6 +172,23 @@ def test_drift_bound_reconstructs_reported_cutoff(cfg, las10):
     # the paper's 9.17 eV figure value coincides with the field's maximal
     # drift kinetic energy, not with the 10% emission-phase departure
     assert drift_energy_bound(las10) == pytest.approx(9.17, abs=0.15)
+
+
+def test_drift_bound_slices_keep_the_whole_grid_max(las10):
+    span = 2.5 * max(las10.duration_tau1, las10.duration_tau2) \
+        + abs(las10.sh_center)
+    tg = np.linspace(-span, span, 200_001)
+    amax = np.max(np.abs(vector_potential(las10, tg)))
+    del tg
+    tracemalloc.start()
+    try:
+        bound = drift_energy_bound(las10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bound == float(amax**2 / (2.0 * EMASS))
+    # the grid itself is 1.5 MiB; A over all of it at once peaked at 9.2 MiB
+    assert peak < 3 * 2**20
 
 
 def test_seed_independence(cfg, las8):
