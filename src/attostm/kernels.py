@@ -13,7 +13,9 @@ scalars per step. This is the exact discrete transparent boundary
 condition of the block (Arnold, VLSI Design 6, 313 (1998)) in recursive
 form, with the block's uniform laser term E_n zcoef as a per-step shift of
 every mode level: the compact system reproduces the full grid up to
-rounding, for any block data.
+rounding, for any block data. Rows and modes are exchanged by the
+orthonormal DST-I, taken with numpy.fft so that stepping imports no
+scipy.fft.
 
 Two blocks are closed this way. The tip block, rows 1 ... J-1, is closed
 by the Dirichlet end at row 0, sees no laser, and its factors are
@@ -34,7 +36,6 @@ keeps its 1/sqrt(nm) normalisation, and currents are emitted directly in
 """
 
 import numpy as np
-from scipy.fft import dst
 from scipy.linalg.blas import zaxpy, zdotu
 from scipy.linalg.lapack import zgtsv
 
@@ -151,8 +152,16 @@ class ModeBlock:
 
     @staticmethod
     def _dst(x):
-        # the orthonormal DST-I is its own inverse: grid rows <-> modes
-        return dst(x, type=1, norm="ortho") if x.size else x.copy()
+        """Orthonormal DST-I of x, its own inverse (grid rows <-> modes):
+        the FFT of the odd extension (0, x, 0, -x reversed) of length
+        2(Q+1) is -2i times the sine sums at its entries 1 ... Q."""
+        size = x.shape[0]
+        ext = np.zeros(2 * (size + 1), dtype=np.complex128)
+        ext[1:size + 1] = x
+        ext[size + 2:] = -x[::-1]
+        spec = np.fft.fft(ext)[1:size + 1]
+        spec *= 1j / np.sqrt(2.0 * (size + 1))
+        return spec
 
     def _factors(self, e):
         """Rebuild a driven block's inv2 = 2 inv and c for field e in real

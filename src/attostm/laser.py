@@ -1,13 +1,14 @@
 """Two-colour vector potential, electric field and Keldysh parameter.
 
 All evaluators accept real or complex time arguments; the strong-field
-model relies on analytic continuation of the Gaussian envelopes.
+model relies on analytic continuation of the Gaussian envelopes. Only its
+closed-form integral of A needs scipy.special (the Faddeeva function),
+imported on first use so that a TDSE run never loads it.
 """
 
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import wofz
 
 from .config import LaserConfig
 from .units import EMASS
@@ -72,6 +73,8 @@ def _potential_integral(p: _Pulse, t1, t2):
     two waves cancel. Kept, it would round g w away in the far wings,
     where it outweighs it.
     """
+    from scipy.special import wofz  # here: TDSE runs need no scipy.special
+
     w, c = p.omega, p.sh_center
     fund = p.sign * p.f1 / (2j * w)
     sh = p.sign * p.f2 / (4j * w)

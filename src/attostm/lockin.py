@@ -14,14 +14,15 @@ The forward model interpolates the trace with its not-a-knot cubic spline,
 computed in this module with scipy.interpolate.CubicSpline's arithmetic (the
 same banded slope system, Hermite coefficients and PPoly evaluation order),
 so the values equal CubicSpline's bit for bit without importing
-scipy.interpolate. A DelayTrace refuses non-finite delays and values.
+scipy.interpolate. J1 comes from scipy.special, imported on first use by
+regularized_transfer and select_beta, so the forward model alone does not
+load it. A DelayTrace refuses non-finite delays and values.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.special import j1
 
 # global maximum of |J1|, attained at x = +-1.8412
 J1_MAX = 0.5818652242574184
@@ -124,10 +125,29 @@ def _spline_coefficients(x, y):
 def _spline_eval(x, c, t):
     """The piecewise cubic (x, c) at times t, evaluated as PPoly does:
     interval i with x[i] <= t < x[i+1] (the ends extend the outer
-    intervals), then c3 + c2 u + c1 u^2 + c0 u^3 summed in that order."""
-    i = np.searchsorted(x, t, side="right") - 1
-    np.clip(i, 0, x.size - 2, out=i)
-    u = t - x[i]
+    intervals), then c3 + c2 u + c1 u^2 + c0 u^3 summed in that order.
+
+    i starts as floor((t - x[0])/h), h the mean knot spacing, clipped to
+    [0, n - 2], and moves one interval at a time while x[i] > t or
+    x[i+1] <= t. That leaves it equal to searchsorted(x, t, side="right")
+    - 1 with the same clip for any increasing knots; on a DelayTrace's
+    uniform ones the start is off by rounding only, and one pass finds it
+    exact or moves it once.
+    """
+    top = x.size - 2
+    i = np.floor((t - x[0]) * (top + 1) / (x[-1] - x[0])).astype(np.intp)
+    np.clip(i, 0, top, out=i)
+    while True:
+        xi = x[i]
+        down = t < xi
+        down &= i > 0
+        up = t >= x[i + 1]
+        up &= i < top
+        if not (down.any() or up.any()):
+            break
+        i -= down
+        i += up
+    u = t - xi
     u2 = u * u
     out = c[3, i] + c[2, i] * u
     out += c[1, i] * u2
@@ -184,6 +204,7 @@ def regularized_transfer(omega, delta: float, beta: float) -> np.ndarray:
     (so the divided contribution vanishes)."""
     if beta <= 0:
         raise ValueError("beta must be positive")
+    from scipy.special import j1  # here: TDSE runs need no scipy.special
     j = np.atleast_1d(j1(np.asarray(omega, dtype=float) * delta))
     out = np.where(np.abs(j) > beta, j, np.sign(j) * beta)
     out[j == 0.0] = np.inf
@@ -234,6 +255,7 @@ def select_beta(lockin: DelayTrace, mod: ModulationSpec,
         return DEFAULT_BETA
     omega = 2.0 * np.pi * np.fft.fftfreq(2 * lockin.values.size,
                                          d=lockin.spacing)
+    from scipy.special import j1  # here: TDSE runs need no scipy.special
     absj = np.abs(j1(omega * mod.amplitude_delta))
     signal_energy = max(float(np.mean(np.abs(lockin.values) ** 2))
                         - noise_estimate**2, 0.0)

@@ -1,15 +1,51 @@
 """Static junction potential: metal levels, Simmons image term (closed
-form), laser coupling."""
+form), laser coupling.
+
+The image term's digamma is computed here with cephes' arithmetic, bit for
+bit scipy.special.digamma's on (0, 1), so building a static profile does
+not import scipy.special.
+"""
 
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.special import digamma
 
 from .config import JunctionConfig, LaserConfig
 from .laser import electric_field
 from .units import IMAGE_PREFACTOR_EVNM
+
+# Boost's rational approximation of psi on [1, 2], as cephes psi uses it:
+# psi(x) = g (Y + P(x - 1)/Q(x - 1)), g = x minus the positive root of psi,
+# that root split into three doubles and Y a single-precision constant;
+# coefficients highest degree first
+_PSI_P = (-0.0020713321167745952, -0.045251321448739056,
+          -0.28919126444774784, -0.65031853770896507, -0.32555031186804491,
+          0.25479851061131551)
+_PSI_Q = (-0.55789841321675513e-6, 0.0021284987017821144,
+          0.054151797245674225, 0.43593529692665969, 1.4606242909763515,
+          2.0767117023730469, 1.0)
+_PSI_Y = float(np.float32(0.99558162689208984))
+_PSI_ROOT = (1569415565.0 / 1073741824.0,
+             (381566830.0 / 1073741824.0) / 1073741824.0,
+             0.9016312093258695918615325266959189453125e-19)
+
+
+def digamma(x):
+    """psi(x) for an array 0 < x < 1, bit-identical to scipy.special.digamma.
+
+    The path cephes psi takes there: psi(x) = psi(x + 1) - 1/x, with
+    psi on [1, 2] from the rational approximation above, each operation in
+    cephes' order.
+    """
+    y = -1.0 / x
+    x = x + 1.0
+    g = x - _PSI_ROOT[0]
+    g -= _PSI_ROOT[1]
+    g -= _PSI_ROOT[2]
+    t = x - 1.0
+    r = np.polyval(_PSI_P, t) / np.polyval(_PSI_Q, t)  # Horner, as polevl
+    return y + (g * _PSI_Y + g * r)
 
 
 def image_potential(z, width_d: float):

@@ -78,6 +78,10 @@ def config_hash(metadata: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:10]
 
 
+# rows of a table that write_csv stacks at a time
+_CSV_ROWS = 256
+
+
 def write_csv(path, columns: dict, comments: dict | None = None) -> None:
     """Comma-separated table with '#' metadata comments and repr floats;
     creates the parent directory. Columns of unequal length raise
@@ -90,14 +94,17 @@ def write_csv(path, columns: dict, comments: dict | None = None) -> None:
             raise ValueError(f"column {name!r} has {len(col)} rows, column "
                              f"{names[0]!r} has {len(arrays[0])}")
     path.parent.mkdir(parents=True, exist_ok=True)
-    # row by row: the whole table as Python floats, or as one string, would
-    # take several times the memory of its arrays
+    # row by row from blocks of _CSV_ROWS rows: the whole table as Python
+    # floats, as one string or as one stacked array would take several
+    # times the memory of its columns
     with path.open("w") as fh:
         for key, val in (comments or {}).items():
             fh.write(f"# {key}: {val}\n")
         fh.write(",".join(names) + "\n")
-        for row in np.column_stack(arrays):
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+        for lo in range(0, len(arrays[0]), _CSV_ROWS):
+            block = np.column_stack([a[lo:lo + _CSV_ROWS] for a in arrays])
+            for row in block:
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_csv(path):

@@ -12,10 +12,12 @@ import pytest
 import yaml
 
 import attostm
-from attostm import cli, experiments, strongfield
+from attostm import cli, experiments, results, strongfield
 from attostm.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_IO, EXIT_OK, RECIPES,
                          SCAN_KINDS, build_grid, load_config, main)
-from attostm.config import JunctionConfig
+from attostm.config import JunctionConfig, LaserConfig
+from attostm.lockin import (DelayTrace, ModulationSpec, forward_lockin,
+                            select_beta)
 from attostm.potential import mean_image_magnitude
 from attostm.results import ScanResult, config_hash, read_csv, write_csv
 from attostm.solver import ReflectionRiskWarning, SolverError
@@ -686,6 +688,87 @@ def test_saddle_and_lockin_round_trip_skip_interpolate_and_optimize(tmp_path):
                           str(tmp_path)], env=env, capture_output=True,
                          text=True, check=True)
     assert json.loads(run.stdout.splitlines()[-1]) == []
+
+
+_TDSE_MODULES = """
+import json, sys
+import attostm.cli, attostm.experiments
+from attostm.config import JunctionConfig, LaserConfig
+from attostm.grid import GridSpec, bandwidth_steps
+from attostm.potential import sample_static_profile
+from attostm.solver import propagate
+dz, dt = bandwidth_steps(50.0)
+grid = GridSpec(-20.0, 20.0, dz, dt, 50.0)
+sample_static_profile(JunctionConfig(), grid.z)
+laser = LaserConfig(field_F1=6.0, duration_tau1=4.0, duration_tau2=5.0)
+res = propagate(JunctionConfig(), laser, grid, -25.0, -24.0, probes=(None,))
+assert res.tip_cut_nm > grid.z_min  # the tip's sine modes were used
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith(("scipy.special", "scipy.fft")))))
+"""
+
+
+def test_tdse_run_skips_scipy_special_and_fft():
+    # a TDSE run needs one digamma on (0, 1) and one DST-I, both computed
+    # in attostm; scipy.special and scipy.fft add ~5 MB of resident memory
+    src = str(Path(attostm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", _TDSE_MODULES], env=env,
+                         capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout.splitlines()[-1]) == []
+
+
+_FIRST_USE = """
+import sys
+import numpy as np
+from attostm.config import JunctionConfig, LaserConfig
+from attostm.lockin import (DelayTrace, ModulationSpec, forward_lockin,
+                            select_beta)
+from attostm.strongfield import emission_phase_curve
+assert "scipy.special" not in sys.modules
+if sys.argv[1] == "emission_phase_curve":
+    got = emission_phase_curve(np.arange(1.0, 4.0, 0.5),
+                               LaserConfig(field_F1=10.0), JunctionConfig())
+else:
+    tau = np.linspace(-20.0, 20.0, 401)
+    mod = ModulationSpec()
+    got = select_beta(forward_lockin(DelayTrace(tau, np.cos(2 * tau)), mod),
+                      mod, 0.01)
+assert "scipy.special" in sys.modules
+print(repr(np.asarray(got).tolist()))
+"""
+
+
+@pytest.mark.parametrize("call", ["emission_phase_curve", "select_beta"])
+def test_scipy_special_loads_on_first_use(call):
+    src = str(Path(attostm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", _FIRST_USE, call], env=env,
+                         capture_output=True, text=True, check=True)
+    if call == "emission_phase_curve":
+        want = strongfield.emission_phase_curve(
+            np.arange(1.0, 4.0, 0.5), LaserConfig(field_F1=10.0),
+            JunctionConfig())
+    else:
+        tau = np.linspace(-20.0, 20.0, 401)
+        mod = ModulationSpec()
+        want = select_beta(forward_lockin(DelayTrace(tau, np.cos(2 * tau)),
+                                          mod), mod, 0.01)
+    assert run.stdout.splitlines()[-1] == repr(np.asarray(want).tolist())
+
+
+def test_write_csv_rows_span_its_row_blocks(tmp_path):
+    # 2 blocks of _CSV_ROWS and a partial third, against row-by-row text
+    n = 2 * results._CSV_ROWS + 3
+    rng = np.random.default_rng(3)
+    columns = {"t": np.arange(n) * 0.1, "a": rng.normal(size=n),
+               "b": rng.normal(size=n) * 1e-300}
+    path = tmp_path / "table.csv"
+    write_csv(path, columns, {"k": "v"})
+    rows = zip(*(col.tolist() for col in columns.values()))
+    want = "# k: v\nt,a,b\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in rows)
+    assert path.read_text() == want
 
 
 def test_lockin_beta_out_of_range(tmp_path, capsys):

@@ -20,6 +20,21 @@ def _empty_block(half_dt, koff):
     return TipBlock(np.empty(0, dtype=np.complex128), 0.0, half_dt, koff)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 97, 10_866])
+def test_dst_matches_scipy_and_is_its_own_inverse(n, rng):
+    from scipy.fft import dst
+
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    got = ModeBlock._dst(x)
+    assert got.shape == x.shape and got.dtype == np.complex128
+    if n == 0:
+        return
+    scale = np.max(np.abs(x))
+    want = dst(x, type=1, norm="ortho")
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
+    assert np.max(np.abs(ModeBlock._dst(got) - x)) <= 1e-14 * scale
+
+
 def test_cn_chunk_matches_solve_banded_and_dense(rng):
     n = 41
     psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)

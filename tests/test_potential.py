@@ -3,7 +3,7 @@ import pytest
 
 from attostm.config import JunctionConfig
 from attostm.potential import (PotentialProfile, clamp_level,
-                               clamped_image_average, image_potential,
+                               clamped_image_average, digamma, image_potential,
                                laser_interaction, mean_image_magnitude,
                                sample_static_profile, static_potential)
 from attostm.config import LaserConfig
@@ -24,6 +24,21 @@ def oracle_image_series(z, d, n_terms=200_000):
     n = np.arange(1, n_terms + 1)
     series = z**2 / (n * d * ((n * d) ** 2 - z**2))
     return -IMAGE_PREFACTOR_EVNM * (1.0 / (2.0 * z) + series.sum())
+
+
+def test_digamma_equals_scipy_bit_for_bit():
+    # scipy.special is the oracle here only: image_potential must not load it
+    from scipy.special import digamma as scipy_digamma
+
+    tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
+    x = np.concatenate([
+        np.linspace(0.0, 1.0, 1_000_001)[1:-1],
+        [0.5, tiny, np.nextafter(tiny, 1.0), np.nextafter(1.0, 0.0),
+         1.0 - eps, 1.0 - 2.0 * eps],
+        np.geomspace(tiny, 0.5, 20_001),
+        1.0 - np.geomspace(eps / 2, 0.5, 20_001),
+        np.random.default_rng(5).random(200_000)])
+    assert np.array_equal(digamma(x), scipy_digamma(x))
 
 
 def test_image_midpoint_value():
