@@ -284,6 +284,12 @@ def _sweep_values(scan: dict):
     raise ConfigError(f"scan.spacing must be linear or log, got {spacing!r}")
 
 
+# scan-section key -> the keyword of the scan function that it sets
+_SCAN_OPTIONS = {"parameter": "parameter", "n_delays": "n_delays",
+                 "enhancement_fund": "enhancement",
+                 "enhancement_sh": "enhancement", "energies_eV": "energies"}
+
+
 def cmd_scan(data, out_dir, args, configs, snapshot) -> int:
     cfg, laser, grid, absorber = configs
     scan = data.get("scan", {})
@@ -292,6 +298,12 @@ def cmd_scan(data, out_dir, args, configs, snapshot) -> int:
         raise ConfigError(f"scan.kind must be one of {', '.join(SCAN_KINDS)} "
                           f"(got {kind!r})")
     values = _sweep_values(scan)
+    taken = SCAN_KINDS[kind].options
+    refused = sorted(f"scan.{key}" for key, option in _SCAN_OPTIONS.items()
+                     if key in scan and option not in taken)
+    if refused:
+        raise ConfigError(f"scan kind {kind!r} does not take "
+                          f"{', '.join(refused)}")
     # options left out keep the scan function's defaults; a robustness
     # sweep needs its parameter, by default the field
     options = {}

@@ -123,13 +123,6 @@ def _wall_charges(cfg, laser, grid, *, absorber=None,
                     lost=SolverError)
 
 
-def _net_charge(walls) -> float:
-    """Net charge of _wall_charges' pair: each run's charge averaged over
-    the two walls, the negation's subtracted."""
-    (q0p, qdp), (q0m, qdm) = walls
-    return 0.5 * (q0p + qdp) - 0.5 * (q0m + qdm)
-
-
 def net_delay_charge(cfg, laser, grid, *, absorber=None,
                      initial=None) -> float:
     """Net laser-induced charge per pulse: tip->sample minus sample->tip.
@@ -145,8 +138,9 @@ def net_delay_charge(cfg, laser, grid, *, absorber=None,
     zero over a delay period and sign-inverting under waveform flip.
     Single-electrode quantities (the Fig-4c-style bursts) use one run.
     """
-    return _net_charge(_wall_charges(cfg, laser, grid, absorber=absorber,
-                                     initial=initial))
+    (q0p, qdp), (q0m, qdm) = _wall_charges(cfg, laser, grid,
+                                           absorber=absorber, initial=initial)
+    return 0.5 * (q0p + qdp) - 0.5 * (q0m + qdm)
 
 
 # swept parameter -> (unit, the (junction, laser) pair at value v): the
@@ -181,9 +175,8 @@ def delay_scan_tdse(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     """Net laser-induced charge versus two-colour base delay."""
     tau0_values = np.asarray(tau0_values, dtype=float)
     shared = initial_state(cfg, grid)
-    charges = [_net_charge(_wall_charges(
-                   cfg, replace(laser, base_delay_tau0=float(tau0)), grid,
-                   absorber=absorber, initial=shared))
+    charges = [net_delay_charge(cfg, replace(laser, base_delay_tau0=float(tau0)),
+                                grid, absorber=absorber, initial=shared)
                for tau0 in tau0_values]
     return ScanResult("tau0", "fs", tau0_values, "net_charge", "electrons",
                       np.asarray(charges),
@@ -361,17 +354,9 @@ SCAN_KINDS = {
 
 def run_scan(kind: str, cfg: JunctionConfig, laser: LaserConfig, grid,
              values, *, absorber=None, **options) -> ScanResult:
-    """Run scan `kind` of SCAN_KINDS over `values` with `options`; an
-    option that the kind's function does not take raises ValueError."""
+    """Run scan `kind` of SCAN_KINDS over `values` with `options`, the
+    keywords of SCAN_KINDS[kind].options."""
     spec = SCAN_KINDS[kind]
-    # named by the metadata keys that record them, as in a scan section
-    recorded = {k: key for s in SCAN_KINDS.values()
-                for k, key in s.options.items()}
-    refused = sorted(f"scan.{recorded.get(k, k)}"
-                     for k in options.keys() - spec.options.keys())
-    if refused:
-        raise ValueError(f"scan kind {kind!r} does not take "
-                         f"{', '.join(refused)}")
     if spec.tdse:
         options.update(grid=grid, absorber=absorber)
     # through the module namespace, so that a wrapped function is called

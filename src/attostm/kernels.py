@@ -200,10 +200,6 @@ class ModeBlock:
         return self._dst(natural)
 
 
-# the tip block: rows 1 ... J-1, coupled to row J, no laser
-TipBlock = ModeBlock
-
-
 def cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, step_off, record,
              tip, sample=None):
     """Advance psi in place by len(efield) >= 1 steps, calling

@@ -167,10 +167,10 @@ def field_crest_time(laser: LaserConfig) -> float:
     return float(_parabolic_refine(tg, e, i))
 
 
-def find_field_crests(laser: LaserConfig, threshold: float = 0.2):
+def find_field_crests(laser: LaserConfig):
     """Times of the negative field crests (force pushing tip -> sample).
 
-    Returns crests where |E| exceeds `threshold` times the global maximum,
+    Returns crests where |E| reaches 0.2 times the global maximum,
     one per optical cycle of the fundamental within the envelope.
     """
     span = 2.5 * max(laser.duration_tau1, laser.duration_tau2) + abs(laser.sh_center)
@@ -184,6 +184,6 @@ def find_field_crests(laser: LaserConfig, threshold: float = 0.2):
     inner = e[1:-1]
     # <= on the right keeps one sample of an exact symmetric tie
     is_min = ((inner < e[:-2]) & (inner <= e[2:]) & (inner < 0.0)
-              & (np.abs(inner) >= threshold * emax))
+              & (np.abs(inner) >= 0.2 * emax))
     idx = np.nonzero(is_min)[0] + 1
     return np.array([_parabolic_refine(tg, e, i) for i in idx])

@@ -156,32 +156,24 @@ def _spline_eval(x, c, t):
     return out
 
 
-def forward_lockin(trace: DelayTrace, mod: ModulationSpec,
-                   out_delays=None) -> DelayTrace:
+def forward_lockin(trace: DelayTrace, mod: ModulationSpec) -> DelayTrace:
     """Demodulated lock-in signal of a physical current trace.
 
     Gauss-Legendre quadrature (order 64) over the modulation phase, with
     the trace interpolated between samples by its not-a-knot cubic spline
-    (CubicSpline's arithmetic, computed in this module); output delays
-    default to the interior of the input grid with +-delta support. The
-    trace is finite by construction: DelayTrace refuses NaN and inf.
+    (CubicSpline's arithmetic, computed in this module); the output delays
+    are the input delays at least delta inside either end. The trace is
+    finite by construction: DelayTrace refuses NaN and inf.
     """
     if trace.kind != "physical_current":
         raise ValueError("forward_lockin expects a physical_current trace")
     delta = mod.amplitude_delta
     lo, hi = trace.delays[0] + delta, trace.delays[-1] - delta
-    if out_delays is None:
-        sel = (trace.delays >= lo - 1e-12) & (trace.delays <= hi + 1e-12)
-        out_delays = trace.delays[sel]
-    else:
-        out_delays = np.asarray(out_delays, dtype=float)
+    sel = (trace.delays >= lo - 1e-12) & (trace.delays <= hi + 1e-12)
+    out_delays = trace.delays[sel]
     if out_delays.size < 8:
         raise LockinSupportError(
             f"output range needs >= 8 points inside [{lo:.6g}, {hi:.6g}] fs")
-    if out_delays[0] < lo - 1e-12 or out_delays[-1] > hi + 1e-12:
-        raise LockinSupportError(
-            f"trace must exceed the output range by delta = {delta} fs "
-            f"on each side (supported: [{lo:.6g}, {hi:.6g}])")
     coef = _spline_coefficients(trace.delays, trace.values)
     x = np.pi * _GL_X  # [-1, 1] nodes mapped to the modulation phase [-pi, pi]
     w = np.pi * _GL_W
@@ -239,8 +231,8 @@ def reconstruct(lockin: DelayTrace, mod: ModulationSpec,
 
 
 def select_beta(lockin: DelayTrace, mod: ModulationSpec,
-                noise_estimate: float, *, grid=BETA_GRID) -> float:
-    """Smallest regularization cutoff of `grid` that keeps the amplified
+                noise_estimate: float) -> float:
+    """Smallest regularization cutoff of BETA_GRID that keeps the amplified
     noise below a fixed fraction of the signal energy.
 
     The spectral division amplifies white noise of per-sample deviation
@@ -260,8 +252,8 @@ def select_beta(lockin: DelayTrace, mod: ModulationSpec,
     signal_energy = max(float(np.mean(np.abs(lockin.values) ** 2))
                         - noise_estimate**2, 0.0)
     cap = _NOISE_FRACTION**2 * signal_energy
-    for beta in grid:
+    for beta in BETA_GRID:
         gain2 = float(np.mean(1.0 / np.maximum(absj, beta) ** 2))
         if noise_estimate**2 * gain2 <= cap:
             return float(beta)
-    return float(grid[-1])
+    return float(BETA_GRID[-1])

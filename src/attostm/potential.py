@@ -110,7 +110,7 @@ def mean_image_magnitude(cfg: JunctionConfig) -> float:
     The saddle-point model and the effective Keldysh parameter replace
     the image term by one junction-wide constant. The arithmetic average
     of the truncated image is dominated by the deep wells at the walls
-    (2.7 eV for a 1 nm gap, see clamped_image_average) and overstates the
+    (2.7 eV for a 1 nm gap, with the well-depth clamp) and overstates the
     correction felt along the transport path; the midpoint magnitude
     (1.0 eV for 1 nm) is the scale consistent with the model's regime
     (gamma ~ 0.7 at 8 V/nm, tunnel exit ~ 0.35 nm).
@@ -119,14 +119,6 @@ def mean_image_magnitude(cfg: JunctionConfig) -> float:
     thousands of times per scan.
     """
     return float(abs(image_potential(0.5 * cfg.width_d, cfg.width_d)))
-
-
-def clamped_image_average(cfg: JunctionConfig, n: int = 8192) -> float:
-    """Arithmetic junction average of |V_imag| with the well-depth clamp."""
-    d = cfg.width_d
-    zm = (np.arange(n) + 0.5) * (d / n)
-    v = np.maximum(image_potential(zm, d), clamp_level(cfg))
-    return float(np.mean(np.abs(v)))
 
 
 @dataclass(frozen=True)
@@ -156,9 +148,6 @@ class PotentialProfile:
     @property
     def dz(self) -> float:
         return float((self.grid_z[-1] - self.grid_z[0]) / (self.grid_z.size - 1))
-
-    def shifted(self, offset: float) -> "PotentialProfile":
-        return PotentialProfile(self.grid_z, self.values + offset)
 
 
 def sample_static_profile(cfg: JunctionConfig, grid_z) -> PotentialProfile:

@@ -41,8 +41,10 @@ from .units import AUTIME_FS, BOHR_NM, EMASS, HARTREE_EV, HBAR_EVFS, HBAR2_OVER_
 # reflection-risk check run once per chunk
 CHUNK_STEPS = 512
 
-# half-width (eV) of initial_state's first eigen window around -W_t
+# half-widths (eV) of initial_state's first and widest eigen windows
+# around -W_t
 _FIRST_HALF_WIDTH = 0.02
+_WINDOW = 0.5
 
 
 class InitialStateError(SolverError):
@@ -170,16 +172,15 @@ def build_hamiltonian_diagonals(profile: PotentialProfile, grid: GridSpec):
     return main, -k
 
 
-def initial_state(cfg: JunctionConfig, grid: GridSpec, *,
-                  window: float = 0.5) -> WaveState:
+def initial_state(cfg: JunctionConfig, grid: GridSpec) -> WaveState:
     """Fermi-level eigenstate of the static junction, localized on the tip.
 
     Picks the eigenvalue of the discretized laser-off Hamiltonian closest to
     -W_t among states holding >= 99% of their probability at z < 0; raises
-    InitialStateError when +-window eV around it holds no such state.
+    InitialStateError when +-_WINDOW eV around it holds no such state.
 
     The eigen-solve pays for every pair it returns, so it starts at
-    +-_FIRST_HALF_WIDTH eV and doubles up to +-window until a tip-localized
+    +-_FIRST_HALF_WIDTH eV and doubles up to +-_WINDOW until a tip-localized
     state lies at a distance delta with delta + 1e-12 < the half-width.
     Every closer eigenvalue, and any equidistant partner under the 1e-12
     tie rule, then lies inside, so the pick equals that of the full window.
@@ -191,18 +192,18 @@ def initial_state(cfg: JunctionConfig, grid: GridSpec, *,
     offs = np.full(main.size - 1, off)
     target = -cfg.workfunction_tip
     tip = grid.z[1:-1] < 0.0
-    half = min(_FIRST_HALF_WIDTH, window)
+    half = _FIRST_HALF_WIDTH
     while True:
         w, v = eigh_tridiagonal(main, offs, select="v",
                                 select_range=(target - half, target + half))
         tip_frac = np.sum(v[tip, :] ** 2, axis=0)
         dist = np.abs(w - target)
-        if half >= window or np.any(dist[tip_frac >= 0.99] + 1e-12 < half):
+        if half >= _WINDOW or np.any(dist[tip_frac >= 0.99] + 1e-12 < half):
             break
-        half = min(2.0 * half, window)
+        half = min(2.0 * half, _WINDOW)
     if w.size == 0:
         raise InitialStateError(
-            f"no eigenvalue within +-{window} eV of {target} eV")
+            f"no eigenvalue within +-{_WINDOW} eV of {target} eV")
     order = np.argsort(dist, kind="stable")
     localized = [i for i in order if tip_frac[i] >= 0.99]
     if not localized:
@@ -273,9 +274,9 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
 
     probes lists z positions (nm) to record current density at; None entries
     resolve to the sample boundary z = d. A probe or map edge whose nearest
-    grid point is not interior raises ValueError. The potential is rebuilt
-    each step from the static profile plus the laser term evaluated at the
-    step start.
+    grid point is not interior, or two probes with the same nearest grid
+    point, raise ValueError. The potential is rebuilt each step from the
+    static profile plus the laser term evaluated at the step start.
     """
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
@@ -284,6 +285,12 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     probe_idx = np.array(
         [_interior_index(grid, cfg.width_d if p is None else float(p), "probe")
          for p in probes], dtype=np.int64)
+    seen = {}
+    for p, i in zip(probes, probe_idx):
+        if i in seen:
+            raise ValueError(f"probes {seen[i]} and {p} nm both resolve to "
+                             f"the grid point z = {grid.z[i]:+.3f} nm")
+        seen[i] = p
     watched = int(probe_idx.min(initial=grid.n_points - 1))
     top = int(probe_idx.max(initial=0))
     if map_spec is not None:

@@ -157,9 +157,12 @@ def test_propagate_command(tmp_path):
 
 @pytest.mark.parametrize("propagate_cfg, message", [
     ({"probes_nm": [500.0]}, "probe at 500.0 nm is outside the grid"),
+    # both would write the same current_z+1.007nm.csv
+    ({"probes_nm": [1.0, 1.001, 0.5]},
+     "probes 1.0 and 1.001 nm both resolve to the grid point z = +1.007 nm"),
     ({"map": {"z_lo_nm": 1.0, "z_hi_nm": 1.0}}, "z_lo < z_hi"),
     ({"map": {"z_lo_nm": -1.0, "z_hi_nm": 2.0, "stride": 0}}, "stride"),
-], ids=["probe_off_grid", "empty_map", "zero_stride"])
+], ids=["probe_off_grid", "probes_on_one_point", "empty_map", "zero_stride"])
 def test_propagate_rejects_bad_probe_or_map(tmp_path, capsys, propagate_cfg,
                                             message):
     cfg = tiny_tdse_config()
@@ -377,9 +380,11 @@ def test_scan_and_rerun_call_the_same_function(tmp_path, monkeypatch, kind):
     ("ratio", "n_delays", 3, "n_delays"),
     ("delay", "parameter", "width", "parameter"),
     ("delay", "energies_eV", [2.0, 4.0], "energies_eV"),
-    ("width", "enhancement_fund", 2.0, "enhancement"),
+    ("width", "enhancement_fund", 2.0, "enhancement_fund"),
+    ("delay", "enhancement_sh", 2.0, "enhancement_sh"),
 ], ids=["n_delays_under_ratio", "parameter_under_delay",
-        "energies_under_delay", "enhancement_under_width"])
+        "energies_under_delay", "enhancement_under_width",
+        "enhancement_sh_under_delay"])
 def test_scan_refuses_a_key_its_kind_does_not_take(tmp_path, capsys,
                                                   monkeypatch, kind, key,
                                                   value, named):

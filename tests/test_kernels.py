@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 import attostm
-from attostm.kernels import ModeBlock, SolverError, TipBlock, cn_chunk
+from attostm.kernels import ModeBlock, SolverError, cn_chunk
 
 
 def _no_record(psi, n):
@@ -16,8 +16,8 @@ def _no_record(psi, n):
 
 
 def _empty_block(half_dt, koff):
-    """TipBlock with cut J = 1: cn_chunk then steps the whole grid."""
-    return TipBlock(np.empty(0, dtype=np.complex128), 0.0, half_dt, koff)
+    """Tip block with cut J = 1: cn_chunk then steps the whole grid."""
+    return ModeBlock(np.empty(0, dtype=np.complex128), 0.0, half_dt, koff)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 97, 10_866])
@@ -106,7 +106,7 @@ def test_tip_block_closure_matches_dense_full_system(rng):
     zcoef[:cut] = 0.0
     efield = rng.normal(size=4)
     half_dt, koff = 0.3, 1.7
-    tip = TipBlock(psi0[1:cut], vstat[1], half_dt, koff)
+    tip = ModeBlock(psi0[1:cut], vstat[1], half_dt, koff)
     assert np.max(np.abs(tip.interior() - psi0[1:cut])) < 1e-14
     psi = psi0.copy()
     seen = []
@@ -191,7 +191,7 @@ def test_empty_tip_block_is_the_full_grid_step(rng):
     half_dt, koff = 0.3, 1.7
     psi = psi0.copy()
     cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, 0, _no_record,
-             TipBlock(psi0[1:1], vstat[1], half_dt, koff))
+             ModeBlock(psi0[1:1], vstat[1], half_dt, koff))
 
     a_off = -1j * half_dt * koff
     ab = np.empty((3, n - 2), dtype=np.complex128)

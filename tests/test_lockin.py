@@ -7,8 +7,8 @@ from scipy.interpolate import CubicSpline
 from scipy.special import j1
 
 from attostm.cli import build_laser, load_config
-from attostm.lockin import (_GL_W, _GL_X, DEFAULT_BETA, J1_MAX, DelayTrace,
-                            LockinSupportError, ModulationSpec,
+from attostm.lockin import (_GL_W, _GL_X, BETA_GRID, DEFAULT_BETA, J1_MAX,
+                            DelayTrace, LockinSupportError, ModulationSpec,
                             _spline_coefficients, _spline_eval,
                             forward_lockin, reconstruct, regularized_transfer,
                             select_beta)
@@ -165,10 +165,11 @@ def test_forward_linearity(a, b):
 
 
 def test_forward_support_errors():
-    tau = dense_grid()
+    # 12 delays 0.2 fs apart: 6 lie at least delta = 0.6 fs inside the ends
+    tau = np.arange(12) * 0.2
     trace = DelayTrace(tau, np.cos(tau))
-    with pytest.raises(LockinSupportError):
-        forward_lockin(trace, MOD, out_delays=tau)  # no +-delta margin
+    with pytest.raises(LockinSupportError, match="needs >= 8 points"):
+        forward_lockin(trace, MOD)
 
 
 def test_bessel_j1_basics():
@@ -299,8 +300,7 @@ def test_select_beta_defaults_and_clean_input():
     tau = dense_grid(n=256)
     lk = forward_lockin(DelayTrace(tau, envelope_signal(tau)), MOD)
     assert select_beta(lk, MOD, 0.0) == DEFAULT_BETA
-    grid = np.geomspace(2e-4, 0.9 * J1_MAX, 30)
-    assert select_beta(lk, MOD, 1e-9, grid=grid) == pytest.approx(grid[0])
+    assert select_beta(lk, MOD, 1e-9) == BETA_GRID[0]
     with pytest.raises(ValueError):
         select_beta(lk, MOD, -1.0)
 

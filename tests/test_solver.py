@@ -117,10 +117,15 @@ def test_initial_state_against_shift_invert_oracle():
 
 def test_initial_state_errors():
     cfg = JunctionConfig()
-    grid = small_grid(-10.0, 10.0)
-    with pytest.raises(InitialStateError):
-        # window far narrower than the level spacing: no eigenvalue inside
-        initial_state(cfg, grid, window=1e-9)
+    # tip and sample side equally long: no state near -W_t holds 99 % of
+    # its probability at z < 0
+    with pytest.raises(InitialStateError, match=r"no tip-localized state "
+                       r"near -5\.1 eV \(best localization 0\.984\)"):
+        initial_state(cfg, small_grid(-10.0, 10.0))
+    # a 1.6 nm box: its levels lie further apart than the window is wide
+    with pytest.raises(InitialStateError,
+                       match=r"no eigenvalue within \+-0\.5 eV of -5\.1 eV"):
+        initial_state(cfg, small_grid(-0.3, 1.3))
 
 
 def one_shot_pick(cfg, grid):
@@ -271,7 +276,8 @@ def test_gauge_offset_invariance():
     res_a = propagate(cfg, las, grid, -25.0, 5.0, probes=(None,),
                       initial=st, static_profile=profile)
     res_b = propagate(cfg, las, grid, -25.0, 5.0, probes=(None,),
-                      initial=st, static_profile=profile.shifted(5.0))
+                      initial=st, static_profile=PotentialProfile(
+                          profile.grid_z, profile.values + 5.0))
     ja = res_a.records[0].current_density
     jb = res_b.records[0].current_density
     assert np.max(np.abs(ja - jb)) <= 1e-9 * max(np.max(np.abs(ja)), 1e-300)
