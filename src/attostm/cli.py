@@ -329,6 +329,8 @@ def cmd_scan(data, out_dir, args, configs, snapshot) -> int:
 
 def cmd_saddle(data, out_dir, args, configs, snapshot) -> int:
     cfg, laser, _, _ = configs
+    if laser.field_F1 == 0:  # the saddle model needs a field
+        raise ConfigError("saddle: laser.field_V_per_nm must be > 0, got 0")
     s = data.get("saddle", {})
     binding = s.get("binding_eV", cfg.workfunction_tip)
     vbar = mean_image_magnitude(cfg)

@@ -2,8 +2,8 @@
 
 One chunk stepper advances the wavefunction: a vectorised right-hand side
 and LAPACK's pivoted tridiagonal solve (zgtsv, the routine scipy's
-solve_banded hands (1, 1) bands to), handing the state before each step
-to a recording callback.
+solve_banded hands (1, 1) bands to), copying the stepped rows that the
+probes and the current map read into a record buffer before each step.
 
 A run of rows with one level and one laser coefficient is a homogeneous
 block: there the Crank-Nicolson recursion is diagonal in the sine basis of
@@ -21,13 +21,12 @@ Two blocks are closed this way. The tip block, rows 1 ... J-1, is closed
 by the Dirichlet end at row 0, sees no laser, and its factors are
 precomputed. The sample block, rows P0 ... P1 above the junction window,
 sees E_n d on the sample side: its factors are rebuilt every step. It
-couples to the stepped row P0 - 1 below and, unless it reaches the
-Dirichlet end, to the stepped row P1 + 1 above; those two rows are then
-adjacent in the compact system, joined by the block's one-step end-to-end
-Green's function, so the system stays tridiagonal and stays one zgtsv
-call. Only the rows between the blocks and above the sample block are
-stepped. J = 1 and no sample block is the plain full-grid step, bit for
-bit.
+ends below the last interior row and couples to the stepped rows P0 - 1
+and P1 + 1, which are adjacent in the compact system, joined by the
+block's one-step end-to-end Green's function, so the system stays
+tridiagonal and stays one zgtsv call. Only the rows between the blocks and
+above the sample block are stepped. J = 1 and no sample block is the plain
+full-grid step, bit for bit.
 
 Inside the kernel the Hamiltonian is in Hartree atomic units (koff =
 1/(2 dz_au^2), half_dt = dt_au/2, potentials in hartree); the wavefunction
@@ -61,8 +60,9 @@ def default_backend_name() -> str:
 
 def current(psi, idx, jcoef):
     """Probability current density jcoef * Im(psi* (psi[i+1] - psi[i-1]))
-    at the grid indices idx (central difference)."""
-    return jcoef * np.imag(np.conj(psi[idx]) * (psi[idx + 1] - psi[idx - 1]))
+    at the indices idx of psi's last axis (central difference)."""
+    return jcoef * np.imag(np.conj(psi[..., idx])
+                           * (psi[..., idx + 1] - psi[..., idx - 1]))
 
 
 def _blocks(lo, hi):
@@ -96,16 +96,14 @@ class ModeBlock:
     sum u_q c_q a_q and ell_p = sum u_q beta_q over part p. The modes are
     kept as b_q = a_q/k_q, so that a step is b_q -> c_q b_q + inv_q s_q.
 
-    A block starting at row 1 is closed by the Dirichlet end below;
-    otherwise it couples to row start-1. above says whether it couples to
-    row start+Q (else that row is a Dirichlet end). With zcoef = 0 the
-    factors are constant and computed once; otherwise each step rebuilds
-    them in buffers allocated here. The dots and updates run over slices
-    at most DOT_BLOCK long.
+    A block starting at row 1 is closed by the Dirichlet end below and
+    couples to row Q+1 only; any other block couples to rows start-1 and
+    start+Q. With zcoef = 0 the factors are constant and computed once;
+    otherwise each step rebuilds them in buffers allocated here. The dots
+    and updates run over slices at most DOT_BLOCK long.
     """
 
-    def __init__(self, rows, level, half_dt, koff, *, start=1, above=True,
-                 zcoef=0.0):
+    def __init__(self, rows, level, half_dt, koff, *, start=1, zcoef=0.0):
         """rows = psi[start:start+Q]; level (hartree) and zcoef are those
         of every row of the block."""
         size = rows.shape[0]
@@ -113,16 +111,15 @@ class ModeBlock:
         theta = np.pi * q / (size + 1)
         lam = level + 2.0 * koff * (1.0 - np.cos(theta))
         u = np.sqrt(2.0 / (size + 1)) * np.sin(theta)
-        if start > 1 and above:
+        if start > 1:
             odd = (size + 1) // 2
             self.order = np.concatenate((q[::2], q[1::2])) - 1
             parts = ((0, odd), (odd, size))
         else:
-            if start == 1:
-                u[1::2] *= -1.0  # coupled at row Q
+            u[1::2] *= -1.0  # coupled at row Q
             self.order = q - 1
             parts = ((0, size),)
-        self.size, self.start, self.above = size, start, above
+        self.size, self.start = size, start
         self.driven = zcoef != 0.0
         u, lam = u[self.order], lam[self.order]
         self.k = 1j * half_dt * koff * u
@@ -200,20 +197,21 @@ class ModeBlock:
         return self._dst(natural)
 
 
-def cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, step_off, record,
+def cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, step_off, rec, rec_row,
              tip, sample=None):
-    """Advance psi in place by len(efield) >= 1 steps, calling
-    record(psi, step_off + s) before step s; return the relative residual
-    of the chunk's last solve.
+    """Advance psi in place by len(efield) >= 1 steps, copying the stepped
+    rows psi[rec_row : rec_row + rec.shape[1]], which lie below the sample
+    block, into rec[s] before step s; return the relative residual of the
+    chunk's last solve.
 
     tip is the ModeBlock of rows 1 ... J-1 and sample, if given, the
-    ModeBlock of rows P0 ... P1 with J < P0. Only the rows between them
-    and above P1 are stepped, in one zgtsv call per step. Each step
-    updates psi[J-1 : P0+1] and, when the sample block couples above, its
-    top row psi[P1]; the rows above P1 are written back at the end of the
-    chunk, so record reads current values only below P0 + 1. The other block rows are left
-    stale: tip.interior() and sample.interior() give them. An empty tip
-    block (J = 1) and no sample block step the whole grid.
+    ModeBlock of rows P0 ... P1 with J < P0 and P1 below the last interior
+    row. Only the rows between them and above P1 are stepped, in one zgtsv
+    call per step, and written back at the end of the chunk; each step
+    writes the blocks' end rows psi[J-1], psi[P0] and psi[P1]. The other
+    block rows are left stale: tip.interior() and sample.interior() give
+    them. An empty tip block (J = 1) and no sample block step the whole
+    grid.
 
     The diagonals of the stepped rows are built for up to
     BATCH_ELEMENTS // (stepped rows) steps at a time.
@@ -226,9 +224,7 @@ def cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, step_off, record,
         # each window holds one run of stepped rows and the row on each side
         p0 = sample.start
         p1 = p0 + sample.size - 1
-        windows = [psi[cut - 1:p0 + 1]]
-        if sample.above:
-            windows.append(psi[p1:])
+        windows = [psi[cut - 1:p0 + 1], psi[p1:]]
         vs = np.concatenate((vstat[cut:p0], vstat[p1 + 1:-1]))
         zc = np.concatenate((zcoef[cut:p0], zcoef[p1 + 1:-1]))
         lo = p0 - cut - 1  # row P0-1 in the compact system; P1+1 is lo+1
@@ -241,13 +237,14 @@ def cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, step_off, record,
     nbr = np.empty(n, dtype=np.complex128)
     # the stepped rows, as the last solve left them
     mid = np.concatenate([w[1:-1] for w in windows])
+    recorded = slice(rec_row - cut, rec_row - cut + rec.shape[1])
     batch = max(1, BATCH_ELEMENTS // n)
     for s in range(efield.shape[0]):
         if s % batch == 0:
             es = efield[s:s + batch, None]
             ams = 1.0 + 1j * half_dt * (2.0 * koff + (vs + es * zc))
             rest = 2.0 - ams
-        record(psi, step_off + s)
+        rec[s] = mid[recorded]
         e = efield[s]
         am = ams[s % batch]
         np.add(mid[:-2], mid[2:], out=nbr[1:-1])
@@ -264,24 +261,16 @@ def cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, step_off, record,
         am[0] += a_off * ell
         r[0] -= a_off * (g + ell * mid[0])
         if sample is not None:
-            gs, ells = sample.closure(e)
-            if sample.above:
-                # odd and even modes: the end rows are their sum and
-                # difference
-                (g_odd, g_even), (l_odd, l_even) = gs, ells
-                g_lo, g_hi = g_odd + g_even, g_odd - g_even
-                l_same, l_cross = l_odd + l_even, l_odd - l_even
-                below, above = mid[lo], mid[lo + 1]
-                am[lo] += a_off * l_same
-                am[lo + 1] += a_off * l_same
-                off[lo] = a_off * l_cross
-                r[lo] -= a_off * (g_lo + l_same * below + l_cross * above)
-                r[lo + 1] -= a_off * (g_hi + l_cross * below + l_same * above)
-            else:
-                (g_lo,), (l_same,) = gs, ells
-                below = mid[lo]
-                am[lo] += a_off * l_same
-                r[lo] -= a_off * (g_lo + l_same * below)
+            # odd and even modes: the end rows are their sum and difference
+            (g_odd, g_even), (l_odd, l_even) = sample.closure(e)
+            g_lo, g_hi = g_odd + g_even, g_odd - g_even
+            l_same, l_cross = l_odd + l_even, l_odd - l_even
+            below, above = mid[lo], mid[lo + 1]
+            am[lo] += a_off * l_same
+            am[lo + 1] += a_off * l_same
+            off[lo] = a_off * l_cross
+            r[lo] -= a_off * (g_lo + l_same * below + l_cross * above)
+            r[lo + 1] -= a_off * (g_hi + l_cross * below + l_same * above)
         x, info = zgtsv(off, am, off, r)[3:]
         if info != 0:
             raise SolverError(f"tridiagonal solve failed at step "
@@ -290,19 +279,12 @@ def cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, step_off, record,
         tip.couple((both,))
         psi[cut - 1] = g + ell * both
         if sample is not None:
-            sb = x[lo] + below
-            if sample.above:
-                sa = x[lo + 1] + above
-                sample.couple((sb + sa, sb - sa))
-                psi[p0] = g_lo + l_same * sb + l_cross * sa
-                psi[p1] = g_hi + l_cross * sb + l_same * sa
-            else:
-                sample.couple((sb,))
-                psi[p0] = g_lo + l_same * sb
+            sb, sa = x[lo] + below, x[lo + 1] + above
+            sample.couple((sb + sa, sb - sa))
+            psi[p0] = g_lo + l_same * sb + l_cross * sa
+            psi[p1] = g_hi + l_cross * sb + l_same * sa
         mid = x
-        # records read only the run below the sample block
-        windows[0][1:-1] = x[:bounds[1]]
-    for w, i, j in segs[1:]:
+    for w, i, j in segs:
         w[1:-1] = mid[i:j]
     res = am * x - r
     res[1:] += off[:n - 1] * x[:-1]

@@ -108,16 +108,24 @@ def write_csv(path, columns: dict, comments: dict | None = None) -> None:
 
 
 def read_csv(path):
-    """Inverse of write_csv: (columns dict, comments dict)."""
+    """Inverse of write_csv: (columns dict, comments dict); a row that is
+    not one number per header cell is a ValueError naming its line."""
     comments, header, rows = {}, None, []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         if line.startswith("#"):
             key, _, val = line[1:].partition(":")
             comments[key.strip()] = val.strip()
         elif header is None:
             header = [h.strip() for h in line.split(",")]
         elif line.strip():
-            rows.append([float(x) for x in line.split(",")])
+            cells = line.split(",")
+            try:
+                if len(cells) != len(header):
+                    raise ValueError(f"{len(cells)} cells, the header has "
+                                     f"{len(header)}")
+                rows.append([float(x) for x in cells])
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {number}: {exc}") from None
     if header is None:
         raise ValueError(f"{path}: no header row")
     if not rows:

@@ -11,10 +11,10 @@ interior below the first point that sees the laser, the junction
 potential, a probe or the map. The sample block is the longest run of rows
 with one level and one laser coefficient lying more than one row above
 every probe and map point: on the sample side, the plateau from just above
-the gap up to the absorber (or to z_max without one), driven by the
-uniform laser term E(t) d. `propagate` finds both from the data and steps
-only the rows between and above them; the result equals a full-grid run up
-to rounding, and z_min and z_max still set the box the modes live in.
+the gap up to the absorber (or to one row below the last interior row),
+driven by the uniform laser term E(t) d. `propagate` finds both from the
+data and steps only the rows between and above them; the result equals a
+full-grid run up to rounding, and z_min and z_max still set the box.
 
 Internally the Hamiltonian is converted to Hartree atomic units; all
 public quantities stay in eV / nm / fs. Before propagation the static
@@ -37,9 +37,11 @@ from .potential import PotentialProfile, sample_static_profile
 from .units import AUTIME_FS, BOHR_NM, EMASS, HARTREE_EV, HBAR_EVFS, HBAR2_OVER_2M
 
 
-# steps per kernel call; the solve residual, the finiteness check and the
-# reflection-risk check run once per chunk
+# steps per kernel call, fewer where the record buffer would otherwise
+# exceed _RECORD_ELEMENTS (1 MB); the solve residual, the finiteness check
+# and the reflection-risk check run once per chunk
 CHUNK_STEPS = 512
+_RECORD_ELEMENTS = 1 << 16
 
 # half-widths (eV) of initial_state's first and widest eigen windows
 # around -W_t
@@ -243,10 +245,10 @@ def _tip_cut(vstat, zcoef, watched):
 
 def _sample_block(vstat, zcoef, first):
     """(start, stop) of the sample block, rows start ... stop-1: the
-    longest run of rows at or above row first, below the last grid row,
-    that share one level and one laser coefficient; (first, first) when no
-    two such rows are adjacent."""
-    v, z = vstat[first:-1], zcoef[first:-1]
+    longest run of rows at or above row first, below the last interior
+    row, that share one level and one laser coefficient; (first, first)
+    when no two such rows are adjacent."""
+    v, z = vstat[first:-2], zcoef[first:-2]
     same = np.concatenate(([0], (v[1:] == v[:-1]) & (z[1:] == z[:-1]), [0]))
     edges = np.flatnonzero(np.diff(same.astype(np.int8)))
     if edges.size == 0:
@@ -276,7 +278,10 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     resolve to the sample boundary z = d. A probe or map edge whose nearest
     grid point is not interior, or two probes with the same nearest grid
     point, raise ValueError. The potential is rebuilt each step from the
-    static profile plus the laser term evaluated at the step start.
+    static profile plus the laser term evaluated at the step start. The
+    kernel copies the rows the probes and map read into a record buffer of
+    (chunk steps x rows) before each step, and their currents are taken
+    from it once per chunk.
     """
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
@@ -328,11 +333,20 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     if map_spec is not None:
         stride = map_spec.stride
         map_out = np.zeros((n_steps // stride + 1, map_idx.size))
+    # rows lo ... hi-1, read by the probes and map (none without them), for
+    # a chunk: the kernel fills all but the Dirichlet ends, which stay zero
+    lo, hi = watched - 1, max(top + 2, watched - 1)
+    chunk = min(CHUNK_STEPS, n_steps,
+                max(1, _RECORD_ELEMENTS // max(hi - lo, 1)))
+    rec = np.zeros((chunk, hi - lo), dtype=np.complex128)
+    stepped = rec[:, max(lo, 1) - lo:min(hi, grid.n_points - 1) - lo]
 
-    def record(psi, n):
-        j_out[:, n] = current(psi, probe_idx, jcoef)
-        if map_spec is not None and n % stride == 0:
-            map_out[n // stride] = current(psi, map_idx, jcoef)
+    def read(block, n):
+        j_out[:, n:n + len(block)] = current(block, probe_idx - lo, jcoef).T
+        if map_spec is not None:
+            first = -n % stride
+            rows = current(block[first::stride], map_idx - lo, jcoef)
+            map_out[(n + first) // stride:][:len(rows)] = rows
 
     # reflection-risk bookkeeping: watch for probability arriving within
     # 10 nm of either fixed end, relative to the initial occupation there
@@ -351,14 +365,14 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     sample = None
     if stop > start:
         sample = ModeBlock(psi[start:stop], vstat[start], half_dt, koff,
-                           start=start, above=stop < grid.n_points - 1,
-                           zcoef=zcoef[start])
+                           start=start, zcoef=zcoef[start])
     max_resid = 0.0
     done = 0
     while done < n_steps:
-        todo = min(CHUNK_STEPS, n_steps - done)
+        todo = min(chunk, n_steps - done)
         resid = cn_chunk(psi, vstat, zcoef, efield[done:done + todo], half_dt,
-                         koff, done, record, tip, sample)
+                         koff, done, stepped, max(lo, 1), tip, sample)
+        read(rec[:todo], done)
         psi[1:cut] = tip.interior()
         if sample is not None:
             psi[start:stop] = sample.interior()
@@ -376,7 +390,7 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
                     f"10 nm of the {'tip' if side == 0 else 'sample'}-side grid "
                     "end (reflection risk)", ReflectionRiskWarning, stacklevel=2)
                 warned[side] = True
-    record(psi, n_steps)
+    read(psi[None, lo:hi], n_steps)
 
     stm = None
     if map_spec is not None:

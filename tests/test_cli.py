@@ -485,6 +485,19 @@ def test_saddle_rejects_bad_section_before_solving(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_saddle_refuses_zero_field_before_solving(tmp_path, capsys,
+                                                 monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a saddle solve started")
+
+    monkeypatch.setattr(strongfield, "_solve_saddles", no_solve)
+    path = write_config(tmp_path, {"laser": {"field_V_per_nm": 0}})
+    out = tmp_path / "sk"
+    assert run_cli("saddle", "--config", path, "--out", str(out)) == EXIT_CONFIG
+    assert "laser.field_V_per_nm must be > 0, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scan_names_the_invalid_sweep_point(tmp_path, capsys, monkeypatch):
     def no_propagation(*args, **kwargs):
         raise AssertionError("a propagation started")
@@ -588,6 +601,22 @@ def test_lockin_rejects_empty_input(tmp_path, capsys):
     assert run_cli("lockin", "--config", path, "--mode", "forward",
                    "--out", str(tmp_path / "x")) == EXIT_CONFIG
     assert f"{src}: no data rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("1.0,2.0\n2.0,3.0,4.0\n", "line 4: 3 cells, the header has 2"),
+    ("1.0,2.0\n2.0,abc\n", "line 4: could not convert string to float"),
+], ids=["ragged", "not_a_number"])
+def test_lockin_names_the_file_and_line_of_a_bad_row(tmp_path, capsys, rows,
+                                                     message):
+    src = tmp_path / "bad.csv"
+    src.write_text("# note: one comment\ndelay_fs,value_re\n" + rows)
+    path = write_config(tmp_path, {"lockin": {"input_csv": str(src)}})
+    out = tmp_path / "x"
+    assert run_cli("lockin", "--config", path, "--mode", "forward",
+                   "--out", str(out)) == EXIT_CONFIG
+    assert f"{src}, {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lockin_missing_input_is_io_failure(tmp_path, capsys):

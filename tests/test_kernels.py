@@ -11,8 +11,8 @@ import attostm
 from attostm.kernels import ModeBlock, SolverError, cn_chunk
 
 
-def _no_record(psi, n):
-    pass
+# a record buffer with no columns, for up to 8 steps
+_NO_RECORD = np.empty((8, 0), dtype=np.complex128)
 
 
 def _empty_block(half_dt, koff):
@@ -44,9 +44,8 @@ def test_cn_chunk_matches_solve_banded_and_dense(rng):
     efield = rng.normal(size=3)
     half_dt, koff = 0.3, 1.7
     psi = psi0.copy()
-    seen = []
-    cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, 5,
-             lambda p, n: seen.append((n, p.copy())),
+    rec = np.empty((3, n - 2), dtype=np.complex128)
+    cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, 5, rec, 1,
              _empty_block(half_dt, koff))
 
     a_off = -1j * half_dt * koff
@@ -54,7 +53,9 @@ def test_cn_chunk_matches_solve_banded_and_dense(rng):
     ab[0, :] = ab[2, :] = a_off
     ref = psi0.copy()
     dense = psi0.copy()
-    for e in efield:
+    for s, e in enumerate(efield):
+        # the buffer holds each step's input state
+        assert np.array_equal(rec[s], ref[1:-1])
         v = vstat[1:-1] + e * zcoef[1:-1]
         am = 1.0 + 1j * half_dt * (2.0 * koff + v)
         r = -a_off * (ref[:-2] + ref[2:]) + (2.0 - am) * ref[1:-1]
@@ -66,9 +67,6 @@ def test_cn_chunk_matches_solve_banded_and_dense(rng):
         dense[1:-1] = np.linalg.solve(mat, rd)
     assert np.array_equal(psi, ref)
     assert np.max(np.abs(psi - dense)) <= 1e-12 * np.max(np.abs(dense))
-    # record sees each step's input state under its global step number
-    assert [n for n, _ in seen] == [5, 6, 7]
-    assert np.array_equal(seen[0][1], psi0)
 
 
 def test_cn_chunk_singular_system_is_solver_error():
@@ -79,7 +77,7 @@ def test_cn_chunk_singular_system_is_solver_error():
     psi = np.array([0.0, 1.0, 1.0, 0.0], dtype=np.complex128)
     with pytest.raises(SolverError, match="step 0"):
         cn_chunk(psi, vstat, np.zeros(4), np.zeros(2), half_dt, koff, 0,
-                 _no_record, _empty_block(half_dt, koff))
+                 _NO_RECORD, 1, _empty_block(half_dt, koff))
 
 
 def _dense_step(psi, v, half_dt, koff):
@@ -109,14 +107,15 @@ def test_tip_block_closure_matches_dense_full_system(rng):
     tip = ModeBlock(psi0[1:cut], vstat[1], half_dt, koff)
     assert np.max(np.abs(tip.interior() - psi0[1:cut])) < 1e-14
     psi = psi0.copy()
-    seen = []
-    resid = cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, 0,
-                     lambda p, n: seen.append(p[cut - 1:].copy()), tip)
+    # rows cut+2 ... n-3 of the stepped rows cut ... n-2
+    rec = np.empty((4, n - 4 - cut), dtype=np.complex128)
+    resid = cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, 0, rec,
+                     cut + 2, tip)
 
     dense = psi0.copy()
     for s, e in enumerate(efield):
-        # record sees the stepped window, row cut-1 included, at each step
-        assert np.max(np.abs(seen[s] - dense[cut - 1:])) < 1e-12
+        # the buffer holds the recorded rows at each step
+        assert np.max(np.abs(rec[s] - dense[cut + 2:-2])) < 1e-12
         dense = _dense_step(dense, vstat + e * zcoef, half_dt, koff)
     scale = np.max(np.abs(dense))
     assert np.max(np.abs(psi[cut - 1:] - dense[cut - 1:])) < 1e-12 * scale
@@ -143,24 +142,21 @@ def _check_sample_block(rng, n, cut, p0, p1, steps=5):
     efield = rng.normal(size=steps)
     tip = ModeBlock(psi0[1:cut], vstat[1], half_dt, koff)
     sample = ModeBlock(psi0[p0:p1 + 1], vstat[p0], half_dt, koff, start=p0,
-                       above=p1 < n - 2, zcoef=zcoef[p0])
+                       zcoef=zcoef[p0])
     assert np.max(np.abs(sample.interior() - psi0[p0:p1 + 1])) < 1e-14
     psi = psi0.copy()
-    seen = []
-    resid = cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, 0,
-                     lambda p, n: seen.append(p[cut - 1:p0 + 1].copy()),
+    # every stepped row below the sample block
+    rec = np.empty((steps, p0 - cut), dtype=np.complex128)
+    resid = cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, 0, rec, cut,
                      tip, sample)
 
     dense = psi0.copy()
     for s, e in enumerate(efield):
-        # record sees the rows from the tip's top row to the sample
-        # block's first row at each step
-        assert np.max(np.abs(seen[s] - dense[cut - 1:p0 + 1])) < 1e-12
+        # the buffer holds the recorded rows at each step
+        assert np.max(np.abs(rec[s] - dense[cut:p0])) < 1e-12
         dense = _dense_step(dense, vstat + e * zcoef, half_dt, koff)
     scale = np.max(np.abs(dense))
-    # a block closed by the Dirichlet end leaves its last row to the modes
-    top = p1 if p1 < n - 2 else n - 1
-    for lo, hi in ((cut - 1, p0 + 1), (top, n)):
+    for lo, hi in ((cut - 1, p0 + 1), (p1, n)):
         assert np.max(np.abs(psi[lo:hi] - dense[lo:hi])) < 1e-12 * scale
     assert np.max(np.abs(tip.interior() - dense[1:cut])) < 1e-12 * scale
     assert np.max(np.abs(sample.interior() - dense[p0:p1 + 1])) \
@@ -173,12 +169,9 @@ def test_driven_two_sided_block_matches_dense_full_system(rng):
     _check_sample_block(rng, n=61, cut=8, p0=13, p1=47)
     # across a short block the end-to-end coupling is not negligible
     _check_sample_block(rng, n=31, cut=8, p0=13, p1=16)
-
-
-def test_driven_block_at_the_dirichlet_end_matches_dense_full_system(rng):
-    # one stepped row between the tip block and a sample block that
-    # reaches the last interior row
-    _check_sample_block(rng, n=61, cut=8, p0=9, p1=59)
+    # one stepped row on each side of the block, the last interior row
+    # above it
+    _check_sample_block(rng, n=61, cut=8, p0=9, p1=58)
 
 
 def test_empty_tip_block_is_the_full_grid_step(rng):
@@ -190,7 +183,7 @@ def test_empty_tip_block_is_the_full_grid_step(rng):
     efield = rng.normal(size=3)
     half_dt, koff = 0.3, 1.7
     psi = psi0.copy()
-    cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, 0, _no_record,
+    cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, 0, _NO_RECORD, 1,
              ModeBlock(psi0[1:1], vstat[1], half_dt, koff))
 
     a_off = -1j * half_dt * koff

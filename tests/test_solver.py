@@ -488,16 +488,46 @@ def test_tip_closure_matches_full_grid():
     # the tip block reaches up to two rows below the map's first point
     assert res.tip_cut_nm == pytest.approx(-0.5 - 2 * grid.dz, abs=0.5 * grid.dz)
     # the sample block starts two rows above the map's last point and,
-    # with no absorber, reaches the Dirichlet end
+    # with no absorber, ends one row below the last interior row
     lo, hi = res.sample_block_nm
     assert lo == pytest.approx(cfg.width_d + 0.5 + grid.dz, abs=0.5 * grid.dz)
-    assert hi == pytest.approx(grid.z_max - grid.dz, abs=0.5 * grid.dz)
-    # the solve updates only the rows between the two blocks
-    assert res.stepped_points == round((lo - res.tip_cut_nm) / grid.dz) - 1
+    assert hi == pytest.approx(grid.z_max - 2 * grid.dz, abs=0.5 * grid.dz)
+    # the solve updates the rows between the two blocks and the last
+    # interior row
+    assert res.stepped_points == round((lo - res.tip_cut_nm) / grid.dz)
     assert res.stepped_points < 0.1 * grid.n_points
     assert res.norm_initial == pytest.approx(st.norm_squared, rel=1e-12)
     assert_matches_full_grid(res, full_grid_run(
         cfg, las, grid, t0, t1, st, (0.0, cfg.width_d), map_spec))
+
+
+@pytest.mark.parametrize("case", ["grid_end_probes", "map_stride_7"])
+def test_recording_edge_cases_match_full_grid(case):
+    # probes on the first and last interior rows read the Dirichlet ends,
+    # which the stepped rows do not include, and span enough rows to
+    # shorten the chunks; a map stride of 7 puts the map rows at a
+    # different offset in each 512-step chunk
+    grid = small_grid()
+    cfg = JunctionConfig()
+    las = short_pulse(f1=8.0)
+    st = initial_state(cfg, grid)
+    t0, t1 = default_time_span(las)
+    assert (t1 - t0) / grid.dt > 3 * solver.CHUNK_STEPS
+    if case == "grid_end_probes":
+        probes, map_spec = (grid.z[1], grid.z[-2]), None
+        assert grid.n_points > solver._RECORD_ELEMENTS // solver.CHUNK_STEPS
+    else:
+        probes, map_spec = (0.0, None), MapSpec(-0.5, cfg.width_d + 0.5, 7)
+    res = propagate(cfg, las, grid, t0, t1, probes=probes, initial=st,
+                    map_spec=map_spec)
+    ref = full_grid_run(cfg, las, grid, t0, t1, st,
+                        [cfg.width_d if p is None else p for p in probes],
+                        map_spec)
+    # every probe sees a current, so a probe recorded as zeros fails
+    assert np.all(np.max(np.abs(ref[0]), axis=1) > 1e-6)
+    assert_matches_full_grid(res, ref)
+    if map_spec is not None:
+        assert res.map.j.shape == ref[1].shape
 
 
 def test_tip_closure_exact_after_reflection_off_z_min():
@@ -549,8 +579,8 @@ def test_sample_block_exact_through_the_absorber_and_back():
 
 
 def test_sample_side_warning_through_the_sample_block():
-    # without an absorber the sample block reaches the Dirichlet end; the
-    # edge check still sees a packet that crosses it, because its rows are
+    # without an absorber the sample block ends one row below the last
+    # interior row; the edge check still sees a packet that crosses it, because its rows are
     # rebuilt from the modes after every chunk
     grid = small_grid(-15.0, 15.0)
     cfg = JunctionConfig()
@@ -561,7 +591,7 @@ def test_sample_side_warning_through_the_sample_block():
     with pytest.warns(ReflectionRiskWarning, match="sample-side"):
         res = propagate(cfg, las, grid, t0, t1, probes=(None,), initial=packet)
     lo, hi = res.sample_block_nm
-    assert lo < 2.5 - 1.0 and hi == pytest.approx(grid.z[-2])
+    assert lo < 2.5 - 1.0 and hi == pytest.approx(grid.z[-3])
     assert_matches_full_grid(res, full_grid_run(
         cfg, las, grid, t0, t1, packet, (cfg.width_d,)))
 
