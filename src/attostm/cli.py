@@ -58,8 +58,8 @@ _JUNCTION_KEYS = {
 _LASER_KEYS = {
     "field_V_per_nm": "field_F1", "field_ratio_eta": "ratio_eta",
     "wavelength_nm": "wavelength", "duration_fund_fwhm_fs": "duration_tau1",
-    "duration_sh_fwhm_fs": "duration_tau2", "sh_phase_rad": "phase_phi",
-    "base_delay_fs": "base_delay_tau0", "field_sign": "field_sign",
+    "duration_sh_fwhm_fs": "duration_tau2", "base_delay_fs": "base_delay_tau0",
+    "field_sign": "field_sign",
 }
 
 
@@ -86,11 +86,11 @@ _SCHEMA = {
     "scan": {
         "kind": str, "start": float, "stop": float, "count": int,
         "spacing": str, "n_delays": int, "enhancement_fund": float,
-        "enhancement_sh": float, "parameter": str, "energies_eV": [float],
+        "parameter": str, "energies_eV": [float],
     },
     "saddle": {
         "energy_start_eV": float, "energy_stop_eV": float, "energy_count": int,
-        "trajectory_energies_eV": [float], "binding_eV": float,
+        "trajectory_energies_eV": [float],
     },
     "lockin": {
         "mode": str, "input_csv": str, "delta_fs": float, "beta": float,
@@ -284,12 +284,6 @@ def _sweep_values(scan: dict):
     raise ConfigError(f"scan.spacing must be linear or log, got {spacing!r}")
 
 
-# scan-section key -> the keyword of the scan function that it sets
-_SCAN_OPTIONS = {"parameter": "parameter", "n_delays": "n_delays",
-                 "enhancement_fund": "enhancement",
-                 "enhancement_sh": "enhancement", "energies_eV": "energies"}
-
-
 def cmd_scan(data, out_dir, args, configs, snapshot) -> int:
     cfg, laser, grid, absorber = configs
     scan = data.get("scan", {})
@@ -299,25 +293,15 @@ def cmd_scan(data, out_dir, args, configs, snapshot) -> int:
                           f"(got {kind!r})")
     values = _sweep_values(scan)
     taken = SCAN_KINDS[kind].options
-    refused = sorted(f"scan.{key}" for key, option in _SCAN_OPTIONS.items()
-                     if key in scan and option not in taken)
+    offered = {key for spec in SCAN_KINDS.values() for key in spec.options}
+    refused = sorted(f"scan.{key}" for key in offered & set(scan) - set(taken))
     if refused:
         raise ConfigError(f"scan kind {kind!r} does not take "
                           f"{', '.join(refused)}")
-    # options left out keep the scan function's defaults; a robustness
-    # sweep needs its parameter, by default the field
-    options = {}
-    if "parameter" in scan or kind == "robustness":
-        options["parameter"] = scan.get("parameter", "field")
-    if "n_delays" in scan:
-        options["n_delays"] = scan["n_delays"]
-    if {"enhancement_fund", "enhancement_sh"} & set(scan):
-        options["enhancement"] = (scan.get("enhancement_fund", 1.0),
-                                  scan.get("enhancement_sh", 1.0))
-    if "energies_eV" in scan:
-        if len(scan["energies_eV"]) < 2:
-            raise ConfigError("scan.energies_eV needs at least two energies")
-        options["energies"] = scan["energies_eV"]
+    if "energies_eV" in scan and len(scan["energies_eV"]) < 2:
+        raise ConfigError("scan.energies_eV needs at least two energies")
+    # options left out keep the scan function's defaults
+    options = {keyword: scan[key] for key, keyword in taken.items() if key in scan}
     started = time.perf_counter()
     result = experiments.run_scan(kind, cfg, laser, grid, values,
                                   absorber=absorber, **options)
@@ -332,11 +316,13 @@ def cmd_saddle(data, out_dir, args, configs, snapshot) -> int:
     if laser.field_F1 == 0:  # the saddle model needs a field
         raise ConfigError("saddle: laser.field_V_per_nm must be > 0, got 0")
     s = data.get("saddle", {})
-    binding = s.get("binding_eV", cfg.workfunction_tip)
+    # the electron starts at the tip's Fermi level, -W_t
+    binding = cfg.workfunction_tip
     vbar = mean_image_magnitude(cfg)
     if binding <= vbar:
-        raise ConfigError(f"saddle.binding_eV ({binding}) must exceed the "
-                          f"junction's mean image potential {vbar:.4f} eV")
+        raise ConfigError(f"saddle: junction.workfunction_tip_eV ({binding}) "
+                          f"must exceed the junction's mean image potential "
+                          f"{vbar:.4f} eV")
     count = s.get("energy_count", 55)
     if count < 1:
         raise ConfigError(f"saddle.energy_count must be >= 1, got {count}")
@@ -352,13 +338,12 @@ def cmd_saddle(data, out_dir, args, configs, snapshot) -> int:
                                   f"junction's mean image potential, "
                                   f"{-vbar:.4f} eV")
     energies = np.linspace(start, stop, count)
-    phases = strongfield.emission_phase_curve(energies, laser, cfg,
-                                              binding=binding)
-    cutoff = strongfield.cutoff_energy(laser, cfg, binding=binding)
+    phases = strongfield.emission_phase_curve(energies, laser, cfg)
+    cutoff = strongfield.cutoff_energy(laser, cfg)
     trajectories = {}
     solutions = []
     for e in trajectory_energies:
-        sol = strongfield.solve_saddle(float(e), binding, laser, cfg)
+        sol = strongfield.solve_saddle(float(e), laser, cfg)
         tr = strongfield.trajectory(sol)
         trajectories[float(e)] = tr
         r1, r2, r3 = sol.residuals()
@@ -367,7 +352,7 @@ def cmd_saddle(data, out_dir, args, configs, snapshot) -> int:
             "t1_fs": [sol.t1.real, sol.t1.imag],
             "t2_fs": [sol.t2.real, sol.t2.imag],
             "p_tilde": [sol.p_tilde.real, sol.p_tilde.imag],
-            "mean_image_eV": sol.mean_image,
+            "mean_image_eV": vbar,
             "residuals": [r1, r2, r3]})
     gamma_mod = effective_keldysh(laser, binding - vbar)
     gamma_std = effective_keldysh(replace(laser, ratio_eta=0.0), binding - vbar)

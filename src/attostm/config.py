@@ -32,11 +32,6 @@ class JunctionConfig:
                 raise ValueError(f"{name} must be positive")
 
     @property
-    def contact_potential_phi(self) -> float:
-        """Contact (Volta) potential (W_t - W_s)/e in volts, e = -|e|."""
-        return (self.workfunction_sample - self.workfunction_tip)
-
-    @property
     def tip_interior_level(self) -> float:
         """Potential energy of the tip interior relative to tip vacuum (eV)."""
         return -(self.fermi_tip + self.workfunction_tip)
@@ -61,9 +56,9 @@ class LaserConfig:
     Field strengths are the enhanced near-fields in V/nm. Durations are
     FWHM in fs of the field envelope exp(-4 ln2 t^2/tau^2), not of the
     intensity: the intensity FWHM is tau/sqrt(2). base_delay_tau0 shifts
-    the SH pulse (envelope and carrier) as a delay stage would; phase_phi
-    is an additional carrier phase of the SH. field_sign = -1 negates the
-    full waveform, modelling the polarisation flip of the near field.
+    the SH pulse (envelope and carrier) as a delay stage would, so the SH
+    carrier phase is 2*omega*tau0. field_sign = -1 negates the full
+    waveform, modelling the polarisation flip of the near field.
     """
 
     field_F1: float = 8.0
@@ -71,7 +66,6 @@ class LaserConfig:
     wavelength: float = 1850.0
     duration_tau1: float = 35.0
     duration_tau2: float = 80.0
-    phase_phi: float = 0.0
     base_delay_tau0: float = 0.0
     field_sign: int = 1
 
@@ -93,14 +87,9 @@ class LaserConfig:
         return wavelength_to_omega(self.wavelength)
 
     @property
-    def total_sh_phase(self) -> float:
-        """Carrier phase of the SH including the base delay, phi + 2*w*tau0."""
-        return self.phase_phi + 2.0 * self.omega * self.base_delay_tau0
-
-    @property
     def sh_center(self) -> float:
-        """Centre of the SH envelope, phi_total/(2*omega) in fs."""
-        return self.total_sh_phase / (2.0 * self.omega)
+        """Centre of the SH envelope in fs: the base delay tau0."""
+        return self.base_delay_tau0
 
     @property
     def sh_period(self) -> float:

@@ -193,21 +193,22 @@ def modulation_amplitude(cfg, laser, grid, *, n_delays: int = 12,
 
 
 def power_scan(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
-               field_values, *, enhancement: tuple = (1.0, 1.0),
+               field_values, *, enhancement: float = 1.0,
                n_delays: int = 12, absorber=None) -> ScanResult:
     """Two-colour modulation amplitude versus field strength, with an
-    equivalent incident-power axis (F1/enhancement)^2."""
+    equivalent incident-power axis (F1/enhancement)^2, enhancement the
+    fundamental's near-field enhancement factor."""
     field_values = np.asarray(field_values, dtype=float)
     amps = [modulation_amplitude(c, l, grid, n_delays=n_delays,
                                  absorber=absorber)
             for c, l in _sweep_points("field", cfg, laser, field_values)]
-    power = (field_values / enhancement[0]) ** 2
+    power = (field_values / enhancement) ** 2
     return ScanResult(
         "field_F1", "V_per_nm", field_values, "modulation_amplitude",
         "electrons", np.asarray(amps),
         config_snapshot(cfg, laser, grid, absorber, kind="power",
                         field_values=field_values.tolist(),
-                        enhancement=list(enhancement), n_delays=n_delays),
+                        enhancement_fund=enhancement, n_delays=n_delays),
         extra_columns={"power_equiv": power})
 
 
@@ -234,14 +235,20 @@ def width_scan(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
 
 
 def exponential_fit(x, y) -> dict:
-    """Linear least squares on ln y = ln A0 - x/L; returns A0, L, R^2."""
-    ly = np.log(np.asarray(y, dtype=float))
+    """Linear least squares on ln y = ln A0 - x/L; returns A0, L, R^2.
+    L is None when the amplitudes do not decay, and all three are None
+    when an amplitude is not positive, so that a fit writes as strict
+    JSON."""
+    y = np.asarray(y, dtype=float)
+    if not np.all(y > 0):
+        return dict.fromkeys(("amplitude", "decay_length", "r_squared"))
+    ly = np.log(y)
     slope, intercept = np.polyfit(x, ly, 1)
     pred = slope * np.asarray(x) + intercept
     ss_res = float(np.sum((ly - pred) ** 2))
     ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
     return {"amplitude": float(np.exp(intercept)),
-            "decay_length": float(-1.0 / slope) if slope < 0 else float("inf"),
+            "decay_length": float(-1.0 / slope) if slope < 0 else None,
             "r_squared": 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0}
 
 
@@ -288,8 +295,8 @@ def directionality(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
                                       ratio_values=ratio_values.tolist()))
 
 
-def robustness_sweep(parameter: str, values, cfg: JunctionConfig,
-                     laser: LaserConfig, grid: GridSpec, *,
+def robustness_sweep(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
+                     values, *, parameter: str = "field",
                      absorber=None) -> ScanResult:
     """Burst FWHM at the vacuum-sample boundary versus one parameter
     around the anchor point (field / intensity ratio / width / tip
@@ -335,27 +342,29 @@ class ScanKind(NamedTuple):
     """How `attostm scan` and rerun_from_metadata call one scan kind."""
     function: str    # name in this module, looked up at call time
     swept: str       # keyword of the swept values, also their metadata key
-    options: dict    # further keyword -> the metadata key that records it
+    # scan-section key, also the metadata key that records it -> keyword
+    options: dict
     tdse: bool = True  # takes a grid and an absorber
 
 
 SCAN_KINDS = {
     "delay": ScanKind("delay_scan_tdse", "tau0_values", {}),
     "power": ScanKind("power_scan", "field_values",
-                      {"enhancement": "enhancement", "n_delays": "n_delays"}),
+                      {"enhancement_fund": "enhancement",
+                       "n_delays": "n_delays"}),
     "width": ScanKind("width_scan", "d_values", {"n_delays": "n_delays"}),
     "ratio": ScanKind("directionality", "ratio_values", {}),
     "robustness": ScanKind("robustness_sweep", "values",
                            {"parameter": "parameter"}),
     "delay_sf": ScanKind("delay_scan_strongfield", "tau0_values",
-                         {"energies": "energies_eV"}, tdse=False),
+                         {"energies_eV": "energies"}, tdse=False),
 }
 
 
 def run_scan(kind: str, cfg: JunctionConfig, laser: LaserConfig, grid,
              values, *, absorber=None, **options) -> ScanResult:
-    """Run scan `kind` of SCAN_KINDS over `values` with `options`, the
-    keywords of SCAN_KINDS[kind].options."""
+    """Run scan `kind` of SCAN_KINDS over `values` with `options`, keywords
+    that SCAN_KINDS[kind].options maps to."""
     spec = SCAN_KINDS[kind]
     if spec.tdse:
         options.update(grid=grid, absorber=absorber)
@@ -371,6 +380,6 @@ def rerun_from_metadata(scan: ScanResult) -> ScanResult:
     if spec is None:
         raise ValueError(f"unknown scan kind {md['kind']!r}")
     cfg, laser, grid, absorber = configs_from_snapshot(md)
-    options = {k: md[key] for k, key in spec.options.items()}
+    options = {keyword: md[key] for key, keyword in spec.options.items()}
     return run_scan(md["kind"], cfg, laser, grid, md[spec.swept],
                     absorber=absorber, **options)

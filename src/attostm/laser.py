@@ -29,8 +29,8 @@ class _Pulse(NamedTuple):
     f2: float | np.ndarray         # SH amplitude eta * F1
     rate1: float | np.ndarray      # fundamental envelope rate 4 ln2 / tau1^2
     rate2: float | np.ndarray      # SH envelope rate 4 ln2 / tau2^2
-    sh_center: float | np.ndarray
-    sh_phase: float | np.ndarray   # total_sh_phase
+    sh_center: float | np.ndarray  # base_delay_tau0
+    sh_phase: float | np.ndarray   # SH carrier phase 2 omega tau0
     sign: float | np.ndarray       # field_sign
 
 
@@ -40,7 +40,7 @@ def _pulse(laser: LaserConfig) -> _Pulse:
     return _Pulse(w, f1, laser.ratio_eta * f1,
                   _FOUR_LN2 / laser.duration_tau1**2,
                   _FOUR_LN2 / laser.duration_tau2**2,
-                  laser.sh_center, laser.total_sh_phase, laser.field_sign)
+                  laser.sh_center, 2.0 * w * laser.sh_center, laser.field_sign)
 
 
 def _pulses(lasers) -> _Pulse:
@@ -69,7 +69,7 @@ def _potential_integral(p: _Pulse, t1, t2):
     Where Im zeta < 0 (Re tau < c0), g w(zeta) = 2 c exp(i k c0 - k^2/4a)
     - g w(-zeta), so that w is only evaluated in the upper half-plane, where
     it is bounded. The constant is left out: each colour is odd about its
-    own centre (sh_center = sh_phase / 2 omega), so the constants of its
+    own centre (sh_phase = 2 omega sh_center), so the constants of its
     two waves cancel. Kept, it would round g w away in the far wings,
     where it outweighs it.
     """

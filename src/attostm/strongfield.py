@@ -1,7 +1,8 @@
 """Analytical strong-field model of junction transport.
 
-Transport from an initial bound state E0 = -|E0| in the tip to a final
-state E in the sample is described by a two-time action; its complex
+Transport from the tip's Fermi level, E0 = -W_t with W_t the junction's
+tip workfunction, to a final state E in the sample is described by a
+two-time action; its complex
 stationary points (emission time t1, arrival time t2, canonical momentum
 p~ eliminated through the displacement condition) give one tunnelling
 amplitude contribution per field crest. The image potential enters the
@@ -52,8 +53,6 @@ class SaddleSolution:
     t1: complex
     t2: complex
     final_energy_E: float
-    initial_energy_E0: float
-    mean_image: float
     laser: LaserConfig
     junction: JunctionConfig
 
@@ -72,23 +71,22 @@ class SaddleSolution:
         # kinetic momentum p~ - e A(t) = p~ + A(t)
         k1 = pt + vector_potential(self.laser, self.t1)
         k2 = pt + vector_potential(self.laser, self.t2)
-        vbar = self.mean_image
-        e0 = abs(self.initial_energy_E0)
-        r1 = k1**2 / (2.0 * EMASS) - vbar + e0
+        vbar = mean_image_magnitude(self.junction)
+        r1 = k1**2 / (2.0 * EMASS) - vbar + self.junction.workfunction_tip
         r2 = (pt * (self.t2 - self.t1) + a_int) / EMASS - d
         r3 = k2**2 / (2.0 * EMASS) - vbar - self.final_energy_E
         return abs(complex(r1)), abs(complex(r2)), abs(complex(r3))
 
 
-def action(t1: complex, t2: complex, E: float, E0: float,
-           laser: LaserConfig, cfg: JunctionConfig) -> complex:
+def action(t1: complex, t2: complex, E: float, laser: LaserConfig,
+           cfg: JunctionConfig) -> complex:
     """Two-time transport action S(t2, t1) (eV fs).
 
-    E t2 + p~^2/(2m)(t2-t1) - int e^2 A^2/(2m) - int V_imag[z] + |E0| t1,
+    E t2 + p~^2/(2m)(t2-t1) - int e^2 A^2/(2m) - int V_imag[z] + W_t t1,
     with the image integral taken as -Vbar * (t2 - t1), Vbar the junction's
-    mean_image_magnitude. p~ and the A^2 integral share one evaluation of A
-    at the Gauss-Legendre nodes of the straight segment (A is entire, so
-    any contour will do).
+    mean_image_magnitude and W_t its tip workfunction. p~ and the A^2
+    integral share one evaluation of A at the Gauss-Legendre nodes of the
+    straight segment (A is entire, so any contour will do).
     """
     # Scalar, one call per kept root, because perfbench's tracer inspects
     # each result. Batching S, and with it a closed form for p~ and int A^2
@@ -101,7 +99,8 @@ def action(t1: complex, t2: complex, E: float, E0: float,
     pt = _p_tilde(cfg.width_d, t1, t2, half * np.sum(_GL_W * a))
     a2 = half * np.sum(_GL_W * a**2)
     return (E * t2 + pt**2 / (2.0 * EMASS) * (t2 - t1)
-            - a2 / (2.0 * EMASS) + vbar * (t2 - t1) + abs(E0) * t1)
+            - a2 / (2.0 * EMASS) + vbar * (t2 - t1)
+            + cfg.workfunction_tip * t1)
 
 
 def _seed_depth(laser, cfg, vbar, crest_time):
@@ -220,14 +219,16 @@ def _newton(problems, t1, t2, k1_target, k2_target, d):
     return t1, t2, gnorm, status
 
 
-def _branch_targets(E, E0, cfg):
-    """The kinetic momenta of the physical branch, k(t1) = i sqrt(2m|E0|_eff)
-    and k(t2) = +sqrt(2m(E + Vbar)), and the travel time d/v(E); k(t2) and
-    the travel time have the shape of E."""
+def _branch_targets(E, cfg):
+    """The kinetic momenta of the physical branch, k(t1) = i sqrt(2m(W_t -
+    Vbar)) and k(t2) = +sqrt(2m(E + Vbar)), and the travel time d/v(E);
+    k(t2) and the travel time have the shape of E."""
     vbar = mean_image_magnitude(cfg)
-    e0_eff = abs(E0) - vbar
+    e0_eff = cfg.workfunction_tip - vbar
     if e0_eff <= 0:
-        raise ValueError("effective binding |E0| - mean_image must be positive")
+        raise ValueError(f"tip workfunction W_t = {cfg.workfunction_tip} eV "
+                         f"must exceed the mean image potential Vbar = "
+                         f"{vbar:.4f} eV")
     E = np.asarray(E, dtype=float)
     below = E + vbar <= 0
     if np.any(below):
@@ -238,7 +239,7 @@ def _branch_targets(E, E0, cfg):
             np.sqrt(2.0 * EMASS * (E + vbar)), travel)
 
 
-def _solve_saddles(E, E0, problems, cfg, seeds=None):
+def _solve_saddles(E, problems, cfg, seeds=None):
     """Saddle roots of every problem of the batch at final energy E, one
     energy for all problems or one per problem.
 
@@ -252,7 +253,7 @@ def _solve_saddles(E, E0, problems, cfg, seeds=None):
     Returns (t1, t2, |G|, status); status is _ROOT where a physical root was
     found and otherwise names the failure.
     """
-    k1_target, k2_target, travel = _branch_targets(E, E0, cfg)
+    k1_target, k2_target, travel = _branch_targets(E, cfg)
     k2_target = np.broadcast_to(k2_target, problems.crest.shape)
     d = cfg.width_d
     h1 = problems.crest + 1j * problems.depth
@@ -295,7 +296,7 @@ def _only_root(roots, crest_time):
     }[status])
 
 
-def _continued_roots(energies, E0, problems, cfg):
+def _continued_roots(energies, problems, cfg):
     """Saddle roots of every problem of the batch, continued in final energy.
 
     Energies are stepped in the given order, and each step solves every
@@ -308,34 +309,31 @@ def _continued_roots(energies, E0, problems, cfg):
     t1 = t2 = np.zeros(problems.crest.size, dtype=complex)
     found = np.zeros(problems.crest.size, dtype=bool)
     for e in energies:
-        t1, t2, gnorm, status = _solve_saddles(e, E0, problems, cfg,
-                                               (t1, t2, found))
+        t1, t2, gnorm, status = _solve_saddles(e, problems, cfg, (t1, t2, found))
         found = status == _ROOT
         yield t1, t2, gnorm, status
 
 
-def solve_saddle(E: float, E0: float, laser: LaserConfig, cfg: JunctionConfig,
+def solve_saddle(E: float, laser: LaserConfig, cfg: JunctionConfig,
                  seed: tuple[complex, complex] | None = None, *,
                  crest_time: float | None = None) -> SaddleSolution:
     """Newton solve of the saddle equations for one final energy.
 
     A batch of one for the batched saddle core (see _solve_saddles): a
     supplied seed that fails falls back once to the heuristic crest seed.
-    Vbar is the junction's mean_image_magnitude.
+    The electron starts at -W_t, W_t the junction's tip workfunction.
     """
-    vbar = mean_image_magnitude(cfg)
     if crest_time is None:
         crest_time = field_crest_time(laser)
     problem = _Problems.build([(laser, crest_time)], cfg)
     seeds = None if seed is None else (
         np.array([complex(seed[0])]), np.array([complex(seed[1])]),
         np.ones(1, dtype=bool))
-    t1, t2 = _only_root(_solve_saddles(E, E0, problem, cfg, seeds), crest_time)
-    return SaddleSolution(t1, t2, float(E), -abs(E0), vbar, laser, cfg)
+    t1, t2 = _only_root(_solve_saddles(E, problem, cfg, seeds), crest_time)
+    return SaddleSolution(t1, t2, float(E), laser, cfg)
 
 
-def emission_phase_curve(energies, laser: LaserConfig, cfg: JunctionConfig, *,
-                         binding: float | None = None):
+def emission_phase_curve(energies, laser: LaserConfig, cfg: JunctionConfig):
     """sinh(omega Im t1) at the dominant crest for each final energy.
 
     All energies are solved as one batch, one row per energy, from the
@@ -344,13 +342,12 @@ def emission_phase_curve(energies, laser: LaserConfig, cfg: JunctionConfig, *,
     has one, and from each such root at most once. The first energy left
     without a root raises the SaddleConvergenceError of its crest-seed
     solve, as solve_saddle would."""
-    e0 = cfg.workfunction_tip if binding is None else binding
     crest = field_crest_time(laser)
     energies = np.asarray(energies, dtype=float)
     rows = np.arange(energies.size)
     problems = _Problems.build([(laser, crest)], cfg)[np.zeros_like(rows)]
-    t1, t2, gnorm, status = _solve_saddles(energies, e0, problems, cfg)
-    k1_target, k2_target, _ = _branch_targets(energies, e0, cfg)
+    t1, t2, gnorm, status = _solve_saddles(energies, problems, cfg)
+    k1_target, k2_target, _ = _branch_targets(energies, cfg)
     tried = np.full(rows.size, -1)  # the seed row of a row's last attempt
     while True:
         found = status == _ROOT
@@ -373,8 +370,7 @@ def emission_phase_curve(energies, laser: LaserConfig, cfg: JunctionConfig, *,
     return np.sinh(laser.omega * t1.imag)
 
 
-def cutoff_energy(laser: LaserConfig, cfg: JunctionConfig, *,
-                  binding: float | None = None) -> float | None:
+def cutoff_energy(laser: LaserConfig, cfg: JunctionConfig) -> float | None:
     """Final energy where the emission phase departs from the two-colour
     Keldysh line by more than _CUTOFF_DEPARTURE (10%); None if no departure
     below 50 eV.
@@ -383,11 +379,11 @@ def cutoff_energy(laser: LaserConfig, cfg: JunctionConfig, *,
     the upward scan for the crossing starts at the energy of closest
     agreement (sub-eV arrivals carry their own slow-electron deviation).
     """
-    e0 = cfg.workfunction_tip if binding is None else binding
-    gamma = effective_keldysh(laser, e0 - mean_image_magnitude(cfg))
+    gamma = effective_keldysh(laser,
+                              cfg.workfunction_tip - mean_image_magnitude(cfg))
     de = 0.25
     energies = np.arange(de, 50.0 + de, de)
-    phases = emission_phase_curve(energies, laser, cfg, binding=e0)
+    phases = emission_phase_curve(energies, laser, cfg)
     dev = np.abs(phases - gamma) / gamma
     start = int(np.argmin(dev))
     for i in range(start, energies.size):
@@ -421,7 +417,7 @@ def _directed(laser: LaserConfig, direction: int) -> LaserConfig:
     return laser if direction == 1 else laser.flipped()
 
 
-def _crest_amplitudes(lasers, cfg: JunctionConfig, E0: float, energies):
+def _crest_amplitudes(lasers, cfg: JunctionConfig, energies):
     """Saddle-point amplitude of every crest at every final energy, for
     each laser of a sequence.
 
@@ -444,7 +440,7 @@ def _crest_amplitudes(lasers, cfg: JunctionConfig, E0: float, energies):
         [(las, float(tc)) for las, cs in zip(lasers, crests) for tc in cs], cfg)
     amp = np.zeros((owner.size, energies.size), dtype=complex)
     lost = np.zeros(amp.shape, dtype=bool)
-    roots = _continued_roots(energies, E0, problems, cfg)
+    roots = _continued_roots(energies, problems, cfg)
     for k, (e, (t1, t2, _, status)) in enumerate(zip(energies, roots)):
         found = status == _ROOT
         lost[:, k] = ~found
@@ -454,7 +450,7 @@ def _crest_amplitudes(lasers, cfg: JunctionConfig, E0: float, energies):
             if any(abs(r1 - t) < 1e-6 for t in seen[i]):
                 continue  # split sub-crest: root already counted
             seen[i].append(r1)
-            s = action(r1, r2, e, E0, lasers[i], cfg)
+            s = action(r1, r2, e, lasers[i], cfg)
             if s.imag < 0:
                 continue  # anti-Stokes partner root
             pref = np.sqrt(1j / (8.0 * np.pi * EMASS * HBAR_EVFS**3 * (r2 - r1)))
@@ -464,8 +460,8 @@ def _crest_amplitudes(lasers, cfg: JunctionConfig, E0: float, energies):
             for c, i, j in zip(crests, bounds[:-1], bounds[1:])]
 
 
-def tunnelling_amplitude(E: float, E0: float, laser: LaserConfig,
-                         cfg: JunctionConfig, *, direction: int = 1) -> complex:
+def tunnelling_amplitude(E: float, laser: LaserConfig, cfg: JunctionConfig, *,
+                         direction: int = 1) -> complex:
     """Saddle-point tunnelling amplitude M_E summed coherently over crests.
 
     direction = -1 evaluates sample -> tip transport via the mirrored
@@ -483,8 +479,7 @@ def tunnelling_amplitude(E: float, E0: float, laser: LaserConfig,
     function raises where the spectrum drops the crest.
     """
     las = _directed(laser, direction)
-    [(crests, amp, lost)] = _crest_amplitudes([las], cfg, E0,
-                                              np.array([float(E)]))
+    [(crests, amp, lost)] = _crest_amplitudes([las], cfg, np.array([float(E)]))
     e_crests = np.abs(electric_field(las, crests))
     dominant = lost[:, 0] & (e_crests >= 0.8 * np.max(e_crests, initial=0.0))
     if np.any(dominant):
@@ -545,7 +540,7 @@ def directional_spectrum(laser: LaserConfig, cfg: JunctionConfig, energies, *,
     root continued in E (see tunnelling_amplitude)."""
     energies = np.asarray(energies, dtype=float)
     [(_, amp, _)] = _crest_amplitudes([_directed(laser, direction)], cfg,
-                                      cfg.workfunction_tip, energies)
+                                      energies)
     return np.abs(amp.sum(axis=0))
 
 
@@ -582,7 +577,7 @@ def directional_weight(laser: LaserConfig | Sequence[LaserConfig],
     single = isinstance(laser, LaserConfig)
     lasers = [laser] if single else list(laser)
     rows = _crest_amplitudes([_directed(las, direction) for las in lasers],
-                             cfg, cfg.workfunction_tip, energies)
+                             cfg, energies)
     weights = np.array([np.trapezoid(np.sum(np.abs(amp) ** 2, axis=0), energies)
                         for _, amp, _ in rows])
     return float(weights[0]) if single else weights

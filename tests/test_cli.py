@@ -65,6 +65,22 @@ def test_unknown_key_is_hard_error(tmp_path, capsys):
     assert "width_nmm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    ("propagate", "laser", "sh_phase_rad", 0.7),
+    ("saddle", "saddle", "binding_eV", 9.0),
+    ("scan", "scan", "enhancement_sh", 80.0),
+], ids=["laser.sh_phase_rad", "saddle.binding_eV", "scan.enhancement_sh"])
+def test_deleted_keys_are_unknown(tmp_path, capsys, command, section, key,
+                                  value):
+    # an SH carrier phase is a delay, the saddle binding is W_t, and the SH
+    # enhancement set nothing: none of them has a key of its own
+    path = write_config(tmp_path, {section: {key: value}})
+    out = tmp_path / "none"
+    assert run_cli(command, "--config", path, "--out", str(out)) == EXIT_CONFIG
+    assert f"unknown config key: {section}.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_workers_key_is_rejected(tmp_path, capsys):
     path = write_config(tmp_path, tiny_tdse_config(workers=2))
     assert run_cli("potential", "--config", path, "--dry-run") == EXIT_CONFIG
@@ -312,7 +328,7 @@ RERUN_SCANS = {
     "delay": ({"start": 0.0, "stop": 1.5, "count": 3}, {}),
     "power": ({"start": 6.0, "stop": 7.0, "count": 2, "n_delays": 3,
                "enhancement_fund": 2.0},
-              {"n_delays": 3, "enhancement": [2.0, 1.0]}),
+              {"n_delays": 3, "enhancement": 2.0}),
     "width": ({"start": 0.9, "stop": 1.1, "count": 2, "n_delays": 3},
               {"n_delays": 3}),
     "ratio": ({"start": 0.0, "stop": 0.1, "count": 2}, {}),
@@ -376,15 +392,37 @@ def test_scan_and_rerun_call_the_same_function(tmp_path, monkeypatch, kind):
     assert config_hash(again.metadata) == config_hash(md)
 
 
+@pytest.mark.parametrize("amplitudes, fit", [
+    ([1e-4, 2e-4], {"decay_length": None, "r_squared": 1.0}),
+    ([1e-4, 0.0], {"amplitude": None, "decay_length": None,
+                   "r_squared": None}),
+], ids=["growing", "zero"])
+def test_width_scan_json_is_strict(tmp_path, monkeypatch, amplitudes, fit):
+    # amplitudes that do not decay have no decay length, and ln 0 has no
+    # fit at all: both are null, not the non-JSON tokens Infinity and NaN
+    points = iter(amplitudes)
+    monkeypatch.setattr(experiments, "modulation_amplitude",
+                        lambda *a, **k: next(points))
+    path = write_config(tmp_path, tiny_tdse_config(scan={
+        "kind": "width", "start": 0.9, "stop": 1.1, "count": 2}))
+    out = tmp_path / "width"
+    assert run_cli("scan", "--config", path, "--out", str(out)) == EXIT_OK
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    text = next(out.glob("width_*.json")).read_text()
+    md = json.loads(text, parse_constant=refuse)["metadata"]
+    assert fit.items() <= md["fit"].items()
+
+
 @pytest.mark.parametrize("kind, key, value, named", [
     ("ratio", "n_delays", 3, "n_delays"),
     ("delay", "parameter", "width", "parameter"),
     ("delay", "energies_eV", [2.0, 4.0], "energies_eV"),
     ("width", "enhancement_fund", 2.0, "enhancement_fund"),
-    ("delay", "enhancement_sh", 2.0, "enhancement_sh"),
 ], ids=["n_delays_under_ratio", "parameter_under_delay",
-        "energies_under_delay", "enhancement_under_width",
-        "enhancement_sh_under_delay"])
+        "energies_under_delay", "enhancement_under_width"])
 def test_scan_refuses_a_key_its_kind_does_not_take(tmp_path, capsys,
                                                   monkeypatch, kind, key,
                                                   value, named):
@@ -468,17 +506,19 @@ def test_saddle_eta0_columns_match(tmp_path):
     assert np.array_equal(cols["gamma_modified"], cols["gamma_standard_eta0"])
 
 
-@pytest.mark.parametrize("saddle, message", [
-    ({"energy_count": 0}, "saddle.energy_count must be >= 1"),
-    ({"binding_eV": 0.5}, "saddle.binding_eV (0.5) must exceed"),
-], ids=["energy_count", "binding"])
+@pytest.mark.parametrize("config, message", [
+    ({"saddle": {"energy_count": 0}}, "saddle.energy_count must be >= 1"),
+    ({"junction": {"workfunction_tip_eV": 0.9}},
+     "saddle: junction.workfunction_tip_eV (0.9) must exceed"),
+], ids=["energy_count", "workfunction_tip"])
 def test_saddle_rejects_bad_section_before_solving(tmp_path, capsys,
-                                                  monkeypatch, saddle, message):
+                                                  monkeypatch, config, message):
+    # the 1 nm junction's mean image potential is 0.998 eV
     def no_solve(*args, **kwargs):
         raise AssertionError("a saddle solve started")
 
     monkeypatch.setattr(strongfield, "_solve_saddles", no_solve)
-    path = write_config(tmp_path, {"saddle": saddle})
+    path = write_config(tmp_path, config)
     out = tmp_path / "sk"
     assert run_cli("saddle", "--config", path, "--out", str(out)) == EXIT_CONFIG
     assert message in capsys.readouterr().err

@@ -70,6 +70,10 @@ def test_exponential_fit_self_consistency():
     assert fit["amplitude"] == pytest.approx(3.7, rel=0.01)
     assert fit["decay_length"] == pytest.approx(0.43, rel=0.01)
     assert fit["r_squared"] > 0.999
+    # no decay, no decay length; no logarithm of 0, no fit
+    assert exponential_fit([1.0, 2.0], [1.0, 2.0])["decay_length"] is None
+    assert exponential_fit([1.0, 2.0], [1.0, 0.0]) == dict.fromkeys(
+        ("amplitude", "decay_length", "r_squared"))
 
 
 def test_loglog_slopes():
@@ -205,11 +209,12 @@ def test_directionality_refuses_negative_direction(monkeypatch):
 
 def test_robustness_sweep_api():
     cfg = JunctionConfig()
-    scan = robustness_sweep("width", [0.8, 1.2], cfg, tiny_laser(),
-                            tiny_grid())
+    scan = robustness_sweep(cfg, tiny_laser(), tiny_grid(), [0.8, 1.2],
+                            parameter="width")
     assert np.all(scan.results > 0)
     with pytest.raises(ValueError):
-        robustness_sweep("bogus", [1.0], cfg, tiny_laser(), tiny_grid())
+        robustness_sweep(cfg, tiny_laser(), tiny_grid(), [1.0],
+                         parameter="bogus")
 
 
 @pytest.fixture(scope="module")

@@ -132,8 +132,9 @@ def test_profile_validation(junction):
 
 def test_contact_potential_derived():
     cfg = JunctionConfig(workfunction_tip=5.5, workfunction_sample=5.0)
-    # phi = (W_t - W_s)/e with e = -|e|
-    assert cfg.contact_potential_phi == pytest.approx(-0.5)
+    # at zero bias the gap ramp is -e*phi = W_s - W_t, phi = (W_t - W_s)/e
+    # with e = -|e|
+    assert cfg.gap_ramp_eV == pytest.approx(-0.5)
     with pytest.raises(ValueError):
         JunctionConfig(width_d=0.0)
 

@@ -52,25 +52,26 @@ def anchor():
 
 
 def test_action_zero_field_reduction(cfg):
-    # A = 0: S = E t2 + (m d^2/2)/(t2-t1) + Vbar (t2-t1) + |E0| t1
+    # A = 0: S = E t2 + (m d^2/2)/(t2-t1) + Vbar (t2-t1) + W_t t1
     quiet = LaserConfig(field_F1=0.0)
     t1, t2 = 0.2 + 0.4j, 1.1 - 0.05j
-    e, e0, d = 3.0, 5.1, cfg.width_d
-    s = action(t1, t2, e, e0, quiet, cfg)
+    e, d = 3.0, cfg.width_d
+    s = action(t1, t2, e, quiet, cfg)
     p_free = EMASS * d / (t2 - t1)
     expect = (e * t2 + p_free**2 / (2 * EMASS) * (t2 - t1)
-              + mean_image_magnitude(cfg) * (t2 - t1) + abs(e0) * t1)
+              + mean_image_magnitude(cfg) * (t2 - t1)
+              + cfg.workfunction_tip * t1)
     assert s == pytest.approx(expect, rel=1e-12)
     with pytest.raises(ValueError):
-        action(t1, t1, e, e0, quiet, cfg)
+        action(t1, t1, e, quiet, cfg)
 
 
 def test_action_stationary_at_saddle(cfg, las8):
-    sol = solve_saddle(4.0, 5.1, las8, cfg)
+    sol = solve_saddle(4.0, las8, cfg)
     h = 1e-5
 
     def s(t1, t2):
-        return action(t1, t2, 4.0, 5.1, las8, cfg)
+        return action(t1, t2, 4.0, las8, cfg)
 
     ds_dt1 = (s(sol.t1 + h, sol.t2) - s(sol.t1 - h, sol.t2)) / (2 * h)
     ds_dt2 = (s(sol.t1, sol.t2 + h) - s(sol.t1, sol.t2 - h)) / (2 * h)
@@ -80,13 +81,13 @@ def test_action_stationary_at_saddle(cfg, las8):
 
 def test_saddle_residuals_small(cfg, las8):
     for e in (0.0, 2.0, 4.4, 6.7):
-        sol = solve_saddle(e, 5.1, las8, cfg)
+        sol = solve_saddle(e, las8, cfg)
         r1, r2, r3 = sol.residuals()
         assert max(r1, r2, r3) < 1e-8
         assert sol.t1.imag > 0
 
 
-# (t1, t2, residuals(), action) at E0 = 5.1 eV on LaserConfig(field_F1=8),
+# (t1, t2, residuals(), action) at W_t = 5.1 eV on LaserConfig(field_F1=8),
 # recorded before the saddle core shared its A evaluations; residuals()
 # re-recorded when int A dtau went from quadrature to closed form
 PINNED_SADDLES = {
@@ -116,10 +117,10 @@ PINNED_SADDLES = {
 @pytest.mark.parametrize("e", sorted(PINNED_SADDLES))
 def test_saddle_core_pinned(cfg, las8, e):
     t1, t2, res, s = PINNED_SADDLES[e]
-    sol = solve_saddle(e, 5.1, las8, cfg)
+    sol = solve_saddle(e, las8, cfg)
     assert sol.t1 == pytest.approx(t1, rel=1e-12)
     assert sol.t2 == pytest.approx(t2, rel=1e-12)
-    assert action(sol.t1, sol.t2, e, 5.1, las8, cfg) == pytest.approx(s, rel=1e-12)
+    assert action(sol.t1, sol.t2, e, las8, cfg) == pytest.approx(s, rel=1e-12)
     # the residuals are rounding-level cancellations of eV-sized terms: the
     # 1e-15 floor sits below one rounding step of those terms
     assert sol.residuals() == pytest.approx(res, rel=1e-12, abs=1e-15)
@@ -157,8 +158,8 @@ def test_im_t1_grows_with_energy_past_plateau(cfg, las10):
     energies = np.arange(5.5, 13.0, 0.5)
     phases = emission_phase_curve(energies, las10, cfg)
     assert np.all(np.diff(phases) > 0)
-    sol_lo = solve_saddle(6.0, 5.1, las10, cfg)
-    sol_hi = solve_saddle(12.0, 5.1, las10, cfg)
+    sol_lo = solve_saddle(6.0, las10, cfg)
+    sol_hi = solve_saddle(12.0, las10, cfg)
     assert sol_hi.t1.imag > sol_lo.t1.imag
 
 
@@ -192,14 +193,14 @@ def test_drift_bound_slices_keep_the_whole_grid_max(las10):
 
 
 def test_seed_independence(cfg, las8):
-    base = solve_saddle(4.0, 5.1, las8, cfg)
+    base = solve_saddle(4.0, las8, cfg)
     cycle = 2 * np.pi / las8.omega
     rng = np.random.default_rng(3)
     for _ in range(8):
         d1 = 0.05 * cycle * (rng.uniform(-1, 1) + 1j * rng.uniform(0, 1))
         d2 = 0.05 * cycle * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
         try:
-            sol = solve_saddle(4.0, 5.1, las8, cfg,
+            sol = solve_saddle(4.0, las8, cfg,
                                seed=(base.t1 + d1, base.t2 + d2))
         except SaddleConvergenceError:
             continue  # loud failure is acceptable; silent divergence is not
@@ -211,20 +212,20 @@ def test_seed_independence(cfg, las8):
 
 
 def test_amplitude_zero_field_and_cutoff_decay(cfg, las8):
-    quiet = tunnelling_amplitude(3.0, 5.1, LaserConfig(field_F1=0.0), cfg)
-    driven = tunnelling_amplitude(3.0, 5.1, las8, cfg)
+    quiet = tunnelling_amplitude(3.0, LaserConfig(field_F1=0.0), cfg)
+    driven = tunnelling_amplitude(3.0, las8, cfg)
     assert abs(quiet) < 1e-6 * abs(driven)
     cut = cutoff_energy(las8, cfg)
-    below = abs(tunnelling_amplitude(cut - 2.0, 5.1, las8, cfg)) ** 2
-    above = abs(tunnelling_amplitude(cut + 2.0, 5.1, las8, cfg)) ** 2
+    below = abs(tunnelling_amplitude(cut - 2.0, las8, cfg)) ** 2
+    above = abs(tunnelling_amplitude(cut + 2.0, las8, cfg)) ** 2
     assert above / below < 0.1
 
 
 def test_direction_parity(cfg, las8):
     # sample->tip amplitudes equal tip->sample of the negated waveform
     for e in (2.0, 5.0):
-        fwd = tunnelling_amplitude(e, 5.1, las8.flipped(), cfg, direction=1)
-        bwd = tunnelling_amplitude(e, 5.1, las8, cfg, direction=-1)
+        fwd = tunnelling_amplitude(e, las8.flipped(), cfg, direction=1)
+        bwd = tunnelling_amplitude(e, las8, cfg, direction=-1)
         assert abs(fwd - bwd) <= 1e-8 * abs(fwd)
     # the two-colour waveform is genuinely directional once integrated over
     # the spectrum (single energies sit on multi-crest interference combs)
@@ -242,11 +243,11 @@ def test_direction_must_be_plus_or_minus_one(cfg, las8):
     with pytest.raises(ValueError, match="direction"):
         directional_spectrum(las8, cfg, [1.0, 2.0], direction=2)
     with pytest.raises(ValueError, match="direction"):
-        tunnelling_amplitude(2.0, 5.1, las8, cfg, direction=0)
+        tunnelling_amplitude(2.0, las8, cfg, direction=0)
 
 
 @pytest.mark.parametrize("call", [
-    lambda las, cfg: solve_saddle(-3.0, 5.1, las, cfg),
+    lambda las, cfg: solve_saddle(-3.0, las, cfg),
     lambda las, cfg: directional_weight(las, cfg, energies=[-3.0, -2.0]),
     lambda las, cfg: directional_spectrum(las, cfg, [-3.0, 1.0]),
 ], ids=["solve_saddle", "directional_weight", "directional_spectrum"])
@@ -265,7 +266,7 @@ def test_forward_spectrum_is_amplitude_modulus(cfg, las8):
     # crest sum forward, where each crest carries one physical root
     e_grid = np.arange(0.5, 12.0, 0.5)
     spectrum = directional_spectrum(las8, cfg, e_grid, direction=1)
-    amps = [abs(tunnelling_amplitude(e, 5.1, las8, cfg)) for e in e_grid]
+    amps = [abs(tunnelling_amplitude(e, las8, cfg)) for e in e_grid]
     np.testing.assert_allclose(spectrum, amps, rtol=1e-9)
 
 
@@ -273,11 +274,11 @@ def test_amplitude_names_lost_dominant_crest(cfg, las8):
     # backward at 0.5 eV the strongest crest has no physical root
     with pytest.raises(SaddleConvergenceError,
                        match=r"dominant crest -?\d+\.\d{3} fs for E = 0.5 eV"):
-        tunnelling_amplitude(0.5, 5.1, las8, cfg, direction=-1)
+        tunnelling_amplitude(0.5, las8, cfg, direction=-1)
 
 
 def test_trajectory_exit_and_closure(cfg, las8):
-    sol = solve_saddle(4.4, 5.1, las8, cfg)
+    sol = solve_saddle(4.4, las8, cfg)
     tr = trajectory(sol)
     assert tr.exit_position == pytest.approx(0.35, abs=0.05)
     assert tr.positions[-1] == pytest.approx(cfg.width_d, abs=1e-3)
@@ -288,7 +289,7 @@ def test_trajectory_exit_and_closure(cfg, las8):
 def test_trajectory_zero_energy_arrives_latest(cfg, las8):
     arrivals = {}
     for e in (0.0, 4.4, 6.7):
-        sol = solve_saddle(e, 5.1, las8, cfg)
+        sol = solve_saddle(e, las8, cfg)
         arrivals[e] = trajectory(sol).times[-1]
     assert arrivals[0.0] > arrivals[4.4] > arrivals[6.7]
 
@@ -318,7 +319,7 @@ def test_delay_scan_sf_period_and_eta0(cfg, las8):
     assert abs(net0) < 0.02 * abs(net2)
 
 
-def _one_by_one_amplitudes(laser, cfg, E0, energies):
+def _one_by_one_amplitudes(laser, cfg, energies):
     """The crest x energy loop with one public solve_saddle per crest and
     energy: continuation in E, a fresh heuristic seed after a failure,
     split sub-crest dedup and the anti-Stokes drop."""
@@ -330,7 +331,7 @@ def _one_by_one_amplitudes(laser, cfg, E0, energies):
         seed = None
         for k, e in enumerate(energies):
             try:
-                sol = solve_saddle(e, E0, laser, cfg, seed, crest_time=float(tc))
+                sol = solve_saddle(e, laser, cfg, seed, crest_time=float(tc))
             except SaddleConvergenceError:
                 lost[c, k] = True
                 seed = None
@@ -339,7 +340,7 @@ def _one_by_one_amplitudes(laser, cfg, E0, energies):
             if any(abs(sol.t1 - t) < 1e-6 for t in seen[k]):
                 continue
             seen[k].append(sol.t1)
-            s = action(sol.t1, sol.t2, e, E0, laser, cfg)
+            s = action(sol.t1, sol.t2, e, laser, cfg)
             if s.imag < 0:
                 continue
             pref = np.sqrt(1j / (8.0 * np.pi * EMASS * HBAR_EVFS**3
@@ -352,16 +353,15 @@ def test_batched_crest_amplitudes_match_one_by_one_solves(anchor):
     # both directions at three delays in one batch: lost pairs, retries and
     # restarts in some rows must not leak into the others
     cfg, laser = anchor
-    e0 = cfg.workfunction_tip
     lasers = [_directed(replace(laser, base_delay_tau0=tau), direction)
               for direction in (1, -1) for tau in (0.25, 1.79, 2.94)]
-    batched = _crest_amplitudes(lasers, cfg, e0, DEFAULT_ENERGIES)
+    batched = _crest_amplitudes(lasers, cfg, DEFAULT_ENERGIES)
     assert len(batched) == len(lasers)
     lost_pairs = [int(lost.sum()) for _, _, lost in batched]
     assert sum(lost_pairs[:3]) > 0 and sum(lost_pairs[3:]) > 0
     for las, (crests, amp, lost) in zip(lasers, batched):
         ref_crests, ref_amp, ref_lost = _one_by_one_amplitudes(
-            las, cfg, e0, DEFAULT_ENERGIES)
+            las, cfg, DEFAULT_ENERGIES)
         np.testing.assert_array_equal(crests, ref_crests)
         np.testing.assert_array_equal(lost, ref_lost)
         assert np.max(np.abs(amp - ref_amp)) <= 1e-12 * np.max(np.abs(ref_amp))
@@ -379,7 +379,7 @@ def test_lost_pairs_pinned_at_benchmark_delays(anchor):
                   for tau in delays]
         dominant = total = 0
         for las, (crests, _, lost) in zip(lasers, _crest_amplitudes(
-                lasers, cfg, cfg.workfunction_tip, DEFAULT_ENERGIES)):
+                lasers, cfg, DEFAULT_ENERGIES)):
             field = np.abs(electric_field(las, crests))
             dominant += int(lost[field >= 0.8 * field.max()].sum())
             total += int(lost.sum())
@@ -407,26 +407,26 @@ def test_directional_weight_refuses_a_bad_energy_grid(cfg, las8, energies):
         directional_weight(las8, cfg, energies=energies)
 
 
-def _solve_saddle_chain(energies, e0, laser, cfg):
+def _solve_saddle_chain(energies, laser, cfg):
     """sinh(omega Im t1) along a chain of public solve_saddle calls at the
     dominant crest, each root seeding the next energy."""
     crest = field_crest_time(laser)
     out, seed = [], None
     for e in energies:
-        sol = solve_saddle(e, e0, laser, cfg, seed, crest_time=crest)
+        sol = solve_saddle(e, laser, cfg, seed, crest_time=crest)
         out.append(np.sinh(laser.omega * sol.t1.imag))
         seed = (sol.t1, sol.t2)
     return np.array(out)
 
 
-def _fresh_seed_phases(energies, e0, laser, cfg):
+def _fresh_seed_phases(energies, laser, cfg):
     """sinh(omega Im t1) of one fresh-seed solve_saddle per energy at the
     dominant crest; NaN where that solve fails."""
     crest = field_crest_time(laser)
     out = np.full(len(energies), np.nan)
     for i, e in enumerate(energies):
         try:
-            sol = solve_saddle(e, e0, laser, cfg, crest_time=crest)
+            sol = solve_saddle(e, laser, cfg, crest_time=crest)
         except SaddleConvergenceError:
             continue
         out[i] = np.sinh(laser.omega * sol.t1.imag)
@@ -437,17 +437,17 @@ def test_emission_phase_curve_is_a_chain_of_solve_saddle_calls():
     data = load_config("figSK")
     cfg, laser = build_junction(data), build_laser(data)
     energies = np.linspace(0.5, 14.0, 55)
-    e0 = cfg.workfunction_tip
     # each row is its own fresh-seed solve_saddle, bit for bit
     np.testing.assert_array_equal(
         emission_phase_curve(energies, laser, cfg),
-        _fresh_seed_phases(energies, e0, laser, cfg))
-    # at a 9 eV binding the chain down in energy breaks at 2.5 eV: the curve
-    # raises there with the chain's own message
+        _fresh_seed_phases(energies, laser, cfg))
+    # at a 9 eV tip workfunction the chain down in energy breaks at 2.5 eV:
+    # the curve raises there with the chain's own message
+    deep = replace(cfg, workfunction_tip=9.0)
     with pytest.raises(SaddleConvergenceError) as chain:
-        _solve_saddle_chain(energies[::-1], 9.0, laser, cfg)
+        _solve_saddle_chain(energies[::-1], laser, deep)
     with pytest.raises(SaddleConvergenceError) as curve:
-        emission_phase_curve(energies[::-1], laser, cfg, binding=9.0)
+        emission_phase_curve(energies[::-1], laser, deep)
     assert "unphysical arrival branch" in str(chain.value)
     assert str(curve.value) == str(chain.value)
 
@@ -539,7 +539,7 @@ def test_emission_phase_rows_equal_single_solves(recipe):
     cfg, laser = build_junction(data), build_laser(data)
     energies = np.linspace(1.0, 33.0, 129)
     curve = emission_phase_curve(energies, laser, cfg)
-    single = _fresh_seed_phases(energies, cfg.workfunction_tip, laser, cfg)
+    single = _fresh_seed_phases(energies, laser, cfg)
     fresh = np.isfinite(single)
     assert np.all(np.isfinite(curve))
     assert np.sum(~fresh) == (2 if recipe == "figSK" else 0)
@@ -559,11 +559,12 @@ def test_directional_weight_of_eight_lasers_equals_each_alone(anchor):
 
 
 def test_emission_phase_curve_ends_when_no_row_has_a_seed():
-    # at a 9 eV binding the crest seed fails at 0.5-2.5 eV; ascending, no
-    # earlier row has a root to continue from, so the curve raises the
-    # crest-seed failure of the first energy instead of looping
+    # at a 9 eV tip workfunction the crest seed fails at 0.5-2.5 eV;
+    # ascending, no earlier row has a root to continue from, so the curve
+    # raises the crest-seed failure of the first energy instead of looping
     data = load_config("figSK")
-    cfg, laser = build_junction(data), build_laser(data)
+    cfg = replace(build_junction(data), workfunction_tip=9.0)
+    laser = build_laser(data)
     energies = np.linspace(0.5, 14.0, 55)
 
     def hung(signum, frame):
@@ -573,13 +574,13 @@ def test_emission_phase_curve_ends_when_no_row_has_a_seed():
     signal.alarm(60)
     try:
         with pytest.raises(SaddleConvergenceError) as curve:
-            emission_phase_curve(energies, laser, cfg, binding=9.0)
+            emission_phase_curve(energies, laser, cfg)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     for e in energies[energies <= 2.5]:
         with pytest.raises(SaddleConvergenceError) as single:
-            solve_saddle(e, 9.0, laser, cfg)
+            solve_saddle(e, laser, cfg)
         if e == energies[0]:
             assert str(curve.value) == str(single.value)
 
@@ -608,11 +609,11 @@ CLOSED_FORM_SEGMENTS = [
 
 @pytest.mark.parametrize("laser", [
     LaserConfig(field_F1=8.0),
-    LaserConfig(field_F1=10.0, base_delay_tau0=1.3, phase_phi=0.7),
+    LaserConfig(field_F1=10.0, base_delay_tau0=1.64),
     LaserConfig(field_F1=8.0, base_delay_tau0=-2.1).flipped(),
     LaserConfig(field_F1=8.0, ratio_eta=0.0, duration_tau1=12.0),
     LaserConfig(field_F1=8.0, duration_tau1=6.0, duration_tau2=4.0,
-                base_delay_tau0=0.3, phase_phi=0.7),
+                base_delay_tau0=0.64),
 ], ids=["anchor", "delayed", "flipped", "fundamental", "short"])
 def test_closed_form_segment_integral_matches_quadrature(laser):
     p = _pulse(laser)
@@ -629,7 +630,7 @@ def test_closed_form_segment_integral_matches_quadrature(laser):
 
 def test_closed_form_segment_integral_of_a_batch_of_mixed_lasers():
     lasers = [LaserConfig(field_F1=8.0),
-              LaserConfig(field_F1=10.0, base_delay_tau0=1.3, phase_phi=0.7),
+              LaserConfig(field_F1=10.0, base_delay_tau0=1.64),
               LaserConfig(field_F1=8.0, base_delay_tau0=-2.1).flipped(),
               LaserConfig(field_F1=8.0, ratio_eta=0.0, duration_tau1=12.0)]
     t1, t2 = np.array(CLOSED_FORM_SEGMENTS[:len(lasers)]).T
