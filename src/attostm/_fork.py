@@ -1,9 +1,10 @@
 """Two calls of one function at the same time, the second in a forked child.
 
-Both net-current pairs run through run_pair: the TDSE runs under a
-waveform and under its negation (experiments._wall_charges), and the
-forward and backward strong-field weights (strongfield.delay_scan_sf).
-The child is made by POSIX fork, so these need a platform with os.fork.
+Both net-current pairs run through run_pair, each a call under a
+waveform and under its negation (LaserConfig.flipped): the TDSE runs
+(experiments._wall_charges) and the strong-field weights
+(experiments.delay_scan_strongfield). The child is made by POSIX fork, so
+these need a platform with os.fork.
 """
 
 import ctypes

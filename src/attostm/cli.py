@@ -85,8 +85,8 @@ _SCHEMA = {
     },
     "scan": {
         "kind": str, "start": float, "stop": float, "count": int,
-        "spacing": str, "n_delays": int, "enhancement_fund": float,
-        "parameter": str, "energies_eV": [float],
+        "spacing": str, **{key: want for spec in SCAN_KINDS.values()
+                           for key, (_, want) in spec.options.items()},
     },
     "saddle": {
         "energy_start_eV": float, "energy_stop_eV": float, "energy_count": int,
@@ -301,7 +301,8 @@ def cmd_scan(data, out_dir, args, configs, snapshot) -> int:
     if "energies_eV" in scan and len(scan["energies_eV"]) < 2:
         raise ConfigError("scan.energies_eV needs at least two energies")
     # options left out keep the scan function's defaults
-    options = {keyword: scan[key] for key, keyword in taken.items() if key in scan}
+    options = {keyword: scan[key] for key, (keyword, _) in taken.items()
+               if key in scan}
     started = time.perf_counter()
     result = experiments.run_scan(kind, cfg, laser, grid, values,
                                   absorber=absorber, **options)
@@ -337,15 +338,22 @@ def cmd_saddle(data, out_dir, args, configs, snapshot) -> int:
                 raise ConfigError(f"saddle.{key} ({e}) must exceed minus the "
                                   f"junction's mean image potential, "
                                   f"{-vbar:.4f} eV")
+    # trajectory CSV name -> energy: two energies must not share a file
+    files = {}
+    for e in trajectory_energies:
+        name = f"trajectory_E{e:.2f}eV.csv"
+        if name in files:
+            raise ConfigError(f"saddle.trajectory_energies_eV: {files[name]} "
+                              f"and {e} both write {name}")
+        files[name] = e
     energies = np.linspace(start, stop, count)
     phases = strongfield.emission_phase_curve(energies, laser, cfg)
     cutoff = strongfield.cutoff_energy(laser, cfg)
     trajectories = {}
     solutions = []
-    for e in trajectory_energies:
+    for name, e in files.items():
         sol = strongfield.solve_saddle(float(e), laser, cfg)
-        tr = strongfield.trajectory(sol)
-        trajectories[float(e)] = tr
+        trajectories[name] = strongfield.trajectory(sol)
         r1, r2, r3 = sol.residuals()
         solutions.append({
             "final_energy_eV": float(e),
@@ -362,10 +370,9 @@ def cmd_saddle(data, out_dir, args, configs, snapshot) -> int:
                "gamma_modified": np.full(energies.size, gamma_mod),
                "gamma_standard_eta0": np.full(energies.size, gamma_std)},
               {"code_version": __version__})
-    for e, tr in trajectories.items():
-        write_csv(out_dir / f"trajectory_E{e:.2f}eV.csv",
-                  {"time_fs": tr.times, "z_nm": tr.positions},
-                  {"final_energy_eV": repr(e)})
+    for name, tr in trajectories.items():
+        write_csv(out_dir / name, {"time_fs": tr.times, "z_nm": tr.positions},
+                  {"final_energy_eV": repr(tr.final_energy_E)})
     write_json(out_dir / "saddle.json", {
         "config": snapshot,
         "binding_eV": binding, "mean_image_eV": vbar,

@@ -1,13 +1,13 @@
 """Parameter sweeps over the solver and strong-field model.
 
 Every sweep point owns its propagations; points run one after another in
-parameter order, and results are returned in that order. Within a point,
-the two runs of a net-current pair (the waveform and its negation) step
-at the same time in two processes: the negation runs in a child forked by
-_fork.run_pair, so this module needs a platform with os.fork. The
-strong-field delay scan forks the same way, once per scan
-(strongfield.delay_scan_sf). ScanResult metadata snapshots all inputs for
-exact re-runs.
+parameter order, and results are returned in that order. A net current
+pairs a waveform with its negation (LaserConfig.flipped), which by parity
+carries the sample -> tip transport. The two halves of a pair run at the
+same time, the negation in a child forked by _fork.run_pair, so this
+module needs a platform with os.fork: once per point in the TDSE scans
+(_wall_charges), once per scan in delay_scan_strongfield. ScanResult
+metadata snapshots all inputs for exact re-runs.
 """
 
 from dataclasses import dataclass, replace
@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._fork import run_pair
+from ._fork import LostRunError, run_pair
 from .config import JunctionConfig, LaserConfig
 from .grid import AbsorberSpec, GridSpec
 from .kernels import SolverError
@@ -324,15 +324,31 @@ def robustness_sweep(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
 
 def delay_scan_strongfield(cfg: JunctionConfig, laser: LaserConfig,
                            tau0_values, *, energies=None) -> ScanResult:
-    """Strong-field model delay scan wrapped as a ScanResult; `energies`
-    is the final-energy grid (eV) of each directional weight, by default
-    strongfield.DEFAULT_ENERGIES."""
+    """Net directional weight of the strong-field model versus two-colour
+    delay: strongfield.directional_weight under each pulse (tip -> sample)
+    minus under its negation (sample -> tip), over the final energies
+    `energies` (eV, by default strongfield.DEFAULT_ENERGIES), normalised
+    by its peak magnitude (the prefactor eta = 1 leaves absolute
+    magnitudes undefined). The negated batch runs in a child forked by
+    _fork.run_pair; a child that dies without a result raises LostRunError.
+    """
     tau0_values = np.asarray(tau0_values, dtype=float)
     energies = strongfield.DEFAULT_ENERGIES if energies is None \
         else np.asarray(energies, dtype=float)
-    out = strongfield.delay_scan_sf(laser, cfg, tau0_values, energies=energies)
+    lasers = [replace(laser, base_delay_tau0=float(tau0))
+              for tau0 in tau0_values]
+
+    def weights(batch):
+        # through the module, so that a wrapped directional_weight is called
+        return strongfield.directional_weight(batch, cfg, energies)
+
+    forward, backward = run_pair(
+        weights, lasers, [las.flipped() for las in lasers],
+        theirs_name="the backward (sample -> tip) run", lost=LostRunError)
+    net = forward - backward
+    peak = np.max(np.abs(net))
     return ScanResult("tau0", "fs", tau0_values, "net_directional_weight",
-                      "normalized", out,
+                      "normalized", net / peak if peak > 0 else net,
                       config_snapshot(cfg, laser, kind="delay_sf",
                                       tau0_values=tau0_values.tolist(),
                                       energies_eV=energies.tolist()))
@@ -342,7 +358,7 @@ class ScanKind(NamedTuple):
     """How `attostm scan` and rerun_from_metadata call one scan kind."""
     function: str    # name in this module, looked up at call time
     swept: str       # keyword of the swept values, also their metadata key
-    # scan-section key, also the metadata key that records it -> keyword
+    # scan-section key, also its metadata key -> (keyword, YAML type)
     options: dict
     tdse: bool = True  # takes a grid and an absorber
 
@@ -350,14 +366,15 @@ class ScanKind(NamedTuple):
 SCAN_KINDS = {
     "delay": ScanKind("delay_scan_tdse", "tau0_values", {}),
     "power": ScanKind("power_scan", "field_values",
-                      {"enhancement_fund": "enhancement",
-                       "n_delays": "n_delays"}),
-    "width": ScanKind("width_scan", "d_values", {"n_delays": "n_delays"}),
+                      {"enhancement_fund": ("enhancement", float),
+                       "n_delays": ("n_delays", int)}),
+    "width": ScanKind("width_scan", "d_values",
+                      {"n_delays": ("n_delays", int)}),
     "ratio": ScanKind("directionality", "ratio_values", {}),
     "robustness": ScanKind("robustness_sweep", "values",
-                           {"parameter": "parameter"}),
+                           {"parameter": ("parameter", str)}),
     "delay_sf": ScanKind("delay_scan_strongfield", "tau0_values",
-                         {"energies_eV": "energies"}, tdse=False),
+                         {"energies_eV": ("energies", [float])}, tdse=False),
 }
 
 
@@ -380,6 +397,6 @@ def rerun_from_metadata(scan: ScanResult) -> ScanResult:
     if spec is None:
         raise ValueError(f"unknown scan kind {md['kind']!r}")
     cfg, laser, grid, absorber = configs_from_snapshot(md)
-    options = {keyword: md[key] for key, keyword in spec.options.items()}
+    options = {keyword: md[key] for key, (keyword, _) in spec.options.items()}
     return run_scan(md["kind"], cfg, laser, grid, md[spec.swept],
                     absorber=absorber, **options)

@@ -8,7 +8,7 @@ metadata suffices to re-run the scan bit-identically.
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +65,16 @@ def config_snapshot(cfg=None, laser=None, grid=None, absorber=None,
 
 def configs_from_snapshot(snap: dict):
     """(junction, laser, grid, absorber) of a config_snapshot, None for
-    each part it does not hold."""
+    each part it does not hold; a key its class no longer has (an older
+    snapshot) raises ValueError naming it and the snapshot's version."""
+    for key, cls in _SNAPSHOT_PARTS.items():
+        known = {f.name for f in fields(cls)}
+        stale = sorted(set(snap.get(key) or ()) - known)
+        if stale:
+            raise ValueError(
+                f"snapshot key {key}.{stale[0]} is not a {cls.__name__} field "
+                f"in attostm {__version__}; the snapshot was written by "
+                f"code_version {snap.get('code_version')!r}")
     return tuple(cls(**snap[key]) if snap.get(key) else None
                  for key, cls in _SNAPSHOT_PARTS.items())
 
@@ -187,6 +196,7 @@ def state_to_json(state, path) -> None:
     """Binary-free wavefunction snapshot: grid metadata plus re/im pairs."""
     payload = {
         "grid": config_snapshot(grid=state.grid)["grid"],
+        "code_version": __version__,
         "time_fs": state.time,
         "energy_eV": state.energy,
         "psi": np.stack([state.psi.real, state.psi.imag], axis=1),

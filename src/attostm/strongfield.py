@@ -12,11 +12,10 @@ Natural units here: eV, nm, fs, with hbar = 0.658 eV fs.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._fork import LostRunError, run_pair
 from .config import JunctionConfig, LaserConfig
 from .laser import (_Pulse, _field, _potential, _potential_integral, _pulse,
                     _pulses, effective_keldysh, electric_field,
@@ -27,7 +26,8 @@ from .units import EMASS, HBAR_EVFS
 # nodes of action's Gauss-Legendre rule for p~ and int A^2
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
 
-# final-energy grid (eV) of directional_weight when none is given
+# final-energy grid (eV) of experiments.delay_scan_strongfield when none
+# is given
 DEFAULT_ENERGIES = np.arange(0.3, 14.0, 0.35)
 DEFAULT_ENERGIES.flags.writeable = False
 
@@ -409,14 +409,6 @@ def drift_energy_bound(laser: LaserConfig) -> float:
     return float(amax**2 / (2.0 * EMASS))
 
 
-def _directed(laser: LaserConfig, direction: int) -> LaserConfig:
-    """The pulse whose tip -> sample transport is transport in `direction`:
-    sample -> tip (-1) is the mirrored, field-negated problem."""
-    if direction not in (1, -1):
-        raise ValueError(f"direction must be +1 or -1, got {direction!r}")
-    return laser if direction == 1 else laser.flipped()
-
-
 def _crest_amplitudes(lasers, cfg: JunctionConfig, energies):
     """Saddle-point amplitude of every crest at every final energy, for
     each laser of a sequence.
@@ -460,12 +452,11 @@ def _crest_amplitudes(lasers, cfg: JunctionConfig, energies):
             for c, i, j in zip(crests, bounds[:-1], bounds[1:])]
 
 
-def tunnelling_amplitude(E: float, laser: LaserConfig, cfg: JunctionConfig, *,
-                         direction: int = 1) -> complex:
-    """Saddle-point tunnelling amplitude M_E summed coherently over crests.
-
-    direction = -1 evaluates sample -> tip transport via the mirrored
-    (field-negated) problem. Each crest is solved from its heuristic seed.
+def tunnelling_amplitude(E: float, laser: LaserConfig,
+                         cfg: JunctionConfig) -> complex:
+    """Saddle-point tunnelling amplitude M_E of tip -> sample transport,
+    summed coherently over crests; sample -> tip is the same call on
+    laser.flipped(). Each crest is solved from its heuristic seed.
     Wing crests can lose their physical branch entirely (acausal /
     anti-Stokes partners only) and are exponentially negligible there; a
     lost crest with |E| >= 0.8 of the strongest crest's field raises
@@ -473,14 +464,14 @@ def tunnelling_amplitude(E: float, laser: LaserConfig, cfg: JunctionConfig, *,
 
     The spectrum functions continue each crest's root in energy instead, so
     where a crest carries more than one root the two paths can pick
-    different ones. Forward on LaserConfig(field_F1=8) they agree to 1e-11
-    over 0.5-11.5 eV; backward, directional_spectrum differs from this
-    amplitude by up to 2.8 % (at 2.0 eV), and at 0.5 and 1.0 eV this
+    different ones. On LaserConfig(field_F1=8) they agree to 1e-11 over
+    0.5-11.5 eV; on its flipped() pulse, directional_spectrum differs from
+    this amplitude by up to 2.8 % (at 2.0 eV), and at 0.5 and 1.0 eV this
     function raises where the spectrum drops the crest.
     """
-    las = _directed(laser, direction)
-    [(crests, amp, lost)] = _crest_amplitudes([las], cfg, np.array([float(E)]))
-    e_crests = np.abs(electric_field(las, crests))
+    [(crests, amp, lost)] = _crest_amplitudes([laser], cfg,
+                                              np.array([float(E)]))
+    e_crests = np.abs(electric_field(laser, crests))
     dominant = lost[:, 0] & (e_crests >= 0.8 * np.max(e_crests, initial=0.0))
     if np.any(dominant):
         raise SaddleConvergenceError(
@@ -534,24 +525,23 @@ def trajectory(sol: SaddleSolution) -> Trajectory:
     return Trajectory(t_real, positions, sol.final_energy_E)
 
 
-def directional_spectrum(laser: LaserConfig, cfg: JunctionConfig, energies, *,
-                         direction: int = 1) -> np.ndarray:
-    """|M_E| over an energy grid: the coherent crest sum, with each crest's
-    root continued in E (see tunnelling_amplitude)."""
+def directional_spectrum(laser: LaserConfig, cfg: JunctionConfig,
+                         energies) -> np.ndarray:
+    """|M_E| of tip -> sample transport over an energy grid: the coherent
+    crest sum, with each crest's root continued in E (see
+    tunnelling_amplitude); sample -> tip is the same call on
+    laser.flipped()."""
     energies = np.asarray(energies, dtype=float)
-    [(_, amp, _)] = _crest_amplitudes([_directed(laser, direction)], cfg,
-                                      energies)
+    [(_, amp, _)] = _crest_amplitudes([laser], cfg, energies)
     return np.abs(amp.sum(axis=0))
 
 
-def directional_weight(laser: LaserConfig | Sequence[LaserConfig],
-                       cfg: JunctionConfig, *, direction: int = 1,
-                       energies=None):
-    """Energy-integrated transport weight int |M_E|^2 dE for one direction.
-
-    laser is one LaserConfig (returns a float) or a sequence of them
-    (returns an array with one weight each); all lasers of a sequence are
-    solved together, one batch per energy step.
+def directional_weight(lasers: Sequence[LaserConfig], cfg: JunctionConfig,
+                       energies) -> np.ndarray:
+    """Energy-integrated tip -> sample transport weight int |M_E|^2 dE of
+    each laser; sample -> tip is the same call on the flipped lasers
+    (LaserConfig.flipped). All lasers are solved together, one batch per
+    energy step.
 
     Evaluated as the incoherent sum of single-crest spectral integrals:
     over a window spanning many photon orders the inter-crest comb terms
@@ -568,42 +558,11 @@ def directional_weight(laser: LaserConfig | Sequence[LaserConfig],
     energies must be 1-D, at least two and strictly increasing, or the
     integral would be zero or negative; anything else raises ValueError.
     """
-    energies = DEFAULT_ENERGIES if energies is None \
-        else np.asarray(energies, dtype=float)
+    energies = np.asarray(energies, dtype=float)
     if energies.ndim != 1 or energies.size < 2 \
             or not np.all(np.diff(energies) > 0):
         raise ValueError("energies must be a 1-D grid of at least two "
                          f"strictly increasing values, got {energies.tolist()}")
-    single = isinstance(laser, LaserConfig)
-    lasers = [laser] if single else list(laser)
-    rows = _crest_amplitudes([_directed(las, direction) for las in lasers],
-                             cfg, energies)
-    weights = np.array([np.trapezoid(np.sum(np.abs(amp) ** 2, axis=0), energies)
-                        for _, amp, _ in rows])
-    return float(weights[0]) if single else weights
-
-
-def delay_scan_sf(laser: LaserConfig, cfg: JunctionConfig, tau0_values, *,
-                  energies=None):
-    """Net directional spectral weight versus two-colour delay.
-
-    For each tau0, integrates |M_E|^2 over final energies for tip->sample
-    and sample->tip transport and returns the normalized difference. One
-    directional_weight call per direction covers every delay; the two run
-    at the same time, the backward one in a child forked by
-    _fork.run_pair (POSIX only). Its exception and warnings reach the
-    caller, and a child that dies without a result raises
-    _fork.LostRunError. The output is amplitude-normalized (prefactor
-    eta = 1 leaves absolute magnitudes undefined)."""
-    lasers = [replace(laser, base_delay_tau0=float(tau0)) for tau0 in tau0_values]
-
-    def weights(direction):
-        return directional_weight(lasers, cfg, direction=direction,
-                                  energies=energies)
-
-    forward, backward = run_pair(weights, 1, -1,
-                                 theirs_name="the backward (sample -> tip) run",
-                                 lost=LostRunError)
-    out = forward - backward
-    peak = np.max(np.abs(out))
-    return out / peak if peak > 0 else out
+    rows = _crest_amplitudes(lasers, cfg, energies)
+    return np.array([np.trapezoid(np.sum(np.abs(amp) ** 2, axis=0), energies)
+                     for _, amp, _ in rows])

@@ -538,6 +538,29 @@ def test_saddle_refuses_zero_field_before_solving(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("energies, name", [
+    ([4.401, 4.404], "trajectory_E4.40eV.csv"),
+    ([0.0, 4.4, 4.4], "trajectory_E4.40eV.csv"),
+], ids=["same_name", "duplicate"])
+def test_saddle_refuses_trajectory_energies_sharing_a_file(
+        tmp_path, capsys, monkeypatch, energies, name):
+    # each trajectory is written to its own CSV; energies that round to
+    # one file name would overwrite each other
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a saddle solve started")
+
+    monkeypatch.setattr(strongfield, "_solve_saddles", no_solve)
+    path = write_config(tmp_path, {"saddle": {
+        "trajectory_energies_eV": energies}})
+    out = tmp_path / "sk"
+    code = run_cli("saddle", "--config", path, "--out", str(out))
+    assert code == EXIT_CONFIG
+    first, second = energies[-2:]
+    assert (f"saddle.trajectory_energies_eV: {first} and {second} both write "
+            f"{name}") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scan_names_the_invalid_sweep_point(tmp_path, capsys, monkeypatch):
     def no_propagation(*args, **kwargs):
         raise AssertionError("a propagation started")

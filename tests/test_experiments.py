@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from attostm.results import (ScanResult, config_hash, read_csv, save_scan,
                              state_from_json, state_to_json, write_csv,
                              write_json)
 from attostm.kernels import SolverError
-from attostm.solver import (CurrentRecord, ReflectionRiskWarning,
+from attostm.solver import (CurrentRecord, ReflectionRiskWarning, WaveState,
                             initial_state, propagate, transferred_charge)
 
 
@@ -234,6 +235,25 @@ def test_delay_scan_strongfield_rerun_keeps_energy_grid(sf_scan):
     again = rerun_from_metadata(sf_scan)
     assert np.array_equal(sf_scan.results, again.results)
     assert config_hash(sf_scan.metadata) == config_hash(again.metadata)
+
+
+def test_stale_snapshot_names_its_key_and_code_version(tmp_path, sf_scan):
+    # a snapshot written by code whose LaserConfig still had phase_phi
+    md = dict(sf_scan.metadata, code_version="0.0.9",
+              laser=dict(sf_scan.metadata["laser"], phase_phi=0.5))
+    stale = ScanResult("x", "u", [0.0], "y", "v", [0.0], md)
+    with pytest.raises(ValueError, match=r"laser\.phase_phi .*'0\.0\.9'"):
+        rerun_from_metadata(stale)
+    # a state file records the version that wrote it
+    grid = tiny_grid()
+    path = tmp_path / "state.json"
+    state_to_json(WaveState(grid, np.zeros(grid.n_points), 0.0), path)
+    payload = json.loads(path.read_text())
+    payload["grid"]["edge_nm"] = 1.0
+    path.write_text(json.dumps(payload))
+    version = re.escape(repr(attostm.__version__))
+    with pytest.raises(ValueError, match=rf"grid\.edge_nm .*{version}"):
+        state_from_json(path)
 
 
 @pytest.mark.parametrize("scan, values, message", [

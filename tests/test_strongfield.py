@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from attostm import strongfield
+from attostm import experiments, strongfield
 from attostm._fork import LostRunError
 from attostm.cli import (EXIT_COMPUTE, build_junction, build_laser,
                          load_config, main)
@@ -20,8 +20,7 @@ from attostm.laser import (_potential_integral, _pulse, _pulses,
                            find_field_crests, vector_potential)
 from attostm.potential import mean_image_magnitude
 from attostm.strongfield import (DEFAULT_ENERGIES, SaddleConvergenceError,
-                                 _crest_amplitudes, _directed, action,
-                                 cutoff_energy, delay_scan_sf,
+                                 _crest_amplitudes, action, cutoff_energy,
                                  directional_spectrum, directional_weight,
                                  drift_energy_bound,
                                  emission_phase_curve, solve_saddle,
@@ -222,33 +221,19 @@ def test_amplitude_zero_field_and_cutoff_decay(cfg, las8):
 
 
 def test_direction_parity(cfg, las8):
-    # sample->tip amplitudes equal tip->sample of the negated waveform
-    for e in (2.0, 5.0):
-        fwd = tunnelling_amplitude(e, las8.flipped(), cfg, direction=1)
-        bwd = tunnelling_amplitude(e, las8, cfg, direction=-1)
-        assert abs(fwd - bwd) <= 1e-8 * abs(fwd)
     # the two-colour waveform is genuinely directional once integrated over
-    # the spectrum (single energies sit on multi-crest interference combs)
+    # the spectrum (single energies sit on multi-crest interference combs);
+    # sample->tip is tip->sample of the negated waveform
     e_grid = np.arange(0.5, 12.0, 0.5)
-    fwd = np.trapezoid(
-        directional_spectrum(las8, cfg, e_grid, direction=1) ** 2, e_grid)
+    fwd = np.trapezoid(directional_spectrum(las8, cfg, e_grid) ** 2, e_grid)
     bwd = np.trapezoid(
-        directional_spectrum(las8, cfg, e_grid, direction=-1) ** 2, e_grid)
+        directional_spectrum(las8.flipped(), cfg, e_grid) ** 2, e_grid)
     assert fwd / bwd > 2.0
-
-
-def test_direction_must_be_plus_or_minus_one(cfg, las8):
-    with pytest.raises(ValueError, match="direction"):
-        directional_weight(las8, cfg, direction=0)
-    with pytest.raises(ValueError, match="direction"):
-        directional_spectrum(las8, cfg, [1.0, 2.0], direction=2)
-    with pytest.raises(ValueError, match="direction"):
-        tunnelling_amplitude(2.0, las8, cfg, direction=0)
 
 
 @pytest.mark.parametrize("call", [
     lambda las, cfg: solve_saddle(-3.0, las, cfg),
-    lambda las, cfg: directional_weight(las, cfg, energies=[-3.0, -2.0]),
+    lambda las, cfg: directional_weight([las], cfg, [-3.0, -2.0]),
     lambda las, cfg: directional_spectrum(las, cfg, [-3.0, 1.0]),
 ], ids=["solve_saddle", "directional_weight", "directional_spectrum"])
 def test_final_energy_below_minus_vbar_is_refused(cfg, las8, call):
@@ -265,7 +250,7 @@ def test_forward_spectrum_is_amplitude_modulus(cfg, las8):
     # the continued-root spectrum and the per-energy amplitude are the same
     # crest sum forward, where each crest carries one physical root
     e_grid = np.arange(0.5, 12.0, 0.5)
-    spectrum = directional_spectrum(las8, cfg, e_grid, direction=1)
+    spectrum = directional_spectrum(las8, cfg, e_grid)
     amps = [abs(tunnelling_amplitude(e, las8, cfg)) for e in e_grid]
     np.testing.assert_allclose(spectrum, amps, rtol=1e-9)
 
@@ -274,7 +259,7 @@ def test_amplitude_names_lost_dominant_crest(cfg, las8):
     # backward at 0.5 eV the strongest crest has no physical root
     with pytest.raises(SaddleConvergenceError,
                        match=r"dominant crest -?\d+\.\d{3} fs for E = 0.5 eV"):
-        tunnelling_amplitude(0.5, las8, cfg, direction=-1)
+        tunnelling_amplitude(0.5, las8.flipped(), cfg)
 
 
 def test_trajectory_exit_and_closure(cfg, las8):
@@ -296,26 +281,27 @@ def test_trajectory_zero_energy_arrives_latest(cfg, las8):
 
 def test_delay_scan_sf_period_and_eta0(cfg, las8):
     taus = np.linspace(-3.0855, 3.0855, 17)
-    scan = delay_scan_sf(las8, cfg, taus, energies=np.arange(0.5, 12.0, 1.0))
+    scan = experiments.delay_scan_strongfield(
+        cfg, las8, taus, energies=np.arange(0.5, 12.0, 1.0)).results
     assert np.max(np.abs(scan)) == pytest.approx(1.0)
     # dominant period from the zero-padded spectrum
     padded = np.fft.rfft(scan - scan.mean(), n=16 * taus.size)
     freqs = np.fft.rfftfreq(16 * taus.size, d=taus[1] - taus[0])
     period = 1.0 / freqs[np.argmax(np.abs(padded[1:])) + 1]
     assert period == pytest.approx(las8.sh_period, rel=0.03)
-    flat = delay_scan_sf(LaserConfig(field_F1=8.0, ratio_eta=0.0), cfg,
-                         np.linspace(0, 3.0, 5),
-                         energies=np.arange(0.5, 12.0, 1.0))
+    flat = experiments.delay_scan_strongfield(
+        cfg, LaserConfig(field_F1=8.0, ratio_eta=0.0), np.linspace(0, 3.0, 5),
+        energies=np.arange(0.5, 12.0, 1.0)).results
     # eta = 0 output is normalized noise around zero symmetry; compare raw
     # magnitudes instead: recompute without normalization via spectra
     e_grid = np.arange(0.5, 12.0, 1.0)
     las0 = LaserConfig(field_F1=8.0, ratio_eta=0.0)
     net0 = np.trapezoid(
-        directional_spectrum(las0, cfg, e_grid, direction=1) ** 2
-        - directional_spectrum(las0, cfg, e_grid, direction=-1) ** 2, e_grid)
+        directional_spectrum(las0, cfg, e_grid) ** 2
+        - directional_spectrum(las0.flipped(), cfg, e_grid) ** 2, e_grid)
     net2 = np.trapezoid(
-        directional_spectrum(las8, cfg, e_grid, direction=1) ** 2
-        - directional_spectrum(las8, cfg, e_grid, direction=-1) ** 2, e_grid)
+        directional_spectrum(las8, cfg, e_grid) ** 2
+        - directional_spectrum(las8.flipped(), cfg, e_grid) ** 2, e_grid)
     assert abs(net0) < 0.02 * abs(net2)
 
 
@@ -353,8 +339,10 @@ def test_batched_crest_amplitudes_match_one_by_one_solves(anchor):
     # both directions at three delays in one batch: lost pairs, retries and
     # restarts in some rows must not leak into the others
     cfg, laser = anchor
-    lasers = [_directed(replace(laser, base_delay_tau0=tau), direction)
-              for direction in (1, -1) for tau in (0.25, 1.79, 2.94)]
+    delayed = [replace(laser, base_delay_tau0=tau)
+               for tau in (0.25, 1.79, 2.94)]
+    lasers = [las if direction == 1 else las.flipped()
+              for direction in (1, -1) for las in delayed]
     batched = _crest_amplitudes(lasers, cfg, DEFAULT_ENERGIES)
     assert len(batched) == len(lasers)
     lost_pairs = [int(lost.sum()) for _, _, lost in batched]
@@ -375,8 +363,9 @@ def test_lost_pairs_pinned_at_benchmark_delays(anchor):
     delays = np.random.default_rng(0).uniform(0.0, step) + step * np.arange(8)
     counts = {}
     for direction in (1, -1):
-        lasers = [_directed(replace(laser, base_delay_tau0=float(tau)), direction)
-                  for tau in delays]
+        lasers = [las if direction == 1 else las.flipped()
+                  for las in (replace(laser, base_delay_tau0=float(tau))
+                              for tau in delays)]
         dominant = total = 0
         for las, (crests, _, lost) in zip(lasers, _crest_amplitudes(
                 lasers, cfg, DEFAULT_ENERGIES)):
@@ -390,11 +379,11 @@ def test_lost_pairs_pinned_at_benchmark_delays(anchor):
 def test_directional_weight_of_a_sequence(cfg, las8):
     energies = np.arange(0.5, 12.0, 1.0)
     lasers = (replace(las8, base_delay_tau0=0.0), replace(las8, base_delay_tau0=1.2))
-    weights = directional_weight(lasers, cfg, direction=-1, energies=energies)
+    flipped = [las.flipped() for las in lasers]
+    weights = directional_weight(flipped, cfg, energies)
     assert weights.shape == (2,)
-    for las, w in zip(lasers, weights):
-        single = directional_weight(las, cfg, direction=-1, energies=energies)
-        assert isinstance(single, float)
+    for las, w in zip(flipped, weights):
+        single = directional_weight([las], cfg, energies)[0]
         assert w == pytest.approx(single, rel=1e-12)
 
 
@@ -404,7 +393,7 @@ def test_directional_weight_of_a_sequence(cfg, las8):
 def test_directional_weight_refuses_a_bad_energy_grid(cfg, las8, energies):
     # one energy integrates to 0, a decreasing grid to a negative weight
     with pytest.raises(ValueError, match="strictly increasing"):
-        directional_weight(las8, cfg, energies=energies)
+        directional_weight([las8], cfg, energies)
 
 
 def _solve_saddle_chain(energies, laser, cfg):
@@ -462,10 +451,10 @@ def _backward_run_replaced(monkeypatch, backward_run):
     one to the real directional_weight."""
     real = strongfield.directional_weight
 
-    def routed(lasers, cfg, *, direction, energies):
-        if direction == -1:
+    def routed(lasers, cfg, energies):
+        if lasers[0].field_sign == -1:
             backward_run()
-        return real(lasers, cfg, direction=direction, energies=energies)
+        return real(lasers, cfg, energies)
 
     monkeypatch.setattr(strongfield, "directional_weight", routed)
 
@@ -476,10 +465,11 @@ PAIR_ENERGIES = np.arange(1.0, 10.0, 1.5)
 
 def test_delay_scan_sf_equals_two_sequential_weights(cfg, las8):
     lasers = [replace(las8, base_delay_tau0=float(t)) for t in PAIR_TAUS]
-    net = (directional_weight(lasers, cfg, direction=1, energies=PAIR_ENERGIES)
-           - directional_weight(lasers, cfg, direction=-1,
-                                energies=PAIR_ENERGIES))
-    scan = delay_scan_sf(las8, cfg, PAIR_TAUS, energies=PAIR_ENERGIES)
+    net = (directional_weight(lasers, cfg, PAIR_ENERGIES)
+           - directional_weight([las.flipped() for las in lasers], cfg,
+                                PAIR_ENERGIES))
+    scan = experiments.delay_scan_strongfield(
+        cfg, las8, PAIR_TAUS, energies=PAIR_ENERGIES).results
     assert np.array_equal(scan, net / np.max(np.abs(net)))
     _assert_no_child_left()
 
@@ -491,7 +481,8 @@ def test_delay_scan_sf_passes_on_a_failure_of_the_backward_run(
 
     _backward_run_replaced(monkeypatch, fail)
     with pytest.raises(SaddleConvergenceError, match="^no root at crest 3$"):
-        delay_scan_sf(las8, cfg, PAIR_TAUS, energies=PAIR_ENERGIES)
+        experiments.delay_scan_strongfield(cfg, las8, PAIR_TAUS,
+                                           energies=PAIR_ENERGIES)
     _assert_no_child_left()
 
 
@@ -502,7 +493,8 @@ def test_delay_scan_sf_names_a_killed_backward_run(tmp_path, monkeypatch,
     message = ("the backward (sample -> tip) run ended without a result: "
                "killed by signal 9")
     with pytest.raises(LostRunError, match="^" + re.escape(message)):
-        delay_scan_sf(las8, cfg, PAIR_TAUS, energies=PAIR_ENERGIES)
+        experiments.delay_scan_strongfield(cfg, las8, PAIR_TAUS,
+                                           energies=PAIR_ENERGIES)
     _assert_no_child_left()
     config = tmp_path / "scan.yaml"
     config.write_text(yaml.safe_dump({"scan": {
@@ -517,15 +509,16 @@ def test_delay_scan_sf_names_a_killed_backward_run(tmp_path, monkeypatch,
 
 def test_delay_scan_sf_kills_the_child_when_the_forward_run_fails(
         monkeypatch, cfg, las8):
-    def stalled_or_failing(lasers, cfg, *, direction, energies):
-        if direction == -1:
+    def stalled_or_failing(lasers, cfg, energies):
+        if lasers[0].field_sign == -1:
             time.sleep(60.0)
         raise SaddleConvergenceError("forward run failed")
 
     monkeypatch.setattr(strongfield, "directional_weight", stalled_or_failing)
     started = time.perf_counter()
     with pytest.raises(SaddleConvergenceError, match="forward run failed"):
-        delay_scan_sf(las8, cfg, PAIR_TAUS, energies=PAIR_ENERGIES)
+        experiments.delay_scan_strongfield(cfg, las8, PAIR_TAUS,
+                                           energies=PAIR_ENERGIES)
     assert time.perf_counter() - started < 30.0
     _assert_no_child_left()
 
@@ -551,11 +544,11 @@ def test_directional_weight_of_eight_lasers_equals_each_alone(anchor):
     step = laser.sh_period / 8
     lasers = [replace(laser, base_delay_tau0=float(tau))
               for tau in 0.1 + step * np.arange(8)]
-    for direction in (1, -1):
-        batch = directional_weight(lasers, cfg, direction=direction)
-        alone = [directional_weight(las, cfg, direction=direction)
-                 for las in lasers]
-        np.testing.assert_array_equal(batch, alone)
+    for batch in (lasers, [las.flipped() for las in lasers]):
+        alone = [directional_weight([las], cfg, DEFAULT_ENERGIES)[0]
+                 for las in batch]
+        np.testing.assert_array_equal(
+            directional_weight(batch, cfg, DEFAULT_ENERGIES), alone)
 
 
 def test_emission_phase_curve_ends_when_no_row_has_a_seed():
