@@ -25,7 +25,7 @@ from . import __version__, experiments, kernels, lockin as lockin_mod, strongfie
 from ._fork import LostRunError
 from .config import JunctionConfig, LaserConfig
 from .experiments import SCAN_KINDS
-from .grid import DESK_ABSORBER, AbsorberSpec, desk_grid, reference_grid
+from .grid import DESK_ABSORBER, desk_grid, reference_grid
 from .laser import effective_keldysh, field_crest_time
 from .potential import (clamp_level, laser_interaction, mean_image_magnitude,
                         sample_static_profile, static_potential)
@@ -73,14 +73,10 @@ def _field_types(cls, keys):
 _SCHEMA = {
     "junction": _field_types(JunctionConfig, _JUNCTION_KEYS),
     "laser": _field_types(LaserConfig, _LASER_KEYS),
-    "grid": {
-        "preset": str, "z_min_nm": float, "z_max_nm": float, "dz_pm": float,
-        "dt_as": float, "max_bandwidth_eV": float,
-        "absorber": dict(get_type_hints(AbsorberSpec), enabled=bool),
-    },
+    "grid": {"preset": str, "z_min_nm": float, "z_max_nm": float,
+             "dz_pm": float, "dt_as": float},
     "propagate": {
         "t_start_fs": float, "t_end_fs": float, "probes_nm": [float],
-        "snapshot_final_state": bool,
         "map": {"z_lo_nm": float, "z_hi_nm": float, "stride": int},
     },
     "scan": {
@@ -92,10 +88,8 @@ _SCHEMA = {
         "energy_start_eV": float, "energy_stop_eV": float, "energy_count": int,
         "trajectory_energies_eV": [float],
     },
-    "lockin": {
-        "mode": str, "input_csv": str, "delta_fs": float, "beta": float,
-        "noise_estimate": float,
-    },
+    "lockin": {"input_csv": str, "delta_fs": float, "beta": float,
+               "noise_estimate": float},
     "potential": {"snapshot_times_fs": [float]},
     "output_dir": str,
 }
@@ -164,7 +158,7 @@ def build_laser(data) -> LaserConfig:
                           for k, v in data.get("laser", {}).items()})
 
 
-# grid preset -> (grid of a max bandwidth, absorber)
+# grid preset -> (grid, absorber): the preset alone picks the absorber
 _PRESETS = {"reference": (reference_grid, None),
             "desk": (desk_grid, DESK_ABSORBER)}
 
@@ -176,23 +170,42 @@ def build_grid(data, preset_override=None):
         raise ConfigError(f"grid.preset must be one of {', '.join(_PRESETS)}, "
                           f"got {preset!r}")
     make_grid, absorber = _PRESETS[preset]
-    grid = make_grid(g.get("max_bandwidth_eV", 50.0))
+    grid = make_grid()
     if {"z_min_nm", "z_max_nm", "dz_pm", "dt_as"} & set(g):
         grid = replace(grid, z_min=g.get("z_min_nm", grid.z_min),
                        z_max=g.get("z_max_nm", grid.z_max),
                        dz=g.get("dz_pm", grid.dz * 1e3) * 1e-3,
                        dt=g.get("dt_as", grid.dt * 1e3) * 1e-3)
-    a = g.get("absorber", {})
-    if a:
-        fields = {k: v for k, v in a.items() if k != "enabled"}
-        absorber = AbsorberSpec(**fields) if a.get("enabled", True) else None
     return grid, absorber
 
 
+def _refuse_asymmetry(cfg: JunctionConfig, kind: str):
+    """A net-current scan takes sample -> tip as the tip's run under the
+    flipped laser, which by parity holds only for a mirror-symmetric
+    junction at zero bias."""
+    for key, other in (("workfunction_sample_eV", "workfunction_tip_eV"),
+                       ("fermi_sample_eV", "fermi_tip_eV"), ("bias_V", None)):
+        have = getattr(cfg, _JUNCTION_KEYS[key])
+        want = 0.0 if other is None else getattr(cfg, _JUNCTION_KEYS[other])
+        if have != want:
+            raise ConfigError(
+                f"scan kind {kind!r} needs a mirror-symmetric junction at zero "
+                f"bias: junction.{key} ({have}) must equal "
+                + ("0" if other is None else f"junction.{other} ({want})"))
+
+
+def _dry_run(snapshot) -> int:
+    print(json.dumps(snapshot, indent=2, sort_keys=True))
+    return EXIT_OK
+
+
 # A command gets the YAML, the output directory, the parsed arguments, the
-# (junction, laser, grid, absorber) main built once, and their snapshot.
+# (junction, laser, grid, absorber) main built once, and their snapshot. It
+# makes every check before it computes, and under --dry-run it stops there.
 
 def cmd_potential(data, out_dir, args, configs, snapshot) -> int:
+    if args.dry_run:
+        return _dry_run(snapshot)
     cfg, laser, grid, _ = configs
     profile = sample_static_profile(cfg, grid.z)
     columns = {"z_nm": profile.grid_z, "V0_eV": profile.values}
@@ -227,6 +240,8 @@ def cmd_propagate(data, out_dir, args, configs, snapshot) -> int:
         map_spec = MapSpec(z_lo=m.get("z_lo_nm", -1.0),
                            z_hi=m.get("z_hi_nm", cfg.width_d + 1.0),
                            stride=m.get("stride", 8))
+    if args.dry_run:
+        return _dry_run(snapshot)
     started = time.perf_counter()
     try:
         # record the run's warnings (reflection risk) for the sidecar, then
@@ -247,8 +262,7 @@ def cmd_propagate(data, out_dir, args, configs, snapshot) -> int:
             cols[f"j_per_fs_z{z:+.4f}nm"] = res.map.j[:, k]
         write_csv(out_dir / "current_density_map.csv", cols,
                   {"code_version": __version__})
-    if p.get("snapshot_final_state", True):
-        state_to_json(res.final_state, out_dir / "final_state.json")
+    state_to_json(res.final_state, out_dir / "final_state.json")
     write_json(out_dir / "propagation.json", {
         "config": snapshot,
         "t_start_fs": t0, "t_end_fs": t1,
@@ -300,6 +314,10 @@ def cmd_scan(data, out_dir, args, configs, snapshot) -> int:
                           f"{', '.join(refused)}")
     if "energies_eV" in scan and len(scan["energies_eV"]) < 2:
         raise ConfigError("scan.energies_eV needs at least two energies")
+    if SCAN_KINDS[kind].net:
+        _refuse_asymmetry(cfg, kind)
+    if args.dry_run:
+        return _dry_run(snapshot)
     # options left out keep the scan function's defaults
     options = {keyword: scan[key] for key, (keyword, _) in taken.items()
                if key in scan}
@@ -324,6 +342,12 @@ def cmd_saddle(data, out_dir, args, configs, snapshot) -> int:
         raise ConfigError(f"saddle: junction.workfunction_tip_eV ({binding}) "
                           f"must exceed the junction's mean image potential "
                           f"{vbar:.4f} eV")
+    if cfg.gap_ramp_eV != 0:  # the saddle model has no gap ramp
+        raise ConfigError(
+            f"saddle: junction.workfunction_sample_eV "
+            f"({cfg.workfunction_sample}), junction.workfunction_tip_eV "
+            f"({cfg.workfunction_tip}) and junction.bias_V ({cfg.bias_Us}) "
+            f"make a gap ramp of {cfg.gap_ramp_eV} eV; the model needs 0")
     count = s.get("energy_count", 55)
     if count < 1:
         raise ConfigError(f"saddle.energy_count must be >= 1, got {count}")
@@ -346,6 +370,8 @@ def cmd_saddle(data, out_dir, args, configs, snapshot) -> int:
             raise ConfigError(f"saddle.trajectory_energies_eV: {files[name]} "
                               f"and {e} both write {name}")
         files[name] = e
+    if args.dry_run:
+        return _dry_run(snapshot)
     energies = np.linspace(start, stop, count)
     phases = strongfield.emission_phase_curve(energies, laser, cfg)
     cutoff = strongfield.cutoff_energy(laser, cfg)
@@ -387,9 +413,6 @@ def cmd_saddle(data, out_dir, args, configs, snapshot) -> int:
 
 def cmd_lockin(data, out_dir, args, configs, snapshot) -> int:
     l = data.get("lockin", {})
-    mode = args.mode or l.get("mode")
-    if mode not in LOCKIN_MODES:
-        raise ConfigError(f"lockin.mode must be one of {', '.join(LOCKIN_MODES)}")
     if "input_csv" not in l:
         raise ConfigError("lockin.input_csv is required")
     mod = lockin_mod.ModulationSpec(l["delta_fs"]) if "delta_fs" in l \
@@ -399,27 +422,31 @@ def cmd_lockin(data, out_dir, args, configs, snapshot) -> int:
     if "delay_fs" not in columns:
         raise ConfigError("input CSV needs a delay_fs column")
     delays = columns["delay_fs"]
-    meta = {"delta_fs": mod.amplitude_delta, "beta": beta,
-            "transform_convention": "forward e^{-i omega tau}",
-            "code_version": __version__}
-    if mode == "forward":
+    if args.mode == "forward":
         values = columns.get("value_re", columns.get("value"))
         if values is None:
             raise ConfigError("input CSV needs a value_re (or value) column")
         trace = lockin_mod.DelayTrace(delays, values, kind="physical_current")
+    else:
+        if "value_re" not in columns and "value_im" not in columns:
+            raise ConfigError("input CSV needs a value_re or value_im column")
+        zeros = np.zeros(delays.size)
+        trace = lockin_mod.DelayTrace(
+            delays,
+            columns.get("value_re", zeros) + 1j * columns.get("value_im", zeros),
+            kind="lockin_complex")
+    if args.dry_run:
+        return _dry_run(snapshot)
+    meta = {"delta_fs": mod.amplitude_delta, "beta": beta,
+            "transform_convention": "forward e^{-i omega tau}",
+            "code_version": __version__}
+    if args.mode == "forward":
         out = lockin_mod.forward_lockin(trace, mod)
         write_csv(out_dir / "lockin_forward.csv",
                   {"delay_fs": out.delays, "value_re": out.values.real,
                    "value_im": out.values.imag}, meta)
         print(f"wrote {out_dir / 'lockin_forward.csv'}")
-        return EXIT_OK
-    if "value_re" not in columns and "value_im" not in columns:
-        raise ConfigError("input CSV needs a value_re or value_im column")
-    zeros = np.zeros(delays.size)
-    trace = lockin_mod.DelayTrace(
-        delays, columns.get("value_re", zeros) + 1j * columns.get("value_im", zeros),
-        kind="lockin_complex")
-    if mode == "invert":
+    elif args.mode == "invert":
         rec = lockin_mod.reconstruct(trace, mod, beta)
         write_csv(out_dir / "lockin_inverted.csv",
                   {"delay_fs": rec.delays, "value_re": rec.values,
@@ -458,7 +485,7 @@ def make_parser() -> argparse.ArgumentParser:
         if name == "scan":
             p.add_argument("--kind", choices=tuple(SCAN_KINDS))
         if name == "lockin":
-            p.add_argument("--mode", choices=LOCKIN_MODES)
+            p.add_argument("--mode", choices=LOCKIN_MODES, required=True)
     return parser
 
 
@@ -469,9 +496,6 @@ def main(argv=None) -> int:
         configs = (build_junction(data), build_laser(data),
                    *build_grid(data, args.preset))
         snapshot = config_snapshot(*configs, output_dir=data.get("output_dir", "out"))
-        if args.dry_run:
-            print(json.dumps(snapshot, indent=2, sort_keys=True))
-            return EXIT_OK
         out_dir = Path(args.out or data.get("output_dir", "out"))
         return args.run(data, out_dir, args, configs, snapshot)
     except (SolverError, SaddleConvergenceError, LostRunError,

@@ -361,6 +361,7 @@ class ScanKind(NamedTuple):
     # scan-section key, also its metadata key -> (keyword, YAML type)
     options: dict
     tdse: bool = True  # takes a grid and an absorber
+    net: bool = True  # a net current: sample -> tip is the flipped laser
 
 
 SCAN_KINDS = {
@@ -372,7 +373,7 @@ SCAN_KINDS = {
                       {"n_delays": ("n_delays", int)}),
     "ratio": ScanKind("directionality", "ratio_values", {}),
     "robustness": ScanKind("robustness_sweep", "values",
-                           {"parameter": ("parameter", str)}),
+                           {"parameter": ("parameter", str)}, net=False),
     "delay_sf": ScanKind("delay_scan_strongfield", "tau0_values",
                          {"energies_eV": ("energies", [float])}, tdse=False),
 }

@@ -41,14 +41,6 @@ class GridSpec:
     def z(self) -> np.ndarray:
         return self.z_min + self.dz * np.arange(self.n_points)
 
-    @property
-    def dz_pm(self) -> float:
-        return self.dz * 1e3
-
-    @property
-    def dt_as(self) -> float:
-        return self.dt * 1e3
-
 
 def bandwidth_steps(max_bandwidth: float) -> tuple[float, float]:
     """(dz, dt) saturating the bandwidth constraints: dz = hbar/sqrt(2m dE),

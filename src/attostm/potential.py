@@ -145,10 +145,6 @@ class PotentialProfile:
         object.__setattr__(self, "grid_z", z)
         object.__setattr__(self, "values", v)
 
-    @property
-    def dz(self) -> float:
-        return float((self.grid_z[-1] - self.grid_z[0]) / (self.grid_z.size - 1))
-
 
 def sample_static_profile(cfg: JunctionConfig, grid_z) -> PotentialProfile:
     return PotentialProfile(np.asarray(grid_z, dtype=float),

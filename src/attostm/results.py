@@ -16,7 +16,6 @@ import numpy as np
 from . import __version__
 from .config import JunctionConfig, LaserConfig
 from .grid import AbsorberSpec, GridSpec
-from .solver import WaveState
 
 
 @dataclass(frozen=True)
@@ -202,11 +201,3 @@ def state_to_json(state, path) -> None:
         "psi": np.stack([state.psi.real, state.psi.imag], axis=1),
     }
     write_json(path, payload)
-
-
-def state_from_json(path):
-    payload = json.loads(Path(path).read_text())
-    grid = configs_from_snapshot(payload)[2]
-    pairs = np.asarray(payload["psi"])
-    psi = pairs[:, 0] + 1j * pairs[:, 1]
-    return WaveState(grid, psi, payload["time_fs"], payload.get("energy_eV"))

@@ -84,20 +84,6 @@ class WaveState:
     def norm_squared(self) -> float:
         return self.norm_squared_of(self.psi, self.grid.dz)
 
-    def density(self) -> np.ndarray:
-        return np.abs(self.psi) ** 2
-
-
-def gaussian_packet(grid: GridSpec, center: float, sigma: float, k0: float,
-                    time: float = 0.0) -> WaveState:
-    """Normalised Gaussian wavepacket exp(-(z-c)^2/4 sigma^2 + i k0 z)."""
-    z = grid.z
-    psi = np.exp(-((z - center) ** 2) / (4.0 * sigma**2) + 1j * k0 * z)
-    psi[0] = 0.0
-    psi[-1] = 0.0
-    psi /= np.sqrt(WaveState.norm_squared_of(psi, grid.dz))
-    return WaveState(grid, psi, time)
-
 
 @dataclass(frozen=True)
 class CurrentRecord:

@@ -452,34 +452,6 @@ def _crest_amplitudes(lasers, cfg: JunctionConfig, energies):
             for c, i, j in zip(crests, bounds[:-1], bounds[1:])]
 
 
-def tunnelling_amplitude(E: float, laser: LaserConfig,
-                         cfg: JunctionConfig) -> complex:
-    """Saddle-point tunnelling amplitude M_E of tip -> sample transport,
-    summed coherently over crests; sample -> tip is the same call on
-    laser.flipped(). Each crest is solved from its heuristic seed.
-    Wing crests can lose their physical branch entirely (acausal /
-    anti-Stokes partners only) and are exponentially negligible there; a
-    lost crest with |E| >= 0.8 of the strongest crest's field raises
-    SaddleConvergenceError.
-
-    The spectrum functions continue each crest's root in energy instead, so
-    where a crest carries more than one root the two paths can pick
-    different ones. On LaserConfig(field_F1=8) they agree to 1e-11 over
-    0.5-11.5 eV; on its flipped() pulse, directional_spectrum differs from
-    this amplitude by up to 2.8 % (at 2.0 eV), and at 0.5 and 1.0 eV this
-    function raises where the spectrum drops the crest.
-    """
-    [(crests, amp, lost)] = _crest_amplitudes([laser], cfg,
-                                              np.array([float(E)]))
-    e_crests = np.abs(electric_field(laser, crests))
-    dominant = lost[:, 0] & (e_crests >= 0.8 * np.max(e_crests, initial=0.0))
-    if np.any(dominant):
-        raise SaddleConvergenceError(
-            f"no saddle root at the dominant crest {crests[dominant][0]:.3f} fs "
-            f"for E = {E} eV")
-    return complex(amp.sum(axis=0)[0])
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Semiclassical trajectory Re D(t) after the tunnel exit (fs, nm)."""
@@ -487,10 +459,6 @@ class Trajectory:
     times: np.ndarray
     positions: np.ndarray
     final_energy_E: float
-
-    @property
-    def exit_position(self) -> float:
-        return float(self.positions[0])
 
 
 def trajectory(sol: SaddleSolution) -> Trajectory:
@@ -528,9 +496,9 @@ def trajectory(sol: SaddleSolution) -> Trajectory:
 def directional_spectrum(laser: LaserConfig, cfg: JunctionConfig,
                          energies) -> np.ndarray:
     """|M_E| of tip -> sample transport over an energy grid: the coherent
-    crest sum, with each crest's root continued in E (see
-    tunnelling_amplitude); sample -> tip is the same call on
-    laser.flipped()."""
+    crest sum, with each crest's root continued in E (_continued_roots)
+    and a crest/energy pair whose solve fails contributing nothing;
+    sample -> tip is the same call on laser.flipped()."""
     energies = np.asarray(energies, dtype=float)
     [(_, amp, _)] = _crest_amplitudes([laser], cfg, energies)
     return np.abs(amp.sum(axis=0))
@@ -549,11 +517,10 @@ def directional_weight(lasers: Sequence[LaserConfig], cfg: JunctionConfig,
     integral), which keeps the observable smooth in every parameter.
 
     Each crest's root is continued in E, and a crest/energy pair whose
-    solve fails contributes nothing, even at a dominant crest, where
-    tunnelling_amplitude would raise. On the fig4bc pulse at 8 delays
-    spread over one SH period, crests with |E| >= 0.8 of the maximum lose
-    their root at 59 crest/energy pairs (29 forward, 30 backward), all
-    below 2 eV.
+    solve fails contributes nothing, even at a dominant crest. On the
+    fig4bc pulse at 8 delays spread over one SH period, crests with
+    |E| >= 0.8 of the maximum lose their root at 59 crest/energy pairs
+    (29 forward, 30 backward), all below 2 eV.
 
     energies must be 1-D, at least two and strictly increasing, or the
     integral would be zero or negative; anything else raises ValueError.

@@ -55,8 +55,7 @@ def test_propagation_sidecar_keeps_the_keys_the_benchmark_reads(tmp_path):
         "laser": {"field_V_per_nm": 7.0, "duration_fund_fwhm_fs": 4.0,
                   "duration_sh_fwhm_fs": 5.0},
         "grid": {"preset": "desk", "z_min_nm": -20.0, "z_max_nm": 20.0},
-        "propagate": {"t_start_fs": -25.0, "t_end_fs": -24.0,
-                      "snapshot_final_state": False},
+        "propagate": {"t_start_fs": -25.0, "t_end_fs": -24.0},
     }))
     out = tmp_path / "prop"
     assert cli.main(["propagate", "--config", str(path),

@@ -65,20 +65,62 @@ def test_unknown_key_is_hard_error(tmp_path, capsys):
     assert "width_nmm" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, section, key, value", [
-    ("propagate", "laser", "sh_phase_rad", 0.7),
-    ("saddle", "saddle", "binding_eV", 9.0),
-    ("scan", "scan", "enhancement_sh", 80.0),
-], ids=["laser.sh_phase_rad", "saddle.binding_eV", "scan.enhancement_sh"])
-def test_deleted_keys_are_unknown(tmp_path, capsys, command, section, key,
-                                  value):
-    # an SH carrier phase is a delay, the saddle binding is W_t, and the SH
-    # enhancement set nothing: none of them has a key of its own
-    path = write_config(tmp_path, {section: {key: value}})
+# command, deleted key, a value, and the key the error names
+DELETED_KEYS = [
+    ("propagate", "laser.sh_phase_rad", 0.7, "laser.sh_phase_rad"),
+    ("saddle", "saddle.binding_eV", 9.0, "saddle.binding_eV"),
+    ("scan", "scan.enhancement_sh", 80.0, "scan.enhancement_sh"),
+    ("propagate", "grid.max_bandwidth_eV", 25.0, "grid.max_bandwidth_eV"),
+    ("propagate", "grid.absorber.strength_eV", 3.0, "grid.absorber"),
+    ("propagate", "grid.absorber.fraction", 0.2, "grid.absorber"),
+    ("propagate", "grid.absorber.enabled", False, "grid.absorber"),
+    ("propagate", "propagate.snapshot_final_state", False,
+     "propagate.snapshot_final_state"),
+    ("lockin", "lockin.mode", "forward", "lockin.mode"),
+]
+
+
+@pytest.mark.parametrize("command, key, value, named", DELETED_KEYS,
+                         ids=[case[1] for case in DELETED_KEYS])
+def test_deleted_keys_are_unknown(tmp_path, capsys, command, key, value,
+                                  named):
+    # an SH carrier phase is a delay, the saddle binding is W_t, the SH
+    # enhancement set nothing, the bandwidth is dz_pm and dt_as, the preset
+    # picks the absorber, the final state is always written and the
+    # lock-in mode is --mode: none of them has a key of its own
+    data = value
+    for part in reversed(key.split(".")):
+        data = {part: data}
+    path = write_config(tmp_path, data)
     out = tmp_path / "none"
-    assert run_cli(command, "--config", path, "--out", str(out)) == EXIT_CONFIG
-    assert f"unknown config key: {section}.{key}" in capsys.readouterr().err
+    mode = ["--mode", "forward"] if command == "lockin" else []
+    assert run_cli(command, "--config", path, "--out", str(out),
+                   *mode) == EXIT_CONFIG
+    assert f"unknown config key: {named}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_lockin_needs_mode(tmp_path, capsys):
+    src, *_ = lockin_input(tmp_path)
+    path = write_config(tmp_path, {"lockin": {"input_csv": str(src)}})
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("lockin", "--config", path, "--out", str(tmp_path / "x"))
+    assert exit_.value.code == EXIT_CONFIG
+    assert "--mode" in capsys.readouterr().err
+
+
+def test_grid_steps_reach_the_snapshot(tmp_path, capsys):
+    grid = {"preset": "desk", "z_min_nm": -20.0, "z_max_nm": 20.0,
+            "dz_pm": 20.0, "dt_as": 10.0}
+    path = write_config(tmp_path, tiny_tdse_config(grid=grid))
+    assert run_cli("propagate", "--config", path, "--dry-run") == EXIT_OK
+    resolved = json.loads(capsys.readouterr().out)["grid"]
+    assert resolved["dz"] == 20.0 * 1e-3
+    assert resolved["dt"] == 10.0 * 1e-3
+    # hbar / 50 eV = 13.16 as resolves the grid's 50 eV bandwidth
+    path = write_config(tmp_path, tiny_tdse_config(grid=dict(grid, dt_as=14.0)))
+    assert run_cli("propagate", "--config", path, "--dry-run") == EXIT_CONFIG
+    assert "dt exceeds hbar/max_bandwidth" in capsys.readouterr().err
 
 
 def test_workers_key_is_rejected(tmp_path, capsys):
@@ -92,8 +134,8 @@ def test_declared_types_are_enforced(tmp_path, capsys):
                      ({"laser": {"field_V_per_nm": True}},
                       "laser.field_V_per_nm"),
                      ({"scan": {"count": 2.5}}, "scan.count"),
-                     ({"propagate": {"snapshot_final_state": 1}},
-                      "propagate.snapshot_final_state"),
+                     ({"propagate": {"map": {"stride": True}}},
+                      "propagate.map.stride"),
                      ({"propagate": {"probes_nm": 1.0}}, "propagate.probes_nm"),
                      ({"propagate": {"probes_nm": [1.0, "x"]}},
                       "propagate.probes_nm[1]"),
@@ -193,8 +235,7 @@ def test_propagate_rejects_bad_probe_or_map(tmp_path, capsys, propagate_cfg,
 
 def test_propagate_records_reflection_warning(tmp_path):
     cfg = tiny_tdse_config()
-    cfg["propagate"] = {"t_start_fs": -25.0, "t_end_fs": 10.0,
-                        "snapshot_final_state": False}
+    cfg["propagate"] = {"t_start_fs": -25.0, "t_end_fs": 10.0}
     path = write_config(tmp_path, cfg)
     out = tmp_path / "prop"
     with pytest.warns(ReflectionRiskWarning, match="tip-side"):
@@ -469,6 +510,86 @@ def test_scan_refuses_fewer_than_two_energies(tmp_path, capsys):
     assert run_cli("scan", "--config", path, "--out", str(out)) == EXIT_CONFIG
     assert "scan.energies_eV needs at least two energies" \
         in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("scan", {"scan": {"kind": "bogus", "start": 0.0, "stop": 1.0,
+                       "count": 2}}, "scan.kind must be one of"),
+    ("scan", {"scan": {"kind": "delay", "start": 0.0, "stop": 1.0,
+                       "count": 1}}, "scan.count must be >= 2"),
+    ("saddle", {"saddle": {"energy_count": 0}},
+     "saddle.energy_count must be >= 1"),
+], ids=["scan_kind", "scan_count", "saddle_energy_count"])
+def test_dry_run_makes_the_checks_of_the_run(tmp_path, capsys, command, data,
+                                             message):
+    path = write_config(tmp_path, data)
+    assert run_cli(command, "--config", path, "--dry-run") == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+# junction key, a value away from the mirror-symmetric zero-bias junction,
+# and what the refusal says it must equal
+ASYMMETRIC_JUNCTION = [
+    ("workfunction_sample_eV", 4.5, "junction.workfunction_tip_eV (5.1)"),
+    ("fermi_sample_eV", 6.0, "junction.fermi_tip_eV (5.0)"),
+    ("bias_V", 0.5, "0"),
+]
+
+
+@pytest.mark.parametrize("key, value, want", ASYMMETRIC_JUNCTION,
+                         ids=[case[0] for case in ASYMMETRIC_JUNCTION])
+@pytest.mark.parametrize("kind", ["delay", "power", "width", "ratio",
+                                  "delay_sf"])
+def test_net_current_scans_refuse_an_asymmetric_junction(
+        tmp_path, capsys, monkeypatch, kind, key, value, want):
+    # sample -> tip is the tip's run under the flipped laser, which parity
+    # gives only for a mirror-symmetric junction at zero bias
+    def no_compute(*args, **kwargs):
+        raise AssertionError("a computation started")
+
+    monkeypatch.setattr(experiments, "initial_state", no_compute)
+    monkeypatch.setattr(experiments, "propagate", no_compute)
+    monkeypatch.setattr(strongfield, "directional_weight", no_compute)
+    section, _ = RERUN_SCANS[kind]
+    path = write_config(tmp_path, tiny_tdse_config(
+        junction={"width_nm": 1.0, key: value}, scan=dict(section, kind=kind)))
+    out = tmp_path / "none"
+    for how in (["--out", str(out)], ["--dry-run"]):
+        assert run_cli("scan", "--config", path, *how) == EXIT_CONFIG
+        assert (f"scan kind {kind!r} needs a mirror-symmetric junction at "
+                f"zero bias: junction.{key} ({value}) must equal {want}") \
+            in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_single_run_commands_take_an_asymmetric_junction(tmp_path):
+    junction = {"width_nm": 1.0, "workfunction_sample_eV": 4.5,
+                "fermi_sample_eV": 6.0, "bias_V": 0.5}
+    path = write_config(tmp_path, tiny_tdse_config(junction=junction, scan={
+        "kind": "robustness", "start": 5.0, "stop": 6.0, "count": 2}))
+    assert run_cli("propagate", "--config", path, "--dry-run") == EXIT_OK
+    assert run_cli("scan", "--config", path, "--dry-run") == EXIT_OK
+    out = tmp_path / "pot"
+    assert run_cli("potential", "--config", path, "--out", str(out)) == EXIT_OK
+
+
+@pytest.mark.parametrize("junction", [
+    {"bias_V": 2.0}, {"workfunction_sample_eV": 4.0},
+], ids=["bias", "workfunction_sample"])
+def test_saddle_refuses_a_gap_ramp(tmp_path, capsys, monkeypatch, junction):
+    # the saddle model reads W_t and the mean image potential only
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a saddle solve started")
+
+    monkeypatch.setattr(strongfield, "_solve_saddles", no_solve)
+    path = write_config(tmp_path, {"junction": junction})
+    out = tmp_path / "sk"
+    for how in (["--out", str(out)], ["--dry-run"]):
+        assert run_cli("saddle", "--config", path, *how) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "saddle: junction.workfunction_sample_eV (" in err
+        assert "junction.bias_V (" in err and "the model needs 0" in err
     assert not out.exists()
 
 

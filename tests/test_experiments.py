@@ -21,8 +21,8 @@ from attostm.experiments import (BurstError, BurstMetrics,
                                  loglog_slopes, modulation_amplitude,
                                  rerun_from_metadata, robustness_sweep)
 from attostm.grid import DESK_ABSORBER, GridSpec, bandwidth_steps
-from attostm.results import (ScanResult, config_hash, read_csv, save_scan,
-                             state_from_json, state_to_json, write_csv,
+from attostm.results import (ScanResult, config_hash, configs_from_snapshot,
+                             read_csv, save_scan, state_to_json, write_csv,
                              write_json)
 from attostm.kernels import SolverError
 from attostm.solver import (CurrentRecord, ReflectionRiskWarning, WaveState,
@@ -139,9 +139,11 @@ def test_state_json_round_trip(tmp_path):
     st = initial_state(JunctionConfig(), grid)
     path = tmp_path / "state.json"
     state_to_json(st, path)
-    back = state_from_json(path)
-    assert np.allclose(back.psi, st.psi, atol=1e-15)
-    assert back.energy == pytest.approx(st.energy)
+    payload = json.loads(path.read_text())
+    pairs = np.asarray(payload["psi"])
+    assert np.array_equal(pairs[:, 0] + 1j * pairs[:, 1], st.psi)
+    assert payload["energy_eV"] == st.energy
+    assert configs_from_snapshot(payload)[2] == grid
 
 
 @pytest.fixture(scope="module")
@@ -253,7 +255,7 @@ def test_stale_snapshot_names_its_key_and_code_version(tmp_path, sf_scan):
     path.write_text(json.dumps(payload))
     version = re.escape(repr(attostm.__version__))
     with pytest.raises(ValueError, match=rf"grid\.edge_nm .*{version}"):
-        state_from_json(path)
+        configs_from_snapshot(json.loads(path.read_text()))
 
 
 @pytest.mark.parametrize("scan, values, message", [

@@ -203,7 +203,8 @@ import hashlib
 from attostm.config import JunctionConfig, LaserConfig
 from attostm.grid import GridSpec, bandwidth_steps
 from attostm.laser import pulse_onset
-from attostm.solver import gaussian_packet, propagate
+from attostm.solver import propagate
+from wavepackets import gaussian_packet
 
 dz, dt = bandwidth_steps(50.0)
 grid = GridSpec(-300.0, 60.0, dz, dt, 50.0)
@@ -224,9 +225,10 @@ def test_tall_tip_steps_do_not_depend_on_blas_threads():
     # initial_state, whose eigenvector solve depends on the BLAS threads
     # on this grid as well
     src = str(Path(attostm.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, str(Path(__file__).parent)])
     outputs = []
     for threads in ("1", None):
-        env = dict(os.environ, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONPATH=path)
         env.pop("OPENBLAS_NUM_THREADS", None)
         if threads is not None:
             env["OPENBLAS_NUM_THREADS"] = threads

@@ -119,7 +119,6 @@ def test_clamp_level_uses_deeper_side():
 def test_profile_validation(junction):
     grid = np.linspace(-5, 5, 256)
     profile = sample_static_profile(junction, grid)
-    assert profile.dz == pytest.approx(grid[1] - grid[0])
     with pytest.raises(ValueError):
         PotentialProfile(grid[::-1], profile.values)
     with pytest.raises(ValueError):

@@ -16,10 +16,11 @@ from attostm.laser import electric_field
 from attostm.potential import PotentialProfile, sample_static_profile
 from attostm.solver import (CurrentRecord, InitialStateError, MapSpec,
                             ReflectionRiskWarning, WaveState,
-                            build_hamiltonian_diagonals, gaussian_packet,
-                            initial_state, propagate, transferred_charge)
+                            build_hamiltonian_diagonals, initial_state,
+                            propagate, transferred_charge)
 from attostm.units import (AUTIME_FS, BOHR_NM, EMASS, HARTREE_EV, HBAR_EVFS,
                            HBAR2_OVER_2M)
+from wavepackets import gaussian_packet
 
 
 def small_grid(z_min=-20.0, z_max=20.0):
@@ -47,8 +48,8 @@ def field_free_steps(grid, initial, n_steps, profile):
 
 def test_grid_presets():
     ref = reference_grid()
-    assert ref.dz_pm == pytest.approx(27.6, abs=0.1)
-    assert ref.dt_as == pytest.approx(13.2, abs=0.2)
+    assert ref.dz * 1e3 == pytest.approx(27.6, abs=0.1)  # pm
+    assert ref.dt * 1e3 == pytest.approx(13.2, abs=0.2)  # as
     assert ref.n_points > 20_000
     with pytest.raises(ValueError):
         GridSpec(-10, 10, ref.dz, ref.dt * 2, 50.0)  # dt too large
@@ -94,7 +95,7 @@ def test_initial_state_properties():
     st = initial_state(cfg, grid)
     assert st.energy == pytest.approx(-cfg.workfunction_tip, abs=0.2)
     assert st.norm_squared == pytest.approx(1.0, abs=1e-10)
-    beyond_tip = np.sum(st.density()[grid.z >= 0.0]) * grid.dz
+    beyond_tip = np.sum(np.abs(st.psi[grid.z >= 0.0]) ** 2) * grid.dz
     assert beyond_tip < 0.01
     assert st.psi[0] == 0.0 and st.psi[-1] == 0.0
 
@@ -187,8 +188,8 @@ def test_step_free_packet_group_velocity():
     n_steps = 500
     state = field_free_steps(grid, packet, n_steps, flat_profile(grid))
     z = grid.z
-    center0 = np.sum(z * packet.density()) * grid.dz
-    center1 = np.sum(z * state.density()) * grid.dz
+    center0 = np.sum(z * np.abs(packet.psi) ** 2) * grid.dz
+    center1 = np.sum(z * np.abs(state.psi) ** 2) * grid.dz
     v_measured = (center1 - center0) / (n_steps * grid.dt)
     v_expected = HBAR_EVFS * k0 / EMASS
     assert v_measured == pytest.approx(v_expected, rel=5e-3)
@@ -281,8 +282,8 @@ def test_gauge_offset_invariance():
     ja = res_a.records[0].current_density
     jb = res_b.records[0].current_density
     assert np.max(np.abs(ja - jb)) <= 1e-9 * max(np.max(np.abs(ja)), 1e-300)
-    da = res_a.final_state.density()
-    db = res_b.final_state.density()
+    da = np.abs(res_a.final_state.psi) ** 2
+    db = np.abs(res_b.final_state.psi) ** 2
     assert np.max(np.abs(da - db)) <= 1e-9 * np.max(da)
 
 

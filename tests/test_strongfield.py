@@ -24,7 +24,7 @@ from attostm.strongfield import (DEFAULT_ENERGIES, SaddleConvergenceError,
                                  directional_spectrum, directional_weight,
                                  drift_energy_bound,
                                  emission_phase_curve, solve_saddle,
-                                 trajectory, tunnelling_amplitude)
+                                 trajectory)
 from attostm.units import EMASS, HBAR_EVFS
 
 
@@ -211,12 +211,16 @@ def test_seed_independence(cfg, las8):
 
 
 def test_amplitude_zero_field_and_cutoff_decay(cfg, las8):
-    quiet = tunnelling_amplitude(3.0, LaserConfig(field_F1=0.0), cfg)
-    driven = tunnelling_amplitude(3.0, las8, cfg)
-    assert abs(quiet) < 1e-6 * abs(driven)
+    def amplitude(e, las):
+        [m] = directional_spectrum(las, cfg, [e])
+        return m
+
+    quiet = amplitude(3.0, LaserConfig(field_F1=0.0))
+    driven = amplitude(3.0, las8)
+    assert quiet < 1e-6 * driven
     cut = cutoff_energy(las8, cfg)
-    below = abs(tunnelling_amplitude(cut - 2.0, las8, cfg)) ** 2
-    above = abs(tunnelling_amplitude(cut + 2.0, las8, cfg)) ** 2
+    below = amplitude(cut - 2.0, las8) ** 2
+    above = amplitude(cut + 2.0, las8) ** 2
     assert above / below < 0.1
 
 
@@ -247,25 +251,19 @@ def test_final_energy_below_minus_vbar_is_refused(cfg, las8, call):
 
 
 def test_forward_spectrum_is_amplitude_modulus(cfg, las8):
-    # the continued-root spectrum and the per-energy amplitude are the same
-    # crest sum forward, where each crest carries one physical root
+    # the continued-root spectrum and the single-energy amplitude, where
+    # every crest starts from its seed, are the same crest sum forward,
+    # where each crest carries one physical root
     e_grid = np.arange(0.5, 12.0, 0.5)
     spectrum = directional_spectrum(las8, cfg, e_grid)
-    amps = [abs(tunnelling_amplitude(e, las8, cfg)) for e in e_grid]
+    amps = [directional_spectrum(las8, cfg, [e])[0] for e in e_grid]
     np.testing.assert_allclose(spectrum, amps, rtol=1e-9)
-
-
-def test_amplitude_names_lost_dominant_crest(cfg, las8):
-    # backward at 0.5 eV the strongest crest has no physical root
-    with pytest.raises(SaddleConvergenceError,
-                       match=r"dominant crest -?\d+\.\d{3} fs for E = 0.5 eV"):
-        tunnelling_amplitude(0.5, las8.flipped(), cfg)
 
 
 def test_trajectory_exit_and_closure(cfg, las8):
     sol = solve_saddle(4.4, las8, cfg)
     tr = trajectory(sol)
-    assert tr.exit_position == pytest.approx(0.35, abs=0.05)
+    assert tr.positions[0] == pytest.approx(0.35, abs=0.05)  # the exit
     assert tr.positions[-1] == pytest.approx(cfg.width_d, abs=1e-3)
     # below the cutoff Im t2 is negligible and D(Re t2) itself closes
     assert abs(tr.times[-1] - sol.t2.real) < 0.05
