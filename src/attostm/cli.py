@@ -31,7 +31,7 @@ from .potential import (clamp_level, laser_interaction, mean_image_magnitude,
                         sample_static_profile, static_potential)
 from .results import (config_snapshot, record_to_csv, read_csv, save_scan,
                       state_to_json, write_csv, write_json)
-from .solver import MapSpec, SolverError, propagate
+from .solver import MapSpec, SolverError, check_run, propagate
 from .strongfield import SaddleConvergenceError
 
 EXIT_OK = 0
@@ -240,6 +240,7 @@ def cmd_propagate(data, out_dir, args, configs, snapshot) -> int:
         map_spec = MapSpec(z_lo=m.get("z_lo_nm", -1.0),
                            z_hi=m.get("z_hi_nm", cfg.width_d + 1.0),
                            stride=m.get("stride", 8))
+    check_run(cfg, grid, t0, t1, probes, map_spec)
     if args.dry_run:
         return _dry_run(snapshot)
     started = time.perf_counter()
@@ -316,11 +317,12 @@ def cmd_scan(data, out_dir, args, configs, snapshot) -> int:
         raise ConfigError("scan.energies_eV needs at least two energies")
     if SCAN_KINDS[kind].net:
         _refuse_asymmetry(cfg, kind)
-    if args.dry_run:
-        return _dry_run(snapshot)
     # options left out keep the scan function's defaults
     options = {keyword: scan[key] for key, (keyword, _) in taken.items()
                if key in scan}
+    experiments.check_sweep(kind, cfg, laser, values, **options)
+    if args.dry_run:
+        return _dry_run(snapshot)
     started = time.perf_counter()
     result = experiments.run_scan(kind, cfg, laser, grid, values,
                                   absorber=absorber, **options)

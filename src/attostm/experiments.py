@@ -157,8 +157,11 @@ ROBUSTNESS_PARAMETERS = {
 
 def _sweep_points(parameter, cfg, laser, values):
     """The (junction, laser) pair of every swept value, all built (and so
-    validated) before the first point is computed. An invalid point raises
-    ValueError naming the parameter and the value."""
+    validated) before the first point is computed. An unknown parameter
+    raises ValueError, and so does an invalid point, naming the parameter
+    and the value."""
+    if parameter not in ROBUSTNESS_PARAMETERS:
+        raise ValueError(f"parameter must be one of {tuple(ROBUSTNESS_PARAMETERS)}")
     vary = ROBUSTNESS_PARAMETERS[parameter][1]
     points = []
     for v in values:
@@ -301,10 +304,9 @@ def robustness_sweep(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     """Burst FWHM at the vacuum-sample boundary versus one parameter
     around the anchor point (field / intensity ratio / width / tip
     workfunction)."""
-    if parameter not in ROBUSTNESS_PARAMETERS:
-        raise ValueError(f"parameter must be one of {tuple(ROBUSTNESS_PARAMETERS)}")
-    unit = ROBUSTNESS_PARAMETERS[parameter][0]
     values = np.asarray(values, dtype=float)
+    points = _sweep_points(parameter, cfg, laser, values)
+    unit = ROBUSTNESS_PARAMETERS[parameter][0]
 
     def one(c, l):
         t0, t1 = default_time_span(l, burst_only=True)
@@ -314,7 +316,7 @@ def robustness_sweep(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
                            cycle_fs=2.0 * np.pi / l.omega)
         return bm.fwhm
 
-    fwhms = [one(c, l) for c, l in _sweep_points(parameter, cfg, laser, values)]
+    fwhms = [one(c, l) for c, l in points]
     return ScanResult(parameter, unit, values, "burst_fwhm", "as",
                       np.asarray(fwhms),
                       config_snapshot(cfg, laser, grid, absorber,
@@ -362,21 +364,35 @@ class ScanKind(NamedTuple):
     options: dict
     tdse: bool = True  # takes a grid and an absorber
     net: bool = True  # a net current: sample -> tip is the flipped laser
+    # the ROBUSTNESS_PARAMETERS key the swept values set, if any; a
+    # robustness sweep's parameter option, when given, takes its place
+    axis: str | None = None
 
 
 SCAN_KINDS = {
     "delay": ScanKind("delay_scan_tdse", "tau0_values", {}),
     "power": ScanKind("power_scan", "field_values",
                       {"enhancement_fund": ("enhancement", float),
-                       "n_delays": ("n_delays", int)}),
+                       "n_delays": ("n_delays", int)}, axis="field"),
     "width": ScanKind("width_scan", "d_values",
-                      {"n_delays": ("n_delays", int)}),
-    "ratio": ScanKind("directionality", "ratio_values", {}),
+                      {"n_delays": ("n_delays", int)}, axis="width"),
+    "ratio": ScanKind("directionality", "ratio_values", {}, axis="ratio"),
     "robustness": ScanKind("robustness_sweep", "values",
-                           {"parameter": ("parameter", str)}, net=False),
+                           {"parameter": ("parameter", str)}, net=False,
+                           axis="field"),
     "delay_sf": ScanKind("delay_scan_strongfield", "tau0_values",
                          {"energies_eV": ("energies", [float])}, tdse=False),
 }
+
+
+def check_sweep(kind: str, cfg: JunctionConfig, laser: LaserConfig, values,
+                **options) -> None:
+    """The check scan `kind` makes on its swept values before it computes,
+    with the options run_scan would pass: ValueError for an unknown
+    robustness parameter or a value the junction or laser refuses."""
+    parameter = options.get("parameter", SCAN_KINDS[kind].axis)
+    if parameter is not None:
+        _sweep_points(parameter, cfg, laser, values)
 
 
 def run_scan(kind: str, cfg: JunctionConfig, laser: LaserConfig, grid,

@@ -6,6 +6,7 @@ closed-form integral of A needs scipy.special (the Faddeeva function),
 imported on first use so that a TDSE run never loads it.
 """
 
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -21,17 +22,16 @@ ONSET_LEVEL = 1e-8
 
 
 class _Pulse(NamedTuple):
-    """Per-pulse constants of the field formulas: floats for one pulse,
-    (n, 1) columns for a batch of n pulses evaluated at (n, m) times."""
+    """Per-pulse constants of the field formulas."""
 
-    omega: float | np.ndarray
-    f1: float | np.ndarray         # fundamental amplitude F1
-    f2: float | np.ndarray         # SH amplitude eta * F1
-    rate1: float | np.ndarray      # fundamental envelope rate 4 ln2 / tau1^2
-    rate2: float | np.ndarray      # SH envelope rate 4 ln2 / tau2^2
-    sh_center: float | np.ndarray  # base_delay_tau0
-    sh_phase: float | np.ndarray   # SH carrier phase 2 omega tau0
-    sign: float | np.ndarray       # field_sign
+    omega: float
+    f1: float         # fundamental amplitude F1
+    f2: float         # SH amplitude eta * F1
+    rate1: float      # fundamental envelope rate 4 ln2 / tau1^2
+    rate2: float      # SH envelope rate 4 ln2 / tau2^2
+    sh_center: float  # base_delay_tau0
+    sh_phase: float   # SH carrier phase 2 omega tau0
+    sign: float       # field_sign
 
 
 def _pulse(laser: LaserConfig) -> _Pulse:
@@ -43,12 +43,6 @@ def _pulse(laser: LaserConfig) -> _Pulse:
                   laser.sh_center, 2.0 * w * laser.sh_center, laser.field_sign)
 
 
-def _pulses(lasers) -> _Pulse:
-    """The constants of every laser, each as an (n, 1) column."""
-    table = np.array([_pulse(las) for las in lasers], dtype=float)
-    return _Pulse(*table.reshape(-1, len(_Pulse._fields)).T[:, :, None])
-
-
 def _potential(p: _Pulse, t):
     w = p.omega
     fund = (p.f1 / w) * np.exp(-p.rate1 * t**2) * np.sin(w * t)
@@ -58,40 +52,86 @@ def _potential(p: _Pulse, t):
     return p.sign * (fund + sh)
 
 
-def _potential_integral(p: _Pulse, t1, t2):
-    """int_t1^t2 A(tau) dtau in closed form; A is entire, so the path does
-    not matter. t1 and t2 are arrays of one shape, one time per pulse row.
+class _Waves(NamedTuple):
+    """A(t) as the sum of four Gaussian waves amp exp(-rate (t - centre)^2
+    + i k t), the waves on the last axis: shape (4,) for one pulse, (n, 4)
+    for a batch of n pulses, one row each. The fundamental has rate1,
+    centre 0 and k = +-omega, the SH rate2, centre sh_center and
+    k = +-2 omega."""
 
-    A is the sum of four waves g = c exp(-a (tau - c0)^2 + i k tau): the
-    fundamental at rate1 with k = +-omega, the SH at rate2 about sh_center
-    with k = +-2 omega. Each integrates to -sqrt(pi)/(2 sqrt(a)) g w(zeta),
-    w the Faddeeva function and zeta = i sqrt(a) (tau - c0) + k/(2 sqrt(a)).
-    Where Im zeta < 0 (Re tau < c0), g w(zeta) = 2 c exp(i k c0 - k^2/4a)
-    - g w(-zeta), so that w is only evaluated in the upper half-plane, where
-    it is bounded. The constant is left out: each colour is odd about its
-    own centre (sh_phase = 2 omega sh_center), so the constants of its
-    two waves cancel. Kept, it would round g w away in the far wings,
-    where it outweighs it.
-    """
-    from scipy.special import wofz  # here: TDSE runs need no scipy.special
+    amp: np.ndarray     # complex
+    rate: np.ndarray
+    centre: np.ndarray
+    k: np.ndarray
 
+    def rows(self, idx) -> "_Waves":
+        """The waves of the batch rows idx."""
+        return _Waves(*(c[idx] for c in self))
+
+
+@cache
+def _wave_table(laser: LaserConfig) -> _Waves:
+    """The four waves of one pulse, cached per (frozen, hashable) laser:
+    the saddle model reads them once per root. Read-only, as every caller
+    shares them."""
+    p = _pulse(laser)
     w, c = p.omega, p.sh_center
     fund = p.sign * p.f1 / (2j * w)
     sh = p.sign * p.f2 / (4j * w)
     phase = np.exp(1j * p.sh_phase)
-    # the four waves on the last axis: amplitude c, rate a, centre c0, k
-    amp, rate, centre, k = (np.stack(wave, axis=-1) for wave in (
-        (fund, -fund, sh / phase, -sh * phase),
-        (p.rate1, p.rate1, p.rate2, p.rate2), (0.0 * c, 0.0 * c, c, c),
-        (w, -w, 2.0 * w, -2.0 * w)))
+    waves = _Waves(np.array((fund, -fund, sh / phase, -sh * phase)),
+                   np.array((p.rate1, p.rate1, p.rate2, p.rate2)),
+                   np.array((0.0, 0.0, c, c)),
+                   np.array((w, -w, 2.0 * w, -2.0 * w)))
+    for column in waves:
+        column.flags.writeable = False
+    return waves
+
+
+def _wave_tables(lasers) -> _Waves:
+    """The waves of a batch of pulses, one row per laser (none for no
+    lasers)."""
+    tables = [_wave_table(las) for las in lasers]
+    return _Waves(*(np.reshape([t[i] for t in tables], (-1, 4))
+                    for i in range(len(_Waves._fields))))
+
+
+def _wave_sum(waves: _Waves, t):
+    """A(t) from the waves of one pulse."""
+    t = np.asarray(t)[..., None]
+    x = t - waves.centre
+    return np.exp(1j * waves.k * t - waves.rate * (x * x)) @ waves.amp
+
+
+def _wave_ends(waves: _Waves, t1, t2):
+    """int_t1^t2 A(tau) dtau, A and A' = dA/dt at both ends, from one
+    evaluation of the waves there. t1 and t2 are arrays of one shape, one
+    segment per row of a batch of waves (or any shape for one pulse).
+    Returns (integral, A, A'), A and A' with a last axis (t1, t2).
+
+    A' of a wave g is g (i k - 2 rate (tau - centre)). A is entire, so the
+    integral does not depend on the path: g integrates to
+    -sqrt(pi)/(2 sqrt(a)) g w(zeta), w the Faddeeva function and zeta =
+    i sqrt(a) (tau - c0) + k/(2 sqrt(a)) for rate a and centre c0. Where
+    Im zeta < 0 (Re tau < c0), g w(zeta) = 2 amp exp(i k c0 - k^2/4a) -
+    g w(-zeta), so that w is only evaluated in the upper half-plane, where
+    it is bounded. The constant is left out: each colour is odd about its
+    own centre (sh_phase = 2 omega sh_center), so the constants of its two
+    waves cancel. Kept, it would round g w away in the far wings, where it
+    outweighs it.
+    """
+    from scipy.special import wofz  # here: TDSE runs need no scipy.special
+
+    amp, rate, centre, k = (c[..., None, :] for c in waves)  # (..., end, wave)
     root = np.sqrt(rate)
-    tau = np.stack((t1, t2), axis=-1)[..., None]  # (..., end, wave)
+    tau = np.stack((t1, t2), axis=-1)[..., None]
     x = tau - centre
+    g = amp * np.exp(1j * k * tau - rate * x**2)
     side = np.where(x.real < 0, -1.0, 1.0)  # the sign of Im zeta
-    gw = side * amp * np.exp(1j * k * tau - rate * x**2) \
-        * wofz(side * (1j * root * x + k / (2.0 * root)))
+    gw = side * g * wofz(side * (1j * root * x + k / (2.0 * root)))
     ends = np.sum(-np.sqrt(np.pi) / (2.0 * root) * gw, axis=-1)
-    return ends[..., 1] - ends[..., 0]
+    return (ends[..., 1] - ends[..., 0], np.sum(g, axis=-1),
+            np.sum(g * (1j * k - 2.0 * rate * x), axis=-1))
 
 
 def _field(p: _Pulse, t):

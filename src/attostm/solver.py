@@ -252,6 +252,33 @@ def _interior_index(grid: GridSpec, z: float, what: str) -> int:
     return i
 
 
+def check_run(cfg: JunctionConfig, grid: GridSpec, t_start: float,
+              t_end: float, probes=(None,), map_spec: MapSpec | None = None):
+    """The checks propagate makes on its arguments before it computes
+    (ValueError for the first that fails), and the grid rows they resolve
+    to: (probe rows, map rows or None without a map)."""
+    if t_end <= t_start:
+        raise ValueError("t_end must exceed t_start")
+    if not (grid.z_min < 0.0 < cfg.width_d < grid.z_max):
+        raise ValueError("grid must bracket the junction: z_min < 0 < d < z_max")
+    probe_idx = np.array(
+        [_interior_index(grid, cfg.width_d if p is None else float(p), "probe")
+         for p in probes], dtype=np.int64)
+    seen = {}
+    for p, i in zip(probes, probe_idx):
+        if i in seen:
+            raise ValueError(f"probes {seen[i]} and {p} nm both resolve to "
+                             f"the grid point z = {grid.z[i]:+.3f} nm")
+        seen[i] = p
+    if map_spec is None:
+        return probe_idx, None
+    map_i0 = _interior_index(grid, map_spec.z_lo, "map edge z_lo")
+    map_i1 = _interior_index(grid, map_spec.z_hi, "map edge z_hi")
+    if map_i1 == map_i0:
+        raise ValueError("map window is narrower than one grid step")
+    return probe_idx, np.arange(map_i0, map_i1)
+
+
 def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
               t_start: float, t_end: float, probes=(None,), *,
               absorber: AbsorberSpec | None = None,
@@ -269,29 +296,12 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     (chunk steps x rows) before each step, and their currents are taken
     from it once per chunk.
     """
-    if t_end <= t_start:
-        raise ValueError("t_end must exceed t_start")
-    if not (grid.z_min < 0.0 < cfg.width_d < grid.z_max):
-        raise ValueError("grid must bracket the junction: z_min < 0 < d < z_max")
-    probe_idx = np.array(
-        [_interior_index(grid, cfg.width_d if p is None else float(p), "probe")
-         for p in probes], dtype=np.int64)
-    seen = {}
-    for p, i in zip(probes, probe_idx):
-        if i in seen:
-            raise ValueError(f"probes {seen[i]} and {p} nm both resolve to "
-                             f"the grid point z = {grid.z[i]:+.3f} nm")
-        seen[i] = p
+    probe_idx, map_idx = check_run(cfg, grid, t_start, t_end, probes, map_spec)
     watched = int(probe_idx.min(initial=grid.n_points - 1))
     top = int(probe_idx.max(initial=0))
     if map_spec is not None:
-        map_i0 = _interior_index(grid, map_spec.z_lo, "map edge z_lo")
-        map_i1 = _interior_index(grid, map_spec.z_hi, "map edge z_hi")
-        if map_i1 == map_i0:
-            raise ValueError("map window is narrower than one grid step")
-        map_idx = np.arange(map_i0, map_i1)
-        watched = min(watched, map_i0)
-        top = max(top, map_i1 - 1)
+        watched = min(watched, int(map_idx[0]))
+        top = max(top, int(map_idx[-1]))
     onset = pulse_onset(laser)
     if laser.field_F1 > 0 and t_start > onset:
         warnings.warn(f"t_start = {t_start} fs is after the pulse onset at "

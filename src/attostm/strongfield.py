@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import JunctionConfig, LaserConfig
-from .laser import (_Pulse, _field, _potential, _potential_integral, _pulse,
-                    _pulses, effective_keldysh, electric_field,
-                    field_crest_time, find_field_crests, vector_potential)
+from .laser import (_Waves, _wave_ends, _wave_sum, _wave_table, _wave_tables,
+                    effective_keldysh, electric_field, field_crest_time,
+                    find_field_crests, vector_potential)
 from .potential import mean_image_magnitude
 from .units import EMASS, HBAR_EVFS
 
@@ -56,21 +56,24 @@ class SaddleSolution:
     laser: LaserConfig
     junction: JunctionConfig
 
+    def _ends(self):
+        return _wave_ends(_wave_table(self.laser), self.t1, self.t2)
+
     @property
     def p_tilde(self) -> complex:
         """Canonical momentum, derived from t1, t2 (eV fs / nm)."""
-        return _p_tilde(self.junction.width_d, self.t1, self.t2,
-                        _potential_integral(_pulse(self.laser), self.t1, self.t2))
+        a_int, _, _ = self._ends()
+        return _p_tilde(self.junction.width_d, self.t1, self.t2, a_int)
 
     def residuals(self) -> tuple[float, float, float]:
         """|residual| of the emission-energy, displacement and arrival-energy
         saddle equations, in eV / nm / eV."""
         d = self.junction.width_d
-        a_int = _potential_integral(_pulse(self.laser), self.t1, self.t2)
+        a_int, (a1, a2), _ = self._ends()
         pt = _p_tilde(d, self.t1, self.t2, a_int)
         # kinetic momentum p~ - e A(t) = p~ + A(t)
-        k1 = pt + vector_potential(self.laser, self.t1)
-        k2 = pt + vector_potential(self.laser, self.t2)
+        k1 = pt + a1
+        k2 = pt + a2
         vbar = mean_image_magnitude(self.junction)
         r1 = k1**2 / (2.0 * EMASS) - vbar + self.junction.workfunction_tip
         r2 = (pt * (self.t2 - self.t1) + a_int) / EMASS - d
@@ -86,18 +89,20 @@ def action(t1: complex, t2: complex, E: float, laser: LaserConfig,
     with the image integral taken as -Vbar * (t2 - t1), Vbar the junction's
     mean_image_magnitude and W_t its tip workfunction. p~ and the A^2
     integral share one evaluation of A at the Gauss-Legendre nodes of the
-    straight segment (A is entire, so any contour will do).
+    straight segment (A is entire, so any contour will do), taken from the
+    laser's cached wave table.
     """
-    # Scalar, one call per kept root, because perfbench's tracer inspects
-    # each result. Batching S, and with it a closed form for p~ and int A^2
-    # in place of this rule, goes with ROADMAP item 4, step 2.
+    # Still scalar, one call per kept root: perfbench's tracer reads each
+    # result to count the useful roots. Batching S over an energy step, and
+    # with it a closed form for p~ and int A^2 in place of this rule, waits
+    # on that tracer's revision (ROADMAP items 4 and 8).
     if t2 == t1:
         raise ValueError("t1 and t2 must differ")
     vbar = mean_image_magnitude(cfg)
     half = 0.5 * (t2 - t1)
-    a = vector_potential(laser, 0.5 * (t1 + t2) + half * _GL_X)
-    pt = _p_tilde(cfg.width_d, t1, t2, half * np.sum(_GL_W * a))
-    a2 = half * np.sum(_GL_W * a**2)
+    a = _wave_sum(_wave_table(laser), 0.5 * (t1 + t2) + half * _GL_X)
+    pt = _p_tilde(cfg.width_d, t1, t2, half * (_GL_W @ a))
+    a2 = half * (_GL_W @ a**2)
     return (E * t2 + pt**2 / (2.0 * EMASS) * (t2 - t1)
             - a2 / (2.0 * EMASS) + vbar * (t2 - t1)
             + cfg.workfunction_tip * t1)
@@ -113,18 +118,11 @@ def _seed_depth(laser, cfg, vbar, crest_time):
     return np.arcsinh(gamma) / w
 
 
-def _rows(pulse, idx):
-    # the pulses of rows idx (sorted, unique); all rows need no copy
-    if idx.size == pulse.omega.shape[0]:
-        return pulse
-    return _Pulse(*(c[idx] for c in pulse))
-
-
 @dataclass(frozen=True)
 class _Problems:
     """A batch of saddle problems, one (laser, crest) pair per row."""
 
-    pulse: _Pulse          # per-laser constants as (n, 1) columns
+    waves: _Waves          # the (n, 4) wave table of the rows' lasers
     crest: np.ndarray      # crest time (fs)
     window: np.ndarray     # largest |Re t1 - crest| of a physical root (fs)
     depth: np.ndarray      # Im t1 of the heuristic seed (fs)
@@ -134,21 +132,22 @@ class _Problems:
         """Problems of the (laser, crest time) pairs, in the given order."""
         vbar = mean_image_magnitude(cfg)
         lasers = [las for las, _ in pairs]
-        return cls(_pulses(lasers),
+        return cls(_wave_tables(lasers),
                    np.array([tc for _, tc in pairs], dtype=float),
                    np.array([0.3 * 2.0 * np.pi / las.omega for las in lasers]),
                    np.array([_seed_depth(las, cfg, vbar, tc) for las, tc in pairs]))
 
     def __getitem__(self, idx):
-        return _Problems(_rows(self.pulse, idx), self.crest[idx],
+        return _Problems(self.waves.rows(idx), self.crest[idx],
                          self.window[idx], self.depth[idx])
 
 
-def _kinetic(pulse, d, t1, t2):
-    """Kinetic momenta p~ + A(t) at both ends of each segment t1 -> t2."""
-    pt = _p_tilde(d, t1, t2, _potential_integral(pulse, t1, t2))
-    ends = _potential(pulse, np.stack((t1, t2), axis=1))
-    return pt + ends[:, 0], pt + ends[:, 1]
+def _kinetic(waves, d, t1, t2):
+    """Kinetic momenta p~ + A(t) at both ends of each segment t1 -> t2, and
+    A' there as an (n, 2) array, from one evaluation of the rows' waves."""
+    a_int, a, da = _wave_ends(waves, t1, t2)
+    pt = _p_tilde(d, t1, t2, a_int)
+    return pt + a[:, 0], pt + a[:, 1], da
 
 
 # why a problem of the batch has no root; 0 is a physical root
@@ -159,9 +158,13 @@ def _kinetic(pulse, d, t1, t2):
 def _newton(problems, t1, t2, k1_target, k2_target, d):
     """Damped Newton on every problem at once, then the physical-branch
     checks; k2_target holds one value per problem. Returns (t1, t2, |G| at
-    the last accepted iterate, status)."""
+    the last accepted iterate, status).
+
+    Each iterate and line-search candidate costs one evaluation of the wave
+    table (_kinetic); the Jacobian takes A' from the row's last accepted
+    iterate."""
     t1, t2 = t1.copy(), t2.copy()
-    k1, k2 = _kinetic(problems.pulse, d, t1, t2)
+    k1, k2, da = _kinetic(problems.waves, d, t1, t2)
     gnorm = abs(k1 - k1_target) + abs(k2 - k2_target)
     status = np.full(t1.size, _NO_CONVERGENCE)
     live = np.arange(t1.size)  # rows still iterating
@@ -171,10 +174,10 @@ def _newton(problems, t1, t2, k1_target, k2_target, d):
         live = live[~conv]
         if live.size == 0:
             break
-        pulse = _rows(problems.pulse, live)
+        waves = problems.waves.rows(live)
         a1, a2, b1, b2 = t1[live], t2[live], k1[live], k2[live]
         g1, g2 = b1 - k1_target, b2 - k2_target[live]
-        ap = -_field(pulse, np.stack((a1, a2), axis=1))  # A'(t1), A'(t2)
+        ap = da[live]  # A'(t1), A'(t2)
         dt21 = a2 - a1
         j11 = b1 / dt21 + ap[:, 0]
         j12 = -b2 / dt21
@@ -194,12 +197,13 @@ def _newton(problems, t1, t2, k1_target, k2_target, d):
             c2 = a2[search] + 0.5**h * d2[search]
             valid = np.flatnonzero(c2 != c1)
             at = search[valid]
-            q1, q2 = _kinetic(_rows(pulse, at), d, c1[valid], c2[valid])
+            q1, q2, qd = _kinetic(waves.rows(at), d, c1[valid], c2[valid])
             qnorm = abs(q1 - k1_target) + abs(q2 - k2_target[live[at]])
             better = qnorm < gnorm[live[at]]
             rows = live[at[better]]
             t1[rows], t2[rows] = c1[valid[better]], c2[valid[better]]
             k1[rows], k2[rows], gnorm[rows] = q1[better], q2[better], qnorm[better]
+            da[rows] = qd[better]
             keep = np.ones(search.size, dtype=bool)
             keep[valid[better]] = False
             search = search[keep]

@@ -520,7 +520,19 @@ def test_scan_refuses_fewer_than_two_energies(tmp_path, capsys):
                        "count": 1}}, "scan.count must be >= 2"),
     ("saddle", {"saddle": {"energy_count": 0}},
      "saddle.energy_count must be >= 1"),
-], ids=["scan_kind", "scan_count", "saddle_energy_count"])
+    # checks the scan functions and propagate make before they compute
+    ("scan", {"scan": {"kind": "ratio", "start": 0.0, "stop": 1.5,
+                       "count": 2}},
+     "ratio = 1.5: ratio_eta must lie in [0, 1]"),
+    ("scan", {"scan": {"kind": "robustness", "start": 4.9, "stop": 5.3,
+                       "count": 2, "parameter": "bogus"}},
+     "parameter must be one of"),
+    ("propagate", tiny_tdse_config(propagate={"probes_nm": [500.0]}),
+     "probe at 500.0 nm is outside the grid interior"),
+    ("propagate", {"propagate": {"map": {"z_lo_nm": 1.0, "z_hi_nm": 1.01}}},
+     "map window is narrower than one grid step"),
+], ids=["scan_kind", "scan_count", "saddle_energy_count", "ratio_stop",
+        "robustness_parameter", "probe_outside_grid", "map_narrower_than_dz"])
 def test_dry_run_makes_the_checks_of_the_run(tmp_path, capsys, command, data,
                                              message):
     path = write_config(tmp_path, data)

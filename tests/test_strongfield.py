@@ -15,7 +15,7 @@ from attostm._fork import LostRunError
 from attostm.cli import (EXIT_COMPUTE, build_junction, build_laser,
                          load_config, main)
 from attostm.config import JunctionConfig, LaserConfig
-from attostm.laser import (_potential_integral, _pulse, _pulses,
+from attostm.laser import (_wave_ends, _wave_table, _wave_tables,
                            effective_keldysh, electric_field, field_crest_time,
                            find_field_crests, vector_potential)
 from attostm.potential import mean_image_magnitude
@@ -88,27 +88,28 @@ def test_saddle_residuals_small(cfg, las8):
 
 # (t1, t2, residuals(), action) at W_t = 5.1 eV on LaserConfig(field_F1=8),
 # recorded before the saddle core shared its A evaluations; residuals()
-# re-recorded when int A dtau went from quadrature to closed form
+# re-recorded when int A dtau went from quadrature to closed form, and
+# again when A and A' at the ends came from one table of four waves
 PINNED_SADDLES = {
     0.0: (0.28673109455005535 + 0.641625520456147j,
           1.6537451642325836 - 0.0639264497504323j,
-          (2.3445927001053493e-13, 1.1102230246251565e-16,
-           1.0580090413034094e-13),
+          (2.316364888314702e-13, 1.1102230246251565e-16,
+           1.0696629380456517e-13),
           -2.241613359357687 + 1.8250932799823296j),
     2.0: (0.16695078907722427 + 0.5971970343730296j,
           1.2284481729461878 - 0.04545321680168601j,
-          (6.4873476381424504e-12, 1.1102230246251565e-16,
-           4.115933270647228e-12),
+          (6.489213500416645e-12, 1.1769086276701484e-16,
+           4.1152603450540385e-12),
           0.6111480738831088 + 1.7120148984256738j),
     4.4: (-0.06372547307167091 + 0.5986598670061757j,
           0.796000985224592 + 0.029439569930487634j,
-          (2.1337722051610274e-15, 1.1102230246251565e-16,
-           1.802516196794476e-15),
+          (1.7763568394002505e-15, 1.1272643224980471e-16,
+           2.677285799758433e-15),
           3.0465266829772037 + 1.6705313837278912j),
     6.7: (-0.23983826117324106 + 0.796030929385939j,
           0.4931285134596064 + 0.31734787366698486j,
-          (1.3318583604935346e-11, 1.3574498805901583e-16,
-           1.6374130139908153e-11),
+          (1.3320333620660842e-11, 1.3574498805901583e-16,
+           1.6370650399027357e-11),
           4.458968629908366 + 2.0452524100550513j),
 }
 
@@ -607,15 +608,15 @@ CLOSED_FORM_SEGMENTS = [
                 base_delay_tau0=0.64),
 ], ids=["anchor", "delayed", "flipped", "fundamental", "short"])
 def test_closed_form_segment_integral_matches_quadrature(laser):
-    p = _pulse(laser)
+    waves = _wave_table(laser)
     for t1, t2 in CLOSED_FORM_SEGMENTS + [(laser.sh_center - 0.6 + 0.4j,
                                            laser.sh_center + 0.8)]:
         ref = _gl256_integral(laser, t1, t2)
-        got = _potential_integral(p, np.array(t1), np.array(t2))
+        got, _, _ = _wave_ends(waves, np.array(t1), np.array(t2))
         assert abs(got - ref) <= 1e-13 * abs(ref), (t1, t2)
     # beyond every envelope: finite, and zero where A underflows
-    far = _potential_integral(p, np.array([-5000.0 + 1j, 3000.0]),
-                              np.array([-4998.0, 3002.0 + 1j]))
+    far, _, _ = _wave_ends(waves, np.array([-5000.0 + 1j, 3000.0]),
+                           np.array([-4998.0, 3002.0 + 1j]))
     np.testing.assert_array_equal(far, [0.0, 0.0])
 
 
@@ -625,8 +626,38 @@ def test_closed_form_segment_integral_of_a_batch_of_mixed_lasers():
               LaserConfig(field_F1=8.0, base_delay_tau0=-2.1).flipped(),
               LaserConfig(field_F1=8.0, ratio_eta=0.0, duration_tau1=12.0)]
     t1, t2 = np.array(CLOSED_FORM_SEGMENTS[:len(lasers)]).T
-    got = _potential_integral(_pulses(lasers), t1, t2)
+    got, _, _ = _wave_ends(_wave_tables(lasers), t1, t2)
     assert got.shape == (len(lasers),)
     for las, a, b, g in zip(lasers, t1, t2, got):
         ref = _gl256_integral(las, a, b)
         assert abs(g - ref) <= 1e-13 * abs(ref)
+
+
+_GL64_X, _GL64_W = np.polynomial.legendre.leggauss(64)
+
+
+def test_wave_table_ends_match_the_public_evaluators():
+    # Newton's Jacobian and action take A, A' and int A from the wave table;
+    # the trajectories and the TDSE take A and E from vector_potential and
+    # electric_field. One batch: two delays, a flipped laser and eta = 0,
+    # one complex segment per row. Measured: at most 4.3e-16 relative.
+    lasers = [LaserConfig(field_F1=8.0, base_delay_tau0=0.4),
+              LaserConfig(field_F1=8.0, base_delay_tau0=1.9),
+              LaserConfig(field_F1=10.0, base_delay_tau0=-0.7).flipped(),
+              LaserConfig(field_F1=8.0, ratio_eta=0.0)]
+    t1, t2 = np.array([(-0.7 + 0.5j, 0.9 - 0.05j), (0.3 + 1.0j, 1.5 + 0.2j),
+                       (-0.24 + 0.8j, 0.49 + 0.32j),
+                       (-2.0 + 0.6j, -0.5 + 0.1j)]).T
+    integral, a, da = _wave_ends(_wave_tables(lasers), t1, t2)
+    assert integral.shape == (len(lasers),)
+    assert a.shape == da.shape == (len(lasers), 2)
+    for i, las in enumerate(lasers):
+        ends = np.array([t1[i], t2[i]])
+        want_a = vector_potential(las, ends)
+        want_da = -electric_field(las, ends)
+        half = 0.5 * (t2[i] - t1[i])
+        want_int = half * (_GL64_W @ vector_potential(
+            las, 0.5 * (t1[i] + t2[i]) + half * _GL64_X))
+        assert np.all(np.abs(a[i] - want_a) <= 2e-15 * np.abs(want_a))
+        assert np.all(np.abs(da[i] - want_da) <= 2e-15 * np.abs(want_da))
+        assert abs(integral[i] - want_int) <= 2e-15 * abs(want_int)
