@@ -313,8 +313,6 @@ def cmd_scan(data, out_dir, args, configs, snapshot) -> int:
     if refused:
         raise ConfigError(f"scan kind {kind!r} does not take "
                           f"{', '.join(refused)}")
-    if "energies_eV" in scan and len(scan["energies_eV"]) < 2:
-        raise ConfigError("scan.energies_eV needs at least two energies")
     if SCAN_KINDS[kind].net:
         _refuse_asymmetry(cfg, kind)
     # options left out keep the scan function's defaults

@@ -387,12 +387,16 @@ SCAN_KINDS = {
 
 def check_sweep(kind: str, cfg: JunctionConfig, laser: LaserConfig, values,
                 **options) -> None:
-    """The check scan `kind` makes on its swept values before it computes,
-    with the options run_scan would pass: ValueError for an unknown
-    robustness parameter or a value the junction or laser refuses."""
+    """The checks scan `kind` makes before it computes, with the options
+    run_scan would pass: ValueError for an unknown robustness parameter, a
+    swept value the junction or laser refuses, or a strong-field energy
+    grid directional_weight refuses (named as its scan key,
+    scan.energies_eV)."""
     parameter = options.get("parameter", SCAN_KINDS[kind].axis)
     if parameter is not None:
         _sweep_points(parameter, cfg, laser, values)
+    if "energies" in options:
+        strongfield.check_energies(options["energies"], "scan.energies_eV")
 
 
 def run_scan(kind: str, cfg: JunctionConfig, laser: LaserConfig, grid,

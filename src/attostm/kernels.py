@@ -41,7 +41,11 @@ from scipy.linalg.lapack import zgtsv
 
 # longest slice of a block's closure dots and mode updates: OpenBLAS runs
 # a zdotu over more than 10 000 elements on several threads, which makes
-# its rounding depend on the thread count and spins every core
+# its rounding depend on the thread count and spins every core. The step
+# loop calls only scipy's BLAS and LAPACK: numpy's @ and np.dot go through
+# numpy's own OpenBLAS, whose thread pool is separate from scipy's, and one
+# numpy product per batch of diagonals made the forked tall-tip delay scan
+# 3-6x slower, that pool spinning in both processes
 DOT_BLOCK = 8192
 
 # elements of one batch of Crank-Nicolson diagonals, built for several
@@ -234,19 +238,27 @@ def cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, step_off, rec, rec_row,
     a_off = -1j * half_dt * koff
     # zgtsv takes off-diagonals of at least one element, used or not
     off = np.full(max(n - 1, 1), a_off, dtype=np.complex128)
-    nbr = np.empty(n, dtype=np.complex128)
+    nbr, r = (np.empty(n, dtype=np.complex128) for _ in range(2))
     # the stepped rows, as the last solve left them
     mid = np.concatenate([w[1:-1] for w in windows])
     recorded = slice(rec_row - cut, rec_row - cut + rec.shape[1])
     batch = max(1, BATCH_ELEMENTS // n)
-    for s in range(efield.shape[0]):
-        if s % batch == 0:
+    # the tip sees no laser: its closure's ell is one constant, and row J
+    # sees row J-1 at the new time through it
+    (tip_ell,) = tip.ell
+    fields = efield.tolist()
+    for s, e in enumerate(fields):
+        k = s % batch
+        if k == 0:
             es = efield[s:s + batch, None]
             ams = 1.0 + 1j * half_dt * (2.0 * koff + (vs + es * zc))
             rest = 2.0 - ams
+            ams[:, 0] += a_off * tip_ell
         rec[s] = mid[recorded]
-        e = efield[s]
-        am = ams[s % batch]
+        am = ams[k]
+        # the end rows' arithmetic runs on Python scalars, which cost less
+        # per operation than numpy's
+        m0 = mid.item(0)
         np.add(mid[:-2], mid[2:], out=nbr[1:-1])
         for w, i, j in segs:
             # the first and last row of each run see the rows beside it
@@ -255,17 +267,17 @@ def cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, step_off, rec, rec_row,
             else:
                 nbr[i] = w[0] + mid[i + 1]
                 nbr[j - 1] = mid[j - 2] + w[-1]
-        r = -a_off * nbr + rest[s % batch] * mid
-        # row J sees row J-1 at the new time through the tip's closure
-        (g,), (ell,) = tip.closure(e)
-        am[0] += a_off * ell
-        r[0] -= a_off * (g + ell * mid[0])
+        np.multiply(rest[k], mid, out=r)
+        nbr *= -a_off
+        r += nbr
+        (g,), _ = tip.closure(e)
+        r[0] -= a_off * (g + tip_ell * m0)
         if sample is not None:
             # odd and even modes: the end rows are their sum and difference
             (g_odd, g_even), (l_odd, l_even) = sample.closure(e)
             g_lo, g_hi = g_odd + g_even, g_odd - g_even
             l_same, l_cross = l_odd + l_even, l_odd - l_even
-            below, above = mid[lo], mid[lo + 1]
+            below, above = mid.item(lo), mid.item(lo + 1)
             am[lo] += a_off * l_same
             am[lo + 1] += a_off * l_same
             off[lo] = a_off * l_cross
@@ -275,11 +287,11 @@ def cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, step_off, rec, rec_row,
         if info != 0:
             raise SolverError(f"tridiagonal solve failed at step "
                               f"{step_off + s} (zgtsv info = {info})")
-        both = x[0] + mid[0]
+        both = x.item(0) + m0
         tip.couple((both,))
-        psi[cut - 1] = g + ell * both
+        psi[cut - 1] = g + tip_ell * both
         if sample is not None:
-            sb, sa = x[lo] + below, x[lo + 1] + above
+            sb, sa = x.item(lo) + below, x.item(lo + 1) + above
             sample.couple((sb + sa, sb - sa))
             psi[p0] = g_lo + l_same * sb + l_cross * sa
             psi[p1] = g_hi + l_cross * sb + l_same * sa

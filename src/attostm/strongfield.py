@@ -508,6 +508,19 @@ def directional_spectrum(laser: LaserConfig, cfg: JunctionConfig,
     return np.abs(amp.sum(axis=0))
 
 
+def check_energies(energies, name: str = "energies") -> np.ndarray:
+    """energies as a float array, if they are a 1-D grid of at least two
+    strictly increasing values, the grid directional_weight integrates over
+    (otherwise the integral would be zero or negative); ValueError naming
+    them as `name` otherwise."""
+    energies = np.asarray(energies, dtype=float)
+    if energies.ndim != 1 or energies.size < 2 \
+            or not np.all(np.diff(energies) > 0):
+        raise ValueError(f"{name} must be a 1-D grid of at least two "
+                         f"strictly increasing values, got {energies.tolist()}")
+    return energies
+
+
 def directional_weight(lasers: Sequence[LaserConfig], cfg: JunctionConfig,
                        energies) -> np.ndarray:
     """Energy-integrated tip -> sample transport weight int |M_E|^2 dE of
@@ -526,14 +539,9 @@ def directional_weight(lasers: Sequence[LaserConfig], cfg: JunctionConfig,
     |E| >= 0.8 of the maximum lose their root at 59 crest/energy pairs
     (29 forward, 30 backward), all below 2 eV.
 
-    energies must be 1-D, at least two and strictly increasing, or the
-    integral would be zero or negative; anything else raises ValueError.
+    energies must pass check_energies.
     """
-    energies = np.asarray(energies, dtype=float)
-    if energies.ndim != 1 or energies.size < 2 \
-            or not np.all(np.diff(energies) > 0):
-        raise ValueError("energies must be a 1-D grid of at least two "
-                         f"strictly increasing values, got {energies.tolist()}")
+    energies = check_energies(energies)
     rows = _crest_amplitudes(lasers, cfg, energies)
     return np.array([np.trapezoid(np.sum(np.abs(amp) ** 2, axis=0), energies)
                      for _, amp, _ in rows])

@@ -20,7 +20,9 @@ from attostm.lockin import (DelayTrace, ModulationSpec, forward_lockin,
                             select_beta)
 from attostm.potential import mean_image_magnitude
 from attostm.results import ScanResult, config_hash, read_csv, write_csv
-from attostm.solver import ReflectionRiskWarning, SolverError
+from attostm.solver import (MapSpec, ReflectionRiskWarning, SolverError,
+                            WaveState, propagate)
+from tip_cuts import cut_row, direct_length, rule_cut_nm
 
 
 def run_cli(*argv):
@@ -255,9 +257,12 @@ def test_propagate_records_tip_cut(tmp_path, capsys):
     out = tmp_path / "prop"
     assert run_cli("propagate", "--config", path, "--out", str(out)) == EXIT_OK
     sidecar = json.loads((out / "propagation.json").read_text())
-    dz = build_grid(cfg)[0].dz
-    # the tip block ends two rows below the map's first point
-    assert sidecar["tip_cut_nm"] == pytest.approx(-1.0 - 2 * dz, abs=0.5 * dz)
+    grid = build_grid(cfg)[0]
+    dz = grid.dz
+    # the tip block ends two rows below the map's first point, less the
+    # rows the FFT length rule takes off
+    assert sidecar["tip_cut_nm"] == pytest.approx(
+        rule_cut_nm(grid, -1.0 - 2 * dz), abs=0.5 * dz)
     # the sample block starts two rows above the map's last point and
     # ends below the absorber, which starts at 16 nm
     lo, hi = sidecar["sample_block_nm"]
@@ -273,6 +278,32 @@ def test_propagate_records_tip_cut(tmp_path, capsys):
     assert run_cli("propagate", "--config", path, "--out", str(out)) \
         == EXIT_CONFIG
     assert "tip_cut_nm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("recipe, preset", [
+    ("fig4a", "desk"), ("fig4a", "reference"),
+    ("fig4bc", "desk"), ("fig4bc", "reference")])
+def test_recipe_tip_blocks_take_a_direct_fft(recipe, preset):
+    # fig4a's delay scan probes z = 0 and z = d (experiments._wall_charges);
+    # fig4bc reads its probes and map from the recipe. One step from an
+    # empty state is enough to place the blocks.
+    data = load_config(recipe)
+    cfg, laser = cli.build_junction(data), cli.build_laser(data)
+    grid, absorber = build_grid(data, preset)
+    section = data.get("propagate", {})
+    probes = section.get("probes_nm", [0.0, None])
+    map_spec = MapSpec(section["map"]["z_lo_nm"], section["map"]["z_hi_nm"]) \
+        if "map" in section else None
+    first = min([cfg.width_d if p is None else p for p in probes]
+                + ([] if map_spec is None else [map_spec.z_lo]))
+    t0 = experiments.default_time_span(laser)[0]
+    empty = WaveState(grid, np.zeros(grid.n_points), t0)
+    res = propagate(cfg, laser, grid, t0, t0 + grid.dt, probes,
+                    absorber=absorber, initial=empty, map_spec=map_spec)
+    cut = cut_row(grid, res.tip_cut_nm)
+    old = cut_row(grid, first) - 2  # two rows below the first watched point
+    assert direct_length(2 * cut)
+    assert old - 14 <= cut <= old
 
 
 def test_scan_delay(tmp_path):
@@ -508,8 +539,8 @@ def test_scan_refuses_fewer_than_two_energies(tmp_path, capsys):
         "energies_eV": [2.0]}))
     out = tmp_path / "none"
     assert run_cli("scan", "--config", path, "--out", str(out)) == EXIT_CONFIG
-    assert "scan.energies_eV needs at least two energies" \
-        in capsys.readouterr().err
+    assert "scan.energies_eV must be a 1-D grid of at least two strictly " \
+        "increasing values, got [2.0]" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -531,8 +562,13 @@ def test_scan_refuses_fewer_than_two_energies(tmp_path, capsys):
      "probe at 500.0 nm is outside the grid interior"),
     ("propagate", {"propagate": {"map": {"z_lo_nm": 1.0, "z_hi_nm": 1.01}}},
      "map window is narrower than one grid step"),
+    ("scan", {"scan": {"kind": "delay_sf", "start": 0.0, "stop": 1.5,
+                       "count": 2, "energies_eV": [4.0, 2.0]}},
+     "scan.energies_eV must be a 1-D grid of at least two strictly "
+     "increasing values, got [4.0, 2.0]"),
 ], ids=["scan_kind", "scan_count", "saddle_energy_count", "ratio_stop",
-        "robustness_parameter", "probe_outside_grid", "map_narrower_than_dz"])
+        "robustness_parameter", "probe_outside_grid", "map_narrower_than_dz",
+        "energies_unsorted"])
 def test_dry_run_makes_the_checks_of_the_run(tmp_path, capsys, command, data,
                                              message):
     path = write_config(tmp_path, data)

@@ -20,6 +20,7 @@ from attostm.solver import (CurrentRecord, InitialStateError, MapSpec,
                             propagate, transferred_charge)
 from attostm.units import (AUTIME_FS, BOHR_NM, EMASS, HARTREE_EV, HBAR_EVFS,
                            HBAR2_OVER_2M)
+from tip_cuts import largest_prime_factor, rule_cut, rule_cut_nm
 from wavepackets import gaussian_packet
 
 
@@ -486,8 +487,10 @@ def test_tip_closure_matches_full_grid():
     map_spec = MapSpec(-0.5, cfg.width_d + 0.5, 16)
     res = propagate(cfg, las, grid, t0, t1, probes=(0.0, None), initial=st,
                     map_spec=map_spec)
-    # the tip block reaches up to two rows below the map's first point
-    assert res.tip_cut_nm == pytest.approx(-0.5 - 2 * grid.dz, abs=0.5 * grid.dz)
+    # the tip block reaches up to two rows below the map's first point,
+    # less the rows the FFT length rule takes off
+    assert res.tip_cut_nm == pytest.approx(
+        rule_cut_nm(grid, -0.5 - 2 * grid.dz), abs=0.5 * grid.dz)
     # the sample block starts two rows above the map's last point and,
     # with no absorber, ends one row below the last interior row
     lo, hi = res.sample_block_nm
@@ -604,13 +607,42 @@ def test_probe_inside_the_tip_moves_the_cut():
     st = initial_state(cfg, grid)
     t0, t1 = default_time_span(las)
     res = propagate(cfg, las, grid, t0, t1, probes=(-5.0, None), initial=st)
-    assert res.tip_cut_nm == pytest.approx(-5.0 - 2 * grid.dz, abs=0.5 * grid.dz)
+    assert res.tip_cut_nm == pytest.approx(
+        rule_cut_nm(grid, -5.0 - 2 * grid.dz), abs=0.5 * grid.dz)
     assert_matches_full_grid(res, full_grid_run(
         cfg, las, grid, t0, t1, st, (-5.0, cfg.width_d)))
     # with nothing recorded, the block reaches up to where the laser starts
+    # (the last row at z <= 0), less the rows the FFT length rule takes off
     bare = propagate(cfg, las, grid, t0, t0 + 1.0, probes=(), initial=st)
     assert bare.records == []
-    assert -grid.dz < bare.tip_cut_nm <= 0.0
+    assert bare.tip_cut_nm == pytest.approx(
+        rule_cut_nm(grid, grid.z[grid.z <= 0.0][-1]), abs=0.5 * grid.dz)
+
+
+def test_tip_cut_below_a_bluestein_length_matches_full_grid():
+    # with a probe at z = 0 this grid's flat tip run ends at the cut
+    # J0 = 293, a prime, so its sine transform of 2 J0 points would take
+    # Bluestein's FFT; the cut moves down and the rows between are stepped
+    grid = small_grid(-8.11, 8.0)
+    cfg = JunctionConfig()
+    las = short_pulse(f1=8.0)
+    old = round(-grid.z_min / grid.dz) - 1
+    assert largest_prime_factor(2 * old) == old == 293
+    packet = gaussian_packet(grid, center=-4.0, sigma=0.5, k0=-8.0)
+    t0 = default_time_span(las)[0]
+    t1 = t0 + 16.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ReflectionRiskWarning)
+        res = propagate(cfg, las, grid, t0, t1, probes=(0.0, None),
+                        initial=packet)
+    assert rule_cut(old) < old
+    assert res.tip_cut_nm == pytest.approx(grid.z[rule_cut(old) - 1],
+                                           abs=0.5 * grid.dz)
+    ref = full_grid_run(cfg, las, grid, t0, t1, packet, (0.0, cfg.width_d))
+    # the packet reflected off z_min has come back out of the tip block
+    # and reaches the probe at z = 0
+    assert np.max(np.abs(ref[0][0, -200:])) > 1e-3 * np.max(np.abs(ref[0]))
+    assert_matches_full_grid(res, ref)
 
 
 def test_charges_converge_at_second_order_in_dt():
