@@ -25,7 +25,7 @@ from . import __version__, experiments, kernels, lockin as lockin_mod, strongfie
 from ._fork import LostRunError
 from .config import JunctionConfig, LaserConfig
 from .experiments import SCAN_KINDS
-from .grid import DESK_ABSORBER, desk_grid, reference_grid
+from .grid import desk_grid, reference_grid
 from .laser import effective_keldysh, field_crest_time
 from .potential import (clamp_level, laser_interaction, mean_image_magnitude,
                         sample_static_profile, static_potential)
@@ -158,9 +158,8 @@ def build_laser(data) -> LaserConfig:
                           for k, v in data.get("laser", {}).items()})
 
 
-# grid preset -> (grid, absorber): the preset alone picks the absorber
-_PRESETS = {"reference": (reference_grid, None),
-            "desk": (desk_grid, DESK_ABSORBER)}
+# grid preset -> grid factory: the preset alone picks the absorber
+_PRESETS = {"reference": reference_grid, "desk": desk_grid}
 
 
 def build_grid(data, preset_override=None):
@@ -169,14 +168,13 @@ def build_grid(data, preset_override=None):
     if preset not in _PRESETS:
         raise ConfigError(f"grid.preset must be one of {', '.join(_PRESETS)}, "
                           f"got {preset!r}")
-    make_grid, absorber = _PRESETS[preset]
-    grid = make_grid()
+    grid = _PRESETS[preset]()
     if {"z_min_nm", "z_max_nm", "dz_pm", "dt_as"} & set(g):
         grid = replace(grid, z_min=g.get("z_min_nm", grid.z_min),
                        z_max=g.get("z_max_nm", grid.z_max),
                        dz=g.get("dz_pm", grid.dz * 1e3) * 1e-3,
                        dt=g.get("dt_as", grid.dt * 1e3) * 1e-3)
-    return grid, absorber
+    return grid
 
 
 def _refuse_asymmetry(cfg: JunctionConfig, kind: str):
@@ -200,13 +198,13 @@ def _dry_run(snapshot) -> int:
 
 
 # A command gets the YAML, the output directory, the parsed arguments, the
-# (junction, laser, grid, absorber) main built once, and their snapshot. It
+# (junction, laser, grid) main built once, and their snapshot. It
 # makes every check before it computes, and under --dry-run it stops there.
 
 def cmd_potential(data, out_dir, args, configs, snapshot) -> int:
     if args.dry_run:
         return _dry_run(snapshot)
-    cfg, laser, grid, _ = configs
+    cfg, laser, grid = configs
     profile = sample_static_profile(cfg, grid.z)
     columns = {"z_nm": profile.grid_z, "V0_eV": profile.values}
     for t in data.get("potential", {}).get("snapshot_times_fs", []):
@@ -228,7 +226,7 @@ def cmd_potential(data, out_dir, args, configs, snapshot) -> int:
 
 
 def cmd_propagate(data, out_dir, args, configs, snapshot) -> int:
-    cfg, laser, grid, absorber = configs
+    cfg, laser, grid = configs
     p = data.get("propagate", {})
     t0, t1 = experiments.default_time_span(laser)
     t0 = p.get("t_start_fs", t0)
@@ -250,7 +248,7 @@ def cmd_propagate(data, out_dir, args, configs, snapshot) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             res = propagate(cfg, laser, grid, t0, t1, probes=probes,
-                            absorber=absorber, map_spec=map_spec)
+                            map_spec=map_spec)
     finally:
         for w in caught:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
@@ -300,7 +298,7 @@ def _sweep_values(scan: dict):
 
 
 def cmd_scan(data, out_dir, args, configs, snapshot) -> int:
-    cfg, laser, grid, absorber = configs
+    cfg, laser, grid = configs
     scan = data.get("scan", {})
     kind = args.kind or scan.get("kind")
     if kind not in SCAN_KINDS:
@@ -322,8 +320,7 @@ def cmd_scan(data, out_dir, args, configs, snapshot) -> int:
     if args.dry_run:
         return _dry_run(snapshot)
     started = time.perf_counter()
-    result = experiments.run_scan(kind, cfg, laser, grid, values,
-                                  absorber=absorber, **options)
+    result = experiments.run_scan(kind, cfg, laser, grid, values, **options)
     result.metadata["wall_time_s"] = time.perf_counter() - started
     csv_path, _ = save_scan(result, out_dir)
     print(f"wrote {csv_path}")
@@ -331,7 +328,7 @@ def cmd_scan(data, out_dir, args, configs, snapshot) -> int:
 
 
 def cmd_saddle(data, out_dir, args, configs, snapshot) -> int:
-    cfg, laser, _, _ = configs
+    cfg, laser, _ = configs
     if laser.field_F1 == 0:  # the saddle model needs a field
         raise ConfigError("saddle: laser.field_V_per_nm must be > 0, got 0")
     s = data.get("saddle", {})
@@ -494,7 +491,7 @@ def main(argv=None) -> int:
     try:
         data = load_config(args.config)
         configs = (build_junction(data), build_laser(data),
-                   *build_grid(data, args.preset))
+                   build_grid(data, args.preset))
         snapshot = config_snapshot(*configs, output_dir=data.get("output_dir", "out"))
         out_dir = Path(args.out or data.get("output_dir", "out"))
         return args.run(data, out_dir, args, configs, snapshot)

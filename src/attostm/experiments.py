@@ -17,7 +17,7 @@ import numpy as np
 
 from ._fork import LostRunError, run_pair
 from .config import JunctionConfig, LaserConfig
-from .grid import AbsorberSpec, GridSpec
+from .grid import GridSpec
 from .kernels import SolverError
 from .laser import _parabolic_refine, field_crest_time, pulse_onset
 from .results import ScanResult, config_snapshot, configs_from_snapshot
@@ -96,7 +96,7 @@ def default_time_span(laser: LaserConfig, *, burst_only: bool = False):
     return t0, 2.5 * max(laser.duration_tau1, laser.duration_tau2)
 
 
-def _wall_charges(cfg, laser, grid, *, absorber=None,
+def _wall_charges(cfg, laser, grid, *,
                   initial=None) -> list[tuple[float, float]]:
     """[(Q(0), Q(d)) under laser, (Q(0), Q(d)) under its negation]: each
     run's signed transferred charge through the tip wall z = 0 and the
@@ -114,7 +114,7 @@ def _wall_charges(cfg, laser, grid, *, absorber=None,
 
     def charges(las):
         res = propagate(cfg, las, grid, t0, t1, probes=(0.0, None),
-                        absorber=absorber, initial=initial)
+                        initial=initial)
         return (transferred_charge(res.records[0]),
                 transferred_charge(res.records[1]))
 
@@ -123,8 +123,7 @@ def _wall_charges(cfg, laser, grid, *, absorber=None,
                     lost=SolverError)
 
 
-def net_delay_charge(cfg, laser, grid, *, absorber=None,
-                     initial=None) -> float:
+def net_delay_charge(cfg, laser, grid, *, initial=None) -> float:
     """Net laser-induced charge per pulse: tip->sample minus sample->tip.
 
     Both electrodes carry a Fermi sea; in the symmetric zero-bias junction
@@ -138,8 +137,7 @@ def net_delay_charge(cfg, laser, grid, *, absorber=None,
     zero over a delay period and sign-inverting under waveform flip.
     Single-electrode quantities (the Fig-4c-style bursts) use one run.
     """
-    (q0p, qdp), (q0m, qdm) = _wall_charges(cfg, laser, grid,
-                                           absorber=absorber, initial=initial)
+    (q0p, qdp), (q0m, qdm) = _wall_charges(cfg, laser, grid, initial=initial)
     return 0.5 * (q0p + qdp) - 0.5 * (q0m + qdm)
 
 
@@ -173,43 +171,40 @@ def _sweep_points(parameter, cfg, laser, values):
 
 
 def delay_scan_tdse(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
-                    tau0_values, *,
-                    absorber: AbsorberSpec | None = None) -> ScanResult:
+                    tau0_values) -> ScanResult:
     """Net laser-induced charge versus two-colour base delay."""
     tau0_values = np.asarray(tau0_values, dtype=float)
     shared = initial_state(cfg, grid)
     charges = [net_delay_charge(cfg, replace(laser, base_delay_tau0=float(tau0)),
-                                grid, absorber=absorber, initial=shared)
+                                grid, initial=shared)
                for tau0 in tau0_values]
     return ScanResult("tau0", "fs", tau0_values, "net_charge", "electrons",
                       np.asarray(charges),
-                      config_snapshot(cfg, laser, grid, absorber, kind="delay",
+                      config_snapshot(cfg, laser, grid, kind="delay",
                                       tau0_values=tau0_values.tolist()))
 
 
-def modulation_amplitude(cfg, laser, grid, *, n_delays: int = 12,
-                         absorber=None) -> float:
+def modulation_amplitude(cfg, laser, grid, *, n_delays: int = 12) -> float:
     """Half the peak-to-peak of a one-SH-period delay scan."""
     taus = np.arange(n_delays) * (laser.sh_period / n_delays)
-    scan = delay_scan_tdse(cfg, laser, grid, taus, absorber=absorber)
+    scan = delay_scan_tdse(cfg, laser, grid, taus)
     return float(0.5 * (np.max(scan.results) - np.min(scan.results)))
 
 
 def power_scan(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
                field_values, *, enhancement: float = 1.0,
-               n_delays: int = 12, absorber=None) -> ScanResult:
+               n_delays: int = 12) -> ScanResult:
     """Two-colour modulation amplitude versus field strength, with an
     equivalent incident-power axis (F1/enhancement)^2, enhancement the
     fundamental's near-field enhancement factor."""
     field_values = np.asarray(field_values, dtype=float)
-    amps = [modulation_amplitude(c, l, grid, n_delays=n_delays,
-                                 absorber=absorber)
+    amps = [modulation_amplitude(c, l, grid, n_delays=n_delays)
             for c, l in _sweep_points("field", cfg, laser, field_values)]
     power = (field_values / enhancement) ** 2
     return ScanResult(
         "field_F1", "V_per_nm", field_values, "modulation_amplitude",
         "electrons", np.asarray(amps),
-        config_snapshot(cfg, laser, grid, absorber, kind="power",
+        config_snapshot(cfg, laser, grid, kind="power",
                         field_values=field_values.tolist(),
                         enhancement_fund=enhancement, n_delays=n_delays),
         extra_columns={"power_equiv": power})
@@ -222,18 +217,17 @@ def loglog_slopes(power, amplitude) -> np.ndarray:
 
 
 def width_scan(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
-               d_values, *, n_delays: int = 12,
-               absorber=None) -> ScanResult:
+               d_values, *, n_delays: int = 12) -> ScanResult:
     """Modulation amplitude versus junction width at fixed field, with a
     least-squares exponential fit A0 exp(-d/L) in the metadata."""
     d_values = np.asarray(d_values, dtype=float)
     amps = np.asarray(
-        [modulation_amplitude(c, l, grid, n_delays=n_delays, absorber=absorber)
+        [modulation_amplitude(c, l, grid, n_delays=n_delays)
          for c, l in _sweep_points("width", cfg, laser, d_values)])
     fit = exponential_fit(d_values, amps)
     return ScanResult(
         "width_d", "nm", d_values, "modulation_amplitude", "electrons", amps,
-        config_snapshot(cfg, laser, grid, absorber, kind="width",
+        config_snapshot(cfg, laser, grid, kind="width",
                         d_values=d_values.tolist(), n_delays=n_delays, fit=fit))
 
 
@@ -256,7 +250,7 @@ def exponential_fit(x, y) -> dict:
 
 
 def directionality(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
-                   ratio_values, *, absorber=None) -> ScanResult:
+                   ratio_values) -> ScanResult:
     """Directionality Delta = |(J+ - J-)/(J+ + J-)| versus SH/fundamental
     intensity ratio (eta = sqrt(ratio)).
 
@@ -280,27 +274,26 @@ def directionality(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     shared = initial_state(cfg, grid)
 
     def one(ratio, las):
-        (_, jp), (_, jm) = _wall_charges(cfg, las, grid, absorber=absorber,
-                                         initial=shared)
+        (_, jp), (_, jm) = _wall_charges(cfg, las, grid, initial=shared)
         for direction, q in (("tip->sample", jp), ("sample->tip", jm)):
             if q < 0.0:
                 raise DirectionalityError(
                     f"{direction} charge at the sample wall is {q:.3e} < 0 "
                     f"at intensity ratio {ratio:g}: charge flowed back from "
                     "the sample-side grid end (reflection risk); widen the "
-                    "grid or enable the absorber")
+                    "grid or use the desk preset, whose grid carries an "
+                    "absorber")
         return abs(jp - jm) / (jp + jm) if jp + jm > 0 else 0.0
 
     deltas = [one(ratio, las) for ratio, (_, las) in zip(ratio_values, points)]
     return ScanResult("intensity_ratio", "dimensionless", ratio_values,
                       "directionality", "dimensionless", np.asarray(deltas),
-                      config_snapshot(cfg, laser, grid, absorber, kind="ratio",
+                      config_snapshot(cfg, laser, grid, kind="ratio",
                                       ratio_values=ratio_values.tolist()))
 
 
 def robustness_sweep(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
-                     values, *, parameter: str = "field",
-                     absorber=None) -> ScanResult:
+                     values, *, parameter: str = "field") -> ScanResult:
     """Burst FWHM at the vacuum-sample boundary versus one parameter
     around the anchor point (field / intensity ratio / width / tip
     workfunction)."""
@@ -310,8 +303,7 @@ def robustness_sweep(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
 
     def one(c, l):
         t0, t1 = default_time_span(l, burst_only=True)
-        res = propagate(c, l, grid, t0, t1, probes=(None,),
-                        absorber=absorber)
+        res = propagate(c, l, grid, t0, t1, probes=(None,))
         bm = burst_metrics(res.records[0], crest_time=field_crest_time(l),
                            cycle_fs=2.0 * np.pi / l.omega)
         return bm.fwhm
@@ -319,8 +311,8 @@ def robustness_sweep(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     fwhms = [one(c, l) for c, l in points]
     return ScanResult(parameter, unit, values, "burst_fwhm", "as",
                       np.asarray(fwhms),
-                      config_snapshot(cfg, laser, grid, absorber,
-                                      kind="robustness", parameter=parameter,
+                      config_snapshot(cfg, laser, grid, kind="robustness",
+                                      parameter=parameter,
                                       values=values.tolist()))
 
 
@@ -362,7 +354,7 @@ class ScanKind(NamedTuple):
     swept: str       # keyword of the swept values, also their metadata key
     # scan-section key, also its metadata key -> (keyword, YAML type)
     options: dict
-    tdse: bool = True  # takes a grid and an absorber
+    tdse: bool = True  # takes a grid, which carries any absorber
     net: bool = True  # a net current: sample -> tip is the flipped laser
     # the ROBUSTNESS_PARAMETERS key the swept values set, if any; a
     # robustness sweep's parameter option, when given, takes its place
@@ -400,12 +392,12 @@ def check_sweep(kind: str, cfg: JunctionConfig, laser: LaserConfig, values,
 
 
 def run_scan(kind: str, cfg: JunctionConfig, laser: LaserConfig, grid,
-             values, *, absorber=None, **options) -> ScanResult:
+             values, **options) -> ScanResult:
     """Run scan `kind` of SCAN_KINDS over `values` with `options`, keywords
     that SCAN_KINDS[kind].options maps to."""
     spec = SCAN_KINDS[kind]
     if spec.tdse:
-        options.update(grid=grid, absorber=absorber)
+        options["grid"] = grid
     # through the module namespace, so that a wrapped function is called
     return globals()[spec.function](cfg=cfg, laser=laser,
                                     **{spec.swept: values}, **options)
@@ -417,7 +409,6 @@ def rerun_from_metadata(scan: ScanResult) -> ScanResult:
     spec = SCAN_KINDS.get(md["kind"])
     if spec is None:
         raise ValueError(f"unknown scan kind {md['kind']!r}")
-    cfg, laser, grid, absorber = configs_from_snapshot(md)
+    cfg, laser, grid = configs_from_snapshot(md)
     options = {keyword: md[key] for key, (keyword, _) in spec.options.items()}
-    return run_scan(md["kind"], cfg, laser, grid, md[spec.swept],
-                    absorber=absorber, **options)
+    return run_scan(md["kind"], cfg, laser, grid, md[spec.swept], **options)

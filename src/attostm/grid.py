@@ -6,31 +6,35 @@ import numpy as np
 
 from .units import HBAR_EVFS, HBAR2_OVER_2M
 
+# energy range in eV the steps resolve: dt <= hbar/dE and
+# hbar^2 pi^2/(2 m dz^2) >= dE
+MAX_BANDWIDTH_EV = 50.0
+
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid with fixed (Dirichlet) ends.
+    """Uniform grid with fixed (Dirichlet) ends and, optionally, an
+    absorber on its sample side.
 
-    z in nm, dz in nm, dt in fs, max_bandwidth in eV. The steps must resolve
-    the bandwidth: dt <= hbar/dE and hbar^2 pi^2/(2 m dz^2) >= dE.
+    z in nm, dz in nm, dt in fs. The steps must resolve MAX_BANDWIDTH_EV.
     """
 
     z_min: float
     z_max: float
     dz: float
     dt: float
-    max_bandwidth: float = 50.0
+    absorber: "AbsorberSpec | None" = None
 
     def __post_init__(self):
         if self.z_min >= 0.0:
             raise ValueError("z_min must be negative (tip side)")
         if self.z_max <= 0.0:
             raise ValueError("z_max must be positive (sample side)")
-        if self.dz <= 0 or self.dt <= 0 or self.max_bandwidth <= 0:
-            raise ValueError("dz, dt and max_bandwidth must be positive")
-        if self.dt > HBAR_EVFS / self.max_bandwidth * (1.0 + 1e-12):
+        if self.dz <= 0 or self.dt <= 0:
+            raise ValueError("dz and dt must be positive")
+        if self.dt > HBAR_EVFS / MAX_BANDWIDTH_EV * (1.0 + 1e-12):
             raise ValueError("dt exceeds hbar/max_bandwidth")
-        if HBAR2_OVER_2M * np.pi**2 / self.dz**2 < self.max_bandwidth:
+        if HBAR2_OVER_2M * np.pi**2 / self.dz**2 < MAX_BANDWIDTH_EV:
             raise ValueError("dz too coarse for max_bandwidth")
 
     @property
@@ -42,24 +46,22 @@ class GridSpec:
         return self.z_min + self.dz * np.arange(self.n_points)
 
 
-def bandwidth_steps(max_bandwidth: float) -> tuple[float, float]:
+def bandwidth_steps() -> tuple[float, float]:
     """(dz, dt) saturating the bandwidth constraints: dz = hbar/sqrt(2m dE),
-    dt = hbar/dE. For dE = 50 eV this gives 27.6 pm and 13.2 as."""
-    dz = np.sqrt(HBAR2_OVER_2M / max_bandwidth)
-    dt = HBAR_EVFS / max_bandwidth
+    dt = hbar/dE, dE = MAX_BANDWIDTH_EV: 27.6 pm and 13.2 as."""
+    dz = np.sqrt(HBAR2_OVER_2M / MAX_BANDWIDTH_EV)
+    dt = HBAR_EVFS / MAX_BANDWIDTH_EV
     return float(dz), float(dt)
 
 
-def reference_grid(max_bandwidth: float = 50.0) -> GridSpec:
+def reference_grid() -> GridSpec:
     """Paper-scale grid: ends at +-300 nm, no absorber needed."""
-    dz, dt = bandwidth_steps(max_bandwidth)
-    return GridSpec(-300.0, 300.0, dz, dt, max_bandwidth)
+    return GridSpec(-300.0, 300.0, *bandwidth_steps())
 
 
-def desk_grid(max_bandwidth: float = 50.0) -> GridSpec:
-    """Desk-scale grid (+-60 nm) for fast iteration; pair with an absorber."""
-    dz, dt = bandwidth_steps(max_bandwidth)
-    return GridSpec(-60.0, 60.0, dz, dt, max_bandwidth)
+def desk_grid() -> GridSpec:
+    """Desk-scale grid (+-60 nm) for fast iteration; carries DESK_ABSORBER."""
+    return GridSpec(-60.0, 60.0, *bandwidth_steps(), absorber=DESK_ABSORBER)
 
 
 @dataclass(frozen=True)

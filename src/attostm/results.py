@@ -48,34 +48,40 @@ class ScanResult:
 
 # snapshot key -> config class, in the order of config_snapshot's arguments
 _SNAPSHOT_PARTS = {"junction": JunctionConfig, "laser": LaserConfig,
-                   "grid": GridSpec, "absorber": AbsorberSpec}
+                   "grid": GridSpec}
 
 
-def config_snapshot(cfg=None, laser=None, grid=None, absorber=None,
-                    **extra) -> dict:
+def config_snapshot(cfg=None, laser=None, grid=None, **extra) -> dict:
     """JSON-ready snapshot of the configs given, then the code version and
-    the `extra` entries; configs_from_snapshot is its inverse."""
-    parts = zip(_SNAPSHOT_PARTS, (cfg, laser, grid, absorber))
+    the `extra` entries; configs_from_snapshot is its inverse. A grid's
+    absorber nests under it, None for none."""
+    parts = zip(_SNAPSHOT_PARTS, (cfg, laser, grid))
     snap = {key: asdict(part) for key, part in parts if part is not None}
-    if grid is not None and absorber is None:
-        snap["absorber"] = None  # a grid's run records that it had none
     return dict(snap, code_version=__version__, **extra)
 
 
 def configs_from_snapshot(snap: dict):
-    """(junction, laser, grid, absorber) of a config_snapshot, None for
-    each part it does not hold; a key its class no longer has (an older
-    snapshot) raises ValueError naming it and the snapshot's version."""
-    for key, cls in _SNAPSHOT_PARTS.items():
+    """(junction, laser, grid) of a config_snapshot, None for each part it
+    does not hold. A key its class no longer has, or the top-level absorber
+    of a snapshot older than the grid's, raises ValueError naming it and
+    the snapshot's version, so that no scan reruns without its absorber."""
+    grid = dict(snap.get("grid") or {})
+    sections = [(key, snap.get(key), cls) for key, cls in _SNAPSHOT_PARTS.items()]
+    sections.append(("grid.absorber", grid.get("absorber"), AbsorberSpec))
+    stale = ["absorber"] if "absorber" in snap else []
+    for key, data, cls in sections:
         known = {f.name for f in fields(cls)}
-        stale = sorted(set(snap.get(key) or ()) - known)
-        if stale:
-            raise ValueError(
-                f"snapshot key {key}.{stale[0]} is not a {cls.__name__} field "
-                f"in attostm {__version__}; the snapshot was written by "
-                f"code_version {snap.get('code_version')!r}")
-    return tuple(cls(**snap[key]) if snap.get(key) else None
-                 for key, cls in _SNAPSHOT_PARTS.items())
+        stale += [f"{key}.{name}" for name in sorted(set(data or ()) - known)]
+    if stale:
+        raise ValueError(
+            f"snapshot key {stale[0]} is not read by attostm {__version__}; "
+            f"the snapshot was written by code_version "
+            f"{snap.get('code_version')!r}")
+    if grid.get("absorber"):
+        grid["absorber"] = AbsorberSpec(**grid["absorber"])
+    parts = (snap.get("junction"), snap.get("laser"), grid)
+    return tuple(cls(**part) if part else None
+                 for cls, part in zip(_SNAPSHOT_PARTS.values(), parts))
 
 
 def config_hash(metadata: dict) -> str:

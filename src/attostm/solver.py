@@ -14,8 +14,8 @@ FFT plans directly rather than by Bluestein's slower algorithm: any cut
 inside the homogeneous run gives the same result. The sample block is the
 longest run of rows with one level and one laser coefficient lying more
 than one row above every probe and map point: on the sample side, the
-plateau from just above the gap up to the absorber (or to one row below
-the last interior row), driven by the uniform laser term E(t) d.
+plateau from just above the gap up to the grid's absorber (or to one row
+below the last interior row), driven by the uniform laser term E(t) d.
 `propagate` finds both from the data and steps only the rows between and
 above them; the result equals a full-grid run up to rounding, and z_min
 and z_max still set the box.
@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .config import JunctionConfig, LaserConfig
-from .grid import AbsorberSpec, GridSpec
+from .grid import GridSpec
 from .kernels import ModeBlock, SolverError, cn_chunk, current
 from .laser import electric_field, pulse_onset
 from .potential import PotentialProfile, sample_static_profile
@@ -213,12 +213,12 @@ def initial_state(cfg: JunctionConfig, grid: GridSpec) -> WaveState:
     return WaveState(grid, psi, 0.0, energy=float(w[best]))
 
 
-def _kernel_inputs(values_eV, grid, cfg, absorber):
+def _kernel_inputs(values_eV, grid, cfg):
     """Static potential (gauge-shifted, hartree), laser z-coupling, kinetic coef."""
     v_gauge = values_eV - np.min(values_eV)
     vstat = v_gauge.astype(np.complex128) / HARTREE_EV
-    if absorber is not None:
-        vstat -= 1j * absorber.profile(grid) / HARTREE_EV
+    if grid.absorber is not None:
+        vstat -= 1j * grid.absorber.profile(grid) / HARTREE_EV
     zcoef = np.clip(grid.z, 0.0, cfg.width_d) / HARTREE_EV
     dz_au = grid.dz / BOHR_NM
     koff = 1.0 / (2.0 * dz_au**2)
@@ -308,7 +308,6 @@ def check_run(cfg: JunctionConfig, grid: GridSpec, t_start: float,
 
 def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
               t_start: float, t_end: float, probes=(None,), *,
-              absorber: AbsorberSpec | None = None,
               static_profile: PotentialProfile | None = None,
               initial: WaveState | None = None,
               map_spec: MapSpec | None = None) -> PropagationResult:
@@ -347,7 +346,7 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     n_steps = max(1, int(np.ceil((t_end - t_start) / dt - 1e-9)))
     times = t_start + dt * np.arange(n_steps + 1)
 
-    vstat, zcoef, koff = _kernel_inputs(profile.values, grid, cfg, absorber)
+    vstat, zcoef, koff = _kernel_inputs(profile.values, grid, cfg)
     half_dt = 0.5 * dt / AUTIME_FS
     jcoef = (HBAR_EVFS / EMASS) / (2.0 * dz)
     efield = np.asarray(electric_field(laser, times[:-1]), dtype=float)

@@ -16,6 +16,7 @@ from attostm import cli, experiments, results, strongfield
 from attostm.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_IO, EXIT_OK, RECIPES,
                          SCAN_KINDS, build_grid, load_config, main)
 from attostm.config import JunctionConfig, LaserConfig
+from attostm.grid import DESK_ABSORBER
 from attostm.lockin import (DelayTrace, ModulationSpec, forward_lockin,
                             select_beta)
 from attostm.potential import mean_image_magnitude
@@ -257,7 +258,7 @@ def test_propagate_records_tip_cut(tmp_path, capsys):
     out = tmp_path / "prop"
     assert run_cli("propagate", "--config", path, "--out", str(out)) == EXIT_OK
     sidecar = json.loads((out / "propagation.json").read_text())
-    grid = build_grid(cfg)[0]
+    grid = build_grid(cfg)
     dz = grid.dz
     # the tip block ends two rows below the map's first point, less the
     # rows the FFT length rule takes off
@@ -280,6 +281,32 @@ def test_propagate_records_tip_cut(tmp_path, capsys):
     assert "tip_cut_nm" in capsys.readouterr().err
 
 
+def test_desk_propagation_records_its_absorber(tmp_path, capsys):
+    cfg = tiny_tdse_config()
+    cfg["propagate"] = {"t_start_fs": -25.0, "t_end_fs": -24.9}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "prop"
+    assert run_cli("propagate", "--config", path, "--out", str(out)) == EXIT_OK
+    absorber = {"fraction": 0.2, "strength_eV": 3.0}
+    state = json.loads((out / "final_state.json").read_text())
+    sidecar = json.loads((out / "propagation.json").read_text())
+    assert state["grid"]["absorber"] == absorber
+    assert sidecar["config"]["grid"]["absorber"] == absorber
+    capsys.readouterr()
+    # fig4bc keeps the desk preset's absorber; the reference preset has none
+    for preset, want in ((), absorber), (("--preset", "reference"), None):
+        assert run_cli("propagate", "--config", "fig4bc", *preset,
+                       "--dry-run") == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["grid"]["absorber"] == want
+    # the preset's absorber survives every override of the grid's extent
+    # and steps
+    for key, value in (("z_min_nm", -30.0), ("z_max_nm", 30.0),
+                       ("dz_pm", 20.0), ("dt_as", 10.0)):
+        data = {"grid": {"preset": "desk", key: value}}
+        assert build_grid(data).absorber == DESK_ABSORBER
+        assert build_grid(data, "reference").absorber is None
+
+
 @pytest.mark.parametrize("recipe, preset", [
     ("fig4a", "desk"), ("fig4a", "reference"),
     ("fig4bc", "desk"), ("fig4bc", "reference")])
@@ -289,7 +316,7 @@ def test_recipe_tip_blocks_take_a_direct_fft(recipe, preset):
     # empty state is enough to place the blocks.
     data = load_config(recipe)
     cfg, laser = cli.build_junction(data), cli.build_laser(data)
-    grid, absorber = build_grid(data, preset)
+    grid = build_grid(data, preset)
     section = data.get("propagate", {})
     probes = section.get("probes_nm", [0.0, None])
     map_spec = MapSpec(section["map"]["z_lo_nm"], section["map"]["z_hi_nm"]) \
@@ -299,7 +326,7 @@ def test_recipe_tip_blocks_take_a_direct_fft(recipe, preset):
     t0 = experiments.default_time_span(laser)[0]
     empty = WaveState(grid, np.zeros(grid.n_points), t0)
     res = propagate(cfg, laser, grid, t0, t0 + grid.dt, probes,
-                    absorber=absorber, initial=empty, map_spec=map_spec)
+                    initial=empty, map_spec=map_spec)
     cut = cut_row(grid, res.tip_cut_nm)
     old = cut_row(grid, first) - 2  # two rows below the first watched point
     assert direct_length(2 * cut)
@@ -963,8 +990,8 @@ from attostm.config import JunctionConfig, LaserConfig
 from attostm.grid import GridSpec, bandwidth_steps
 from attostm.potential import sample_static_profile
 from attostm.solver import propagate
-dz, dt = bandwidth_steps(50.0)
-grid = GridSpec(-20.0, 20.0, dz, dt, 50.0)
+dz, dt = bandwidth_steps()
+grid = GridSpec(-20.0, 20.0, dz, dt)
 sample_static_profile(JunctionConfig(), grid.z)
 laser = LaserConfig(field_F1=6.0, duration_tau1=4.0, duration_tau2=5.0)
 res = propagate(JunctionConfig(), laser, grid, -25.0, -24.0, probes=(None,))

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,18 +21,18 @@ from attostm.experiments import (BurstError, BurstMetrics,
                                  directionality, exponential_fit,
                                  loglog_slopes, modulation_amplitude,
                                  rerun_from_metadata, robustness_sweep)
-from attostm.grid import DESK_ABSORBER, GridSpec, bandwidth_steps
-from attostm.results import (ScanResult, config_hash, configs_from_snapshot,
-                             read_csv, save_scan, state_to_json, write_csv,
-                             write_json)
+from attostm.grid import DESK_ABSORBER, GridSpec, bandwidth_steps, desk_grid
+from attostm.results import (ScanResult, config_hash, config_snapshot,
+                             configs_from_snapshot, read_csv, save_scan,
+                             state_to_json, write_csv, write_json)
 from attostm.kernels import SolverError
 from attostm.solver import (CurrentRecord, ReflectionRiskWarning, WaveState,
                             initial_state, propagate, transferred_charge)
 
 
 def tiny_grid():
-    dz, dt = bandwidth_steps(50.0)
-    return GridSpec(-20.0, 20.0, dz, dt, 50.0)
+    dz, dt = bandwidth_steps()
+    return GridSpec(-20.0, 20.0, dz, dt)
 
 
 def tiny_laser(**kw):
@@ -195,8 +196,9 @@ def test_directionality_bounds_and_symmetric_limit():
     # negated pulse's strongest crests reach 0.35 of the peak field, so the
     # single colour is not symmetric under negation and Delta(0) ~ 0.9 is
     # physical. The symmetric limit needs a multi-cycle fundamental.
-    sym = directionality(cfg, tiny_laser(duration_tau1=35.0), tiny_grid(),
-                         [0.0, 0.04, 0.1], absorber=DESK_ABSORBER)
+    sym = directionality(cfg, tiny_laser(duration_tau1=35.0),
+                         replace(tiny_grid(), absorber=DESK_ABSORBER),
+                         [0.0, 0.04, 0.1])
     assert sym.results[0] < 0.05  # single colour, symmetric junction
     assert sym.results[2] > sym.results[0]
 
@@ -256,6 +258,54 @@ def test_stale_snapshot_names_its_key_and_code_version(tmp_path, sf_scan):
     version = re.escape(repr(attostm.__version__))
     with pytest.raises(ValueError, match=rf"grid\.edge_nm .*{version}"):
         configs_from_snapshot(json.loads(path.read_text()))
+
+
+# a desk delay scan's metadata as attostm 0.1.0 wrote it before the grid
+# carried its absorber: the absorber beside the grid, and a max_bandwidth
+# in the grid
+OLD_DESK_SCAN = {
+    "absorber": {"fraction": 0.2, "strength_eV": 3.0},
+    "code_version": "0.1.0",
+    "grid": {"dt": 0.01316423913095215, "dz": 0.0276042826802662,
+             "max_bandwidth": 50.0, "z_max": 60.0, "z_min": -60.0},
+    "junction": {"bias_Us": 0.0, "fermi_sample": 5.0, "fermi_tip": 5.0,
+                 "width_d": 1.0, "workfunction_sample": 5.1,
+                 "workfunction_tip": 5.1},
+    "kind": "delay",
+    "laser": {"base_delay_tau0": 0.0, "duration_tau1": 35.0,
+              "duration_tau2": 80.0, "field_F1": 8.0, "field_sign": 1,
+              "ratio_eta": 0.31622776601683794, "wavelength": 1850.0},
+    "tau0_values": [0.0, 1.5],
+    "wall_time_s": 12.5,
+}
+
+
+def test_old_snapshot_is_refused_not_rerun_without_its_absorber(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("an old snapshot must not rerun")
+
+    monkeypatch.setattr(experiments, "run_scan", never)
+    old = ScanResult("tau0", "fs", [0.0, 1.5], "net_charge", "electrons",
+                     [0.0, 0.0], OLD_DESK_SCAN)
+    for reference in (False, True):  # a reference run recorded null
+        md = dict(OLD_DESK_SCAN, absorber=None) if reference else OLD_DESK_SCAN
+        with pytest.raises(ValueError, match=r"key absorber .*'0\.1\.0'"):
+            configs_from_snapshot(md)
+        with pytest.raises(ValueError, match=r"key absorber .*'0\.1\.0'"):
+            rerun_from_metadata(replace(old, metadata=md))
+    # without the top-level absorber, the bandwidth is still stale, and so
+    # is a key the grid's absorber no longer has
+    md = {k: v for k, v in OLD_DESK_SCAN.items() if k != "absorber"}
+    with pytest.raises(ValueError, match=r"grid\.max_bandwidth .*'0\.1\.0'"):
+        configs_from_snapshot(md)
+    grid = dict(md["grid"], absorber={"strength_eV": 3.0, "ramp": "cubic"})
+    del grid["max_bandwidth"]
+    with pytest.raises(ValueError, match=r"grid\.absorber\.ramp .*'0\.1\.0'"):
+        configs_from_snapshot(dict(md, grid=grid))
+    # today's snapshot of the desk grid holds its absorber, through JSON
+    snap = json.loads(json.dumps(config_snapshot(grid=desk_grid())))
+    assert snap["grid"]["absorber"] == OLD_DESK_SCAN["absorber"]
+    assert configs_from_snapshot(snap) == (None, None, desk_grid())
 
 
 @pytest.mark.parametrize("scan, values, message", [
@@ -369,9 +419,9 @@ def stall(cfg, laser, *args, **kwargs):
 
 
 experiments.propagate = stall
-dz, dt = bandwidth_steps(50.0)
+dz, dt = bandwidth_steps()
 experiments._wall_charges(JunctionConfig(), LaserConfig(field_F1=7.0),
-                          GridSpec(-20.0, 20.0, dz, dt, 50.0))
+                          GridSpec(-20.0, 20.0, dz, dt))
 """
 
 

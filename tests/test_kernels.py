@@ -206,8 +206,8 @@ from attostm.laser import pulse_onset
 from attostm.solver import propagate
 from wavepackets import gaussian_packet
 
-dz, dt = bandwidth_steps(50.0)
-grid = GridSpec(-300.0, 60.0, dz, dt, 50.0)
+dz, dt = bandwidth_steps()
+grid = GridSpec(-300.0, 60.0, dz, dt)
 laser = LaserConfig(field_F1=8.0)
 t0 = pulse_onset(laser)
 packet = gaussian_packet(grid, -150.0, 20.0, 5.0, time=t0)

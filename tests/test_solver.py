@@ -25,8 +25,8 @@ from wavepackets import gaussian_packet
 
 
 def small_grid(z_min=-20.0, z_max=20.0):
-    dz, dt = bandwidth_steps(50.0)
-    return GridSpec(z_min, z_max, dz, dt, 50.0)
+    dz, dt = bandwidth_steps()
+    return GridSpec(z_min, z_max, dz, dt)
 
 
 def short_pulse(f1=6.0, eta=np.sqrt(0.1)):
@@ -52,10 +52,12 @@ def test_grid_presets():
     assert ref.dz * 1e3 == pytest.approx(27.6, abs=0.1)  # pm
     assert ref.dt * 1e3 == pytest.approx(13.2, abs=0.2)  # as
     assert ref.n_points > 20_000
+    # each preset's grid carries its absorber
+    assert ref.absorber is None and desk_grid().absorber == DESK_ABSORBER
     with pytest.raises(ValueError):
-        GridSpec(-10, 10, ref.dz, ref.dt * 2, 50.0)  # dt too large
+        GridSpec(-10, 10, ref.dz, ref.dt * 2)  # dt too large
     with pytest.raises(ValueError):
-        GridSpec(-10, 10, 0.2, ref.dt, 50.0)  # dz too coarse
+        GridSpec(-10, 10, 0.2, ref.dt)  # dz too coarse
 
 
 def test_diagonals_zero_potential():
@@ -379,8 +381,8 @@ def test_rectangular_barrier_transmission():
     # barrier against the analytic formula
     v0, width = 5.0, 0.5
     assert analytic_transmission(4.0, v0, width) == pytest.approx(0.015, abs=0.001)
-    dz = bandwidth_steps(50.0)[0] / 2.0
-    grid = GridSpec(-60.0, 60.0, dz, bandwidth_steps(50.0)[1], 50.0)
+    dz = bandwidth_steps()[0] / 2.0
+    grid = GridSpec(-60.0, 60.0, dz, bandwidth_steps()[1])
     z = grid.z
     # sampled step potentials have midpoint edges: m interior points make
     # an effective width of m*dz, which is what the oracle must see
@@ -411,28 +413,27 @@ def test_rectangular_barrier_transmission():
 
 
 def test_absorber_drains_outgoing_flux():
-    grid = small_grid(-20.0, 20.0)
+    grid = replace(small_grid(-20.0, 20.0),
+                   absorber=AbsorberSpec(strength_eV=3.0, fraction=0.3))
     packet = gaussian_packet(grid, center=0.0, sigma=1.5, k0=8.0)
-    absorber = AbsorberSpec(strength_eV=3.0, fraction=0.3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ReflectionRiskWarning)
         res = propagate(JunctionConfig(), LaserConfig(field_F1=0.0), grid,
                         0.0, 30.0, probes=(2.0,), initial=packet,
-                        static_profile=flat_profile(grid), absorber=absorber)
+                        static_profile=flat_profile(grid))
     assert res.norm_final < 0.6  # packet absorbed instead of reflected
     # whatever is left must not have bounced back through the probe
     late = res.records[0].current_density[-200:]
     assert np.max(np.abs(late)) < 1e-4 * np.max(np.abs(res.records[0].current_density))
 
 
-def full_grid_run(cfg, laser, grid, t0, t1, initial, probes, map_spec=None,
-                  absorber=None):
+def full_grid_run(cfg, laser, grid, t0, t1, initial, probes, map_spec=None):
     """(probe currents, map rows, final psi) of a plain Crank-Nicolson loop
     over the whole grid with solve_banded: no mode blocks, no chunks."""
     values = sample_static_profile(cfg, grid.z).values
     vstat = (values - values.min()) / HARTREE_EV + 0j
-    if absorber is not None:
-        vstat -= 1j * absorber.profile(grid) / HARTREE_EV
+    if grid.absorber is not None:
+        vstat -= 1j * grid.absorber.profile(grid) / HARTREE_EV
     zcoef = np.clip(grid.z, 0.0, cfg.width_d) / HARTREE_EV
     koff = 0.5 / (grid.dz / BOHR_NM) ** 2
     half_dt = 0.5 * grid.dt / AUTIME_FS
@@ -555,7 +556,7 @@ def test_tip_closure_exact_after_reflection_off_z_min():
 def test_sample_block_exact_through_the_absorber_and_back():
     # a packet launched inside the sample block crosses it, enters the
     # absorber, reflects off z_max and comes back through the block
-    grid = small_grid(-15.0, 15.0)
+    grid = replace(small_grid(-15.0, 15.0), absorber=DESK_ABSORBER)
     cfg = JunctionConfig()
     las = short_pulse()
     packet = gaussian_packet(grid, center=6.0, sigma=1.0, k0=20.0)
@@ -564,9 +565,8 @@ def test_sample_block_exact_through_the_absorber_and_back():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ReflectionRiskWarning)
         res = propagate(cfg, las, grid, t0, t1, probes=(None,),
-                        initial=packet, absorber=DESK_ABSORBER)
-        ref = full_grid_run(cfg, las, grid, t0, t1, packet, (cfg.width_d,),
-                            absorber=DESK_ABSORBER)
+                        initial=packet)
+        ref = full_grid_run(cfg, las, grid, t0, t1, packet, (cfg.width_d,))
     lo, hi = res.sample_block_nm
     # the block holds the packet and ends where the absorber starts
     assert lo < 3.0 and 12.0 - grid.dz < hi < 12.0
