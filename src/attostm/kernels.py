@@ -17,16 +17,16 @@ rounding, for any block data. Rows and modes are exchanged by the
 orthonormal DST-I, taken with numpy.fft so that stepping imports no
 scipy.fft.
 
-Two blocks are closed this way. The tip block, rows 1 ... J-1, is closed
-by the Dirichlet end at row 0, sees no laser, and its factors are
-precomputed. The sample block, rows P0 ... P1 above the junction window,
-sees E_n d on the sample side: its factors are rebuilt every step. It
-ends below the last interior row and couples to the stepped rows P0 - 1
-and P1 + 1, which are adjacent in the compact system, joined by the
-block's one-step end-to-end Green's function, so the system stays
-tridiagonal and stays one zgtsv call. Only the rows between the blocks and
-above the sample block are stepped. J = 1 and no sample block is the plain
-full-grid step, bit for bit.
+Each block closes the compact system of the stepped rows, the interior
+rows outside every block, at the stepped rows beside it: before the
+solve it adds its terms to the diagonal, off-diagonal and right-hand side
+there, and after it updates its modes and writes its end rows. A block
+starting at row 1 is closed by the Dirichlet end below it and couples to
+the row above it only; any other block couples to the rows on both sides,
+which are adjacent in the compact system, joined by the block's one-step
+end-to-end Green's function, so the system stays tridiagonal and stays one
+zgtsv call per step. The kernel treats every block alike; with none it is
+the plain full-grid step.
 
 Inside the kernel the Hamiltonian is in Hartree atomic units (koff =
 1/(2 dz_au^2), half_dt = dt_au/2, potentials in hartree); the wavefunction
@@ -85,7 +85,7 @@ def _dot(pairs):
 
 class ModeBlock:
     """Rows start ... start+Q-1 of one level and one laser coefficient as
-    Crank-Nicolson sine modes.
+    Crank-Nicolson sine modes that close the stepped rows beside them.
 
     With theta_q = q pi/(Q+1), u_q(k) = sqrt(2/(Q+1)) sin(k theta_q) and
     lambda_q = level + 2 koff (1 - cos theta_q), step n takes the mode
@@ -102,9 +102,10 @@ class ModeBlock:
 
     A block starting at row 1 is closed by the Dirichlet end below and
     couples to row Q+1 only; any other block couples to rows start-1 and
-    start+Q. With zcoef = 0 the factors are constant and computed once;
-    otherwise each step rebuilds them in buffers allocated here. The dots
-    and updates run over slices at most DOT_BLOCK long.
+    start+Q. coupled is the lowest row the block couples to. With zcoef =
+    0 the factors are constant and computed once; otherwise each step
+    rebuilds them in buffers allocated here. The dots and updates run over
+    slices at most DOT_BLOCK long.
     """
 
     def __init__(self, rows, level, half_dt, koff, *, start=1, zcoef=0.0):
@@ -119,11 +120,14 @@ class ModeBlock:
             odd = (size + 1) // 2
             self.order = np.concatenate((q[::2], q[1::2])) - 1
             parts = ((0, odd), (odd, size))
+            self.coupled = start - 1
         else:
             u[1::2] *= -1.0  # coupled at row Q
             self.order = q - 1
             parts = ((0, size),)
+            self.coupled = size + 1
         self.size, self.start = size, start
+        self.a_off = -1j * half_dt * koff
         self.driven = zcoef != 0.0
         u, lam = u[self.order], lam[self.order]
         self.k = 1j * half_dt * koff * u
@@ -180,19 +184,55 @@ class ModeBlock:
         np.subtract(self.inv2, 1.0, out=self.c)
         return [0.5 * _dot(pairs) for pairs in self.ell_dots]
 
-    def closure(self, e):
-        """Start a step in field e: take b_q to c_q b_q and return
-        ([g_p], [ell_p]) over the parts."""
+    def closure(self, e, i, am, off, r, mid):
+        """Start a step in field e: take b_q to c_q b_q and add the block's
+        terms to the compact system's diagonal am, off-diagonal off and
+        right-hand side r at row i, the coupled row whose value before the
+        step is mid[i], and, coupled at both ends, at row i+1.
+
+        The arithmetic runs on Python scalars, which cost less per
+        operation than numpy's."""
         ell = self._factors(e) if self.driven else self.ell
         self.modes *= self.c
-        return [_dot(pairs) for pairs in self.mode_dots], ell
+        g = [_dot(pairs) for pairs in self.mode_dots]
+        a_off = self.a_off
+        if self.start == 1:
+            (g,), (ell,) = g, ell
+            old = mid.item(i)
+            am[i] += a_off * ell
+            r[i] -= a_off * (g + ell * old)
+            self.step = i, g, ell, old
+        else:
+            # odd and even modes: the end rows are their sum and difference
+            (g_odd, g_even), (l_odd, l_even) = g, ell
+            g_lo, g_hi = g_odd + g_even, g_odd - g_even
+            l_same, l_cross = l_odd + l_even, l_odd - l_even
+            below, above = mid.item(i), mid.item(i + 1)
+            am[i] += a_off * l_same
+            am[i + 1] += a_off * l_same
+            off[i] = a_off * l_cross
+            r[i] -= a_off * (g_lo + l_same * below + l_cross * above)
+            r[i + 1] -= a_off * (g_hi + l_cross * below + l_same * above)
+            self.step = i, g_lo, g_hi, l_same, l_cross, below, above
 
-    def couple(self, sums):
-        """Finish the step: add inv_q s_p, s_p the neighbour sum of each
-        part."""
+    def couple(self, x, psi):
+        """Finish the step from the solved stepped rows x: add inv_q s_p to
+        the modes and write the block's end rows into psi."""
+        top = self.start + self.size - 1
+        if self.start == 1:
+            i, g, ell, old = self.step
+            both = x.item(i) + old
+            sums = (both,)
+            psi[top] = g + ell * both
+        else:
+            i, g_lo, g_hi, l_same, l_cross, below, above = self.step
+            sb, sa = x.item(i) + below, x.item(i + 1) + above
+            sums = (sb + sa, sb - sa)
+            psi[self.start] = g_lo + l_same * sb + l_cross * sa
+            psi[top] = g_hi + l_cross * sb + l_same * sa
         for pairs, s in zip(self.updates, sums):
-            for x, y in pairs:
-                zaxpy(x, y, a=0.5 * s)
+            for v, m in pairs:
+                zaxpy(v, m, a=0.5 * s)
 
     def interior(self):
         """The block's rows psi[start:start+Q] the mode amplitudes describe."""
@@ -202,50 +242,45 @@ class ModeBlock:
 
 
 def cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, step_off, rec, rec_row,
-             tip, sample=None):
+             *blocks):
     """Advance psi in place by len(efield) >= 1 steps, copying the stepped
-    rows psi[rec_row : rec_row + rec.shape[1]], which lie below the sample
-    block, into rec[s] before step s; return the relative residual of the
-    chunk's last solve.
+    rows psi[rec_row : rec_row + rec.shape[1]], which no block splits, into
+    rec[s] before step s; return the relative residual of the chunk's last
+    solve.
 
-    tip is the ModeBlock of rows 1 ... J-1 and sample, if given, the
-    ModeBlock of rows P0 ... P1 with J < P0 and P1 below the last interior
-    row. Only the rows between them and above P1 are stepped, in one zgtsv
-    call per step, and written back at the end of the chunk; each step
-    writes the blocks' end rows psi[J-1], psi[P0] and psi[P1]. The other
-    block rows are left stale: tip.interior() and sample.interior() give
-    them. An empty tip block (J = 1) and no sample block step the whole
-    grid.
+    blocks are ModeBlocks over disjoint runs of interior rows, with a
+    stepped row on each side they couple to. The stepped rows, the
+    interior rows outside every block, are read from psi at the start of
+    the chunk, advanced in one zgtsv call per step and written back at the
+    end; each step writes the blocks' end rows. The other block rows are
+    left stale: each block's interior() gives them. With no blocks the
+    whole grid is stepped.
 
     The diagonals of the stepped rows are built for up to
     BATCH_ELEMENTS // (stepped rows) steps at a time.
     """
-    cut = tip.size + 1
-    if sample is None:
-        windows = [psi[cut - 1:]]
-        vs, zc = vstat[cut:-1], zcoef[cut:-1]
-    else:
-        # each window holds one run of stepped rows and the row on each side
-        p0 = sample.start
-        p1 = p0 + sample.size - 1
-        windows = [psi[cut - 1:p0 + 1], psi[p1:]]
-        vs = np.concatenate((vstat[cut:p0], vstat[p1 + 1:-1]))
-        zc = np.concatenate((zcoef[cut:p0], zcoef[p1 + 1:-1]))
-        lo = p0 - cut - 1  # row P0-1 in the compact system; P1+1 is lo+1
-    bounds = np.cumsum([0] + [w.shape[0] - 2 for w in windows])
-    segs = [(w, bounds[k], bounds[k + 1]) for k, w in enumerate(windows)]
-    n = int(bounds[-1])
+    stepped = np.ones(psi.shape[0], dtype=bool)
+    stepped[[0, -1]] = False
+    for b in blocks:
+        stepped[b.start:b.start + b.size] = False
+    rows = np.flatnonzero(stepped)
+    n = rows.size
+    # each run of adjacent stepped rows, compact rows i ... j-1, sees the
+    # grid rows below and above it: a block's end row or a Dirichlet end
+    cuts = np.flatnonzero(np.diff(rows) > 1) + 1
+    runs = [(i, j, int(rows[i]) - 1, int(rows[j - 1]) + 1)
+            for i, j in zip([0, *cuts], [*cuts, n])]
+    closures = [(b, int(np.searchsorted(rows, b.coupled))) for b in blocks]
+    vs, zc = vstat[rows], zcoef[rows]
     a_off = -1j * half_dt * koff
     # zgtsv takes off-diagonals of at least one element, used or not
     off = np.full(max(n - 1, 1), a_off, dtype=np.complex128)
     nbr, r = (np.empty(n, dtype=np.complex128) for _ in range(2))
     # the stepped rows, as the last solve left them
-    mid = np.concatenate([w[1:-1] for w in windows])
-    recorded = slice(rec_row - cut, rec_row - cut + rec.shape[1])
+    mid = psi[rows]
+    first = int(np.searchsorted(rows, rec_row))
+    recorded = slice(first, first + rec.shape[1])
     batch = max(1, BATCH_ELEMENTS // n)
-    # the tip sees no laser: its closure's ell is one constant, and row J
-    # sees row J-1 at the new time through it
-    (tip_ell,) = tip.ell
     fields = efield.tolist()
     for s, e in enumerate(fields):
         k = s % batch
@@ -253,51 +288,29 @@ def cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, step_off, rec, rec_row,
             es = efield[s:s + batch, None]
             ams = 1.0 + 1j * half_dt * (2.0 * koff + (vs + es * zc))
             rest = 2.0 - ams
-            ams[:, 0] += a_off * tip_ell
         rec[s] = mid[recorded]
         am = ams[k]
-        # the end rows' arithmetic runs on Python scalars, which cost less
-        # per operation than numpy's
-        m0 = mid.item(0)
         np.add(mid[:-2], mid[2:], out=nbr[1:-1])
-        for w, i, j in segs:
+        for i, j, below, above in runs:
             # the first and last row of each run see the rows beside it
             if j - i == 1:
-                nbr[i] = w[0] + w[-1]
+                nbr[i] = psi[below] + psi[above]
             else:
-                nbr[i] = w[0] + mid[i + 1]
-                nbr[j - 1] = mid[j - 2] + w[-1]
+                nbr[i] = psi[below] + mid[i + 1]
+                nbr[j - 1] = mid[j - 2] + psi[above]
         np.multiply(rest[k], mid, out=r)
         nbr *= -a_off
         r += nbr
-        (g,), _ = tip.closure(e)
-        r[0] -= a_off * (g + tip_ell * m0)
-        if sample is not None:
-            # odd and even modes: the end rows are their sum and difference
-            (g_odd, g_even), (l_odd, l_even) = sample.closure(e)
-            g_lo, g_hi = g_odd + g_even, g_odd - g_even
-            l_same, l_cross = l_odd + l_even, l_odd - l_even
-            below, above = mid.item(lo), mid.item(lo + 1)
-            am[lo] += a_off * l_same
-            am[lo + 1] += a_off * l_same
-            off[lo] = a_off * l_cross
-            r[lo] -= a_off * (g_lo + l_same * below + l_cross * above)
-            r[lo + 1] -= a_off * (g_hi + l_cross * below + l_same * above)
+        for b, i in closures:
+            b.closure(e, i, am, off, r, mid)
         x, info = zgtsv(off, am, off, r)[3:]
         if info != 0:
             raise SolverError(f"tridiagonal solve failed at step "
                               f"{step_off + s} (zgtsv info = {info})")
-        both = x.item(0) + m0
-        tip.couple((both,))
-        psi[cut - 1] = g + tip_ell * both
-        if sample is not None:
-            sb, sa = x.item(lo) + below, x.item(lo + 1) + above
-            sample.couple((sb + sa, sb - sa))
-            psi[p0] = g_lo + l_same * sb + l_cross * sa
-            psi[p1] = g_hi + l_cross * sb + l_same * sa
+        for b in blocks:
+            b.couple(x, psi)
         mid = x
-    for w, i, j in segs:
-        w[1:-1] = mid[i:j]
+    psi[rows] = mid
     res = am * x - r
     res[1:] += off[:n - 1] * x[:-1]
     res[:-1] += off[:n - 1] * x[1:]

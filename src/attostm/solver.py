@@ -380,24 +380,21 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     norm_initial = WaveState.norm_squared_of(psi, dz)
 
     cut = _tip_cut(vstat, zcoef, watched)
-    tip = ModeBlock(psi[1:cut], vstat[1], half_dt, koff)
     # the sample block lies above row J and above every row a probe or map
     # point reads (top + 1)
     start, stop = _sample_block(vstat, zcoef, max(top + 2, cut + 1))
-    sample = None
-    if stop > start:
-        sample = ModeBlock(psi[start:stop], vstat[start], half_dt, koff,
-                           start=start, zcoef=zcoef[start])
+    blocks = [ModeBlock(psi[a:b], vstat[a], half_dt, koff, start=a,
+                        zcoef=zcoef[a])
+              for a, b in ((1, cut), (start, stop)) if b > a]
     max_resid = 0.0
     done = 0
     while done < n_steps:
         todo = min(chunk, n_steps - done)
         resid = cn_chunk(psi, vstat, zcoef, efield[done:done + todo], half_dt,
-                         koff, done, stepped, max(lo, 1), tip, sample)
+                         koff, done, stepped, max(lo, 1), *blocks)
         read(rec[:todo], done)
-        psi[1:cut] = tip.interior()
-        if sample is not None:
-            psi[start:stop] = sample.interior()
+        for b in blocks:
+            psi[b.start:b.start + b.size] = b.interior()
         max_resid = max(max_resid, resid)
         done += todo
         if not np.all(np.isfinite(psi)):
@@ -424,10 +421,10 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
                              norm_final=final.norm_squared,
                              max_residual=max_resid,
                              tip_cut_nm=float(grid.z[cut - 1]),
-                             sample_block_nm=None if sample is None else
+                             sample_block_nm=None if stop == start else
                              (float(grid.z[start]), float(grid.z[stop - 1])),
-                             stepped_points=grid.n_points - 1 - cut
-                             - (stop - start))
+                             stepped_points=grid.n_points - 2
+                             - sum(b.size for b in blocks))
 
 
 def transferred_charge(record: CurrentRecord) -> float:

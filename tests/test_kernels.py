@@ -125,53 +125,75 @@ def test_tip_block_closure_matches_dense_full_system(rng):
     assert resid < 1e-14
 
 
-def _check_sample_block(rng, n, cut, p0, p1, steps=5):
-    """cn_chunk with a tip block of rows 1 ... cut-1 and a driven sample
-    block of rows p0 ... p1 against the dense full system."""
+def _check_blocks(rng, n, cut, spans, steps=5):
+    """cn_chunk with a tip block of rows 1 ... cut-1 (none for cut = 1)
+    and a two-sided block of rows p0 ... p1 for each (p0, p1, zc) in
+    spans, in ascending order, driven by the laser coefficient zc or
+    static for zc = 0, against the dense full system."""
     half_dt, koff = 0.3, 1.7
     psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
     psi0[0] = psi0[-1] = 0.0
     vstat = rng.normal(size=n) + 0j
     vstat[1:cut] = 0.4
-    vstat[p0:p1 + 1] = -0.2
-    # a complex absorber above the sample block
-    vstat[p1 + 1:-1] -= 1j * rng.uniform(0.1, 0.8, size=n - p1 - 2)
+    for k, (p0, p1, _) in enumerate(spans):
+        vstat[p0:p1 + 1] = -0.2 - 0.1j * k
+    # a complex absorber above the last block
+    top = spans[-1][1]
+    vstat[top + 1:-1] -= 1j * rng.uniform(0.1, 0.8, size=n - top - 2)
     zcoef = rng.uniform(0.0, 1.0, size=n)
     zcoef[:cut] = 0.0
-    zcoef[p0:p1 + 1] = 0.6
+    for p0, p1, zc in spans:
+        zcoef[p0:p1 + 1] = zc
     efield = rng.normal(size=steps)
-    tip = ModeBlock(psi0[1:cut], vstat[1], half_dt, koff)
-    sample = ModeBlock(psi0[p0:p1 + 1], vstat[p0], half_dt, koff, start=p0,
-                       zcoef=zcoef[p0])
-    assert np.max(np.abs(sample.interior() - psi0[p0:p1 + 1])) < 1e-14
+    blocks = [ModeBlock(psi0[1:cut], vstat[1], half_dt, koff)] \
+        if cut > 1 else []
+    blocks += [ModeBlock(psi0[p0:p1 + 1], vstat[p0], half_dt, koff,
+                         start=p0, zcoef=zc) for p0, p1, zc in spans]
+    for b in blocks:
+        rows = slice(b.start, b.start + b.size)
+        assert np.max(np.abs(b.interior() - psi0[rows])) < 1e-14
     psi = psi0.copy()
-    # every stepped row below the sample block
-    rec = np.empty((steps, p0 - cut), dtype=np.complex128)
+    # every stepped row below the first two-sided block
+    first = spans[0][0]
+    rec = np.empty((steps, first - cut), dtype=np.complex128)
     resid = cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, 0, rec, cut,
-                     tip, sample)
+                     *blocks)
 
     dense = psi0.copy()
     for s, e in enumerate(efield):
         # the buffer holds the recorded rows at each step
-        assert np.max(np.abs(rec[s] - dense[cut:p0])) < 1e-12
+        assert np.max(np.abs(rec[s] - dense[cut:first])) < 1e-12
         dense = _dense_step(dense, vstat + e * zcoef, half_dt, koff)
     scale = np.max(np.abs(dense))
-    for lo, hi in ((cut - 1, p0 + 1), (p1, n)):
-        assert np.max(np.abs(psi[lo:hi] - dense[lo:hi])) < 1e-12 * scale
-    assert np.max(np.abs(tip.interior() - dense[1:cut])) < 1e-12 * scale
-    assert np.max(np.abs(sample.interior() - dense[p0:p1 + 1])) \
-        < 1e-12 * scale
+    # the stepped rows and the blocks' end rows, which each step writes
+    kept = np.ones(n, dtype=bool)
+    for b in blocks:
+        kept[b.start:b.start + b.size] = False
+        kept[b.start + b.size - 1] = True
+        kept[b.start] |= b.start > 1
+    assert np.max(np.abs(psi[kept] - dense[kept])) < 1e-12 * scale
+    for b in blocks:
+        rows = slice(b.start, b.start + b.size)
+        assert np.max(np.abs(b.interior() - dense[rows])) < 1e-12 * scale
     assert resid < 1e-14
 
 
 def test_driven_two_sided_block_matches_dense_full_system(rng):
     # stepped rows 8 ... 12 below the block and 48 ... 59 above it
-    _check_sample_block(rng, n=61, cut=8, p0=13, p1=47)
+    _check_blocks(rng, n=61, cut=8, spans=[(13, 47, 0.6)])
     # across a short block the end-to-end coupling is not negligible
-    _check_sample_block(rng, n=31, cut=8, p0=13, p1=16)
+    _check_blocks(rng, n=31, cut=8, spans=[(13, 16, 0.6)])
     # one stepped row on each side of the block, the last interior row
     # above it
-    _check_sample_block(rng, n=61, cut=8, p0=9, p1=58)
+    _check_blocks(rng, n=61, cut=8, spans=[(9, 58, 0.6)])
+
+
+def test_any_blocks_match_dense_full_system(rng):
+    # no tip block: the stepped rows 1 ... 4 start at the Dirichlet end
+    _check_blocks(rng, n=41, cut=1, spans=[(5, 30, 0.6)])
+    # a static and a driven block beside the tip, one stepped row between
+    # the two
+    _check_blocks(rng, n=81, cut=8, spans=[(12, 30, 0.0), (32, 70, 0.6)])
 
 
 def test_empty_tip_block_is_the_full_grid_step(rng):
