@@ -5,20 +5,23 @@ static junction profile plus the instantaneous laser term, advances the
 wavefunction with the unitary Cayley form, and records the probability
 current density j = (hbar/m) Im(psi* dpsi/dz) at probe positions.
 
-Two runs of grid rows are homogeneous and carried as exact sine modes
-(kernels.ModeBlock) instead of being stepped. The tip block is the tip
-interior below the first point that sees the laser, the junction
-potential, a probe or the map, lowered by the few rows (at most 14 for
+Runs of homogeneous grid rows are carried as exact sine modes
+(kernels.ModeBlock) instead of being stepped, and one rule places each
+block: the longest run of rows with one level and one laser coefficient
+in the rows it may take, its top lowered by the few rows (at most 14 for
 blocks up to 30 000 rows) that give its sine transform a length numpy's
-FFT plans directly rather than by Bluestein's slower algorithm: any cut
-inside the homogeneous run gives the same result. The sample block is the
-longest run of rows with one level and one laser coefficient lying more
-than one row above every probe and map point: on the sample side, the
-plateau from just above the gap up to the grid's absorber (or to one row
-below the last interior row), driven by the uniform laser term E(t) d.
-`propagate` finds both from the data and steps only the rows between and
-above them; the result equals a full-grid run up to rounding, and z_min
-and z_max still set the box.
+FFT plans directly rather than by Bluestein's slower algorithm. Any block
+inside the run gives the same result up to rounding. The tip block may
+take the rows below the row before the first probe or map point: the tip
+interior below the first point that sees the laser, the junction
+potential, a probe or the map. The sample block may take the rows above
+the tip block and more than one row above every probe and map point, up
+to one row below the last interior row: on the sample side, the plateau
+from just above the gap up to the grid's absorber, driven by the uniform
+laser term E(t) d.
+`propagate` places both from the data and steps only the rows outside
+them; the result equals a full-grid run up to rounding, and z_min and
+z_max still set the box.
 
 Internally the Hamiltonian is converted to Hartree atomic units; all
 public quantities stay in eV / nm / fs. Before propagation the static
@@ -239,35 +242,28 @@ def _direct_fft(n: int) -> bool:
     return max(largest, rest) ** 2 <= n
 
 
-def _tip_cut(vstat, zcoef, watched):
-    """Cut J of the tip block: rows 1 ... J-1 share row 1's level, see no
-    laser and lie below row watched - 1, so every row a probe or map point
-    at index >= watched reads is stepped; of those cuts, the highest whose
-    transform length 2J (ModeBlock._dst) numpy's FFT plans directly.
+def _block(vstat, zcoef, lo, hi):
+    """(start, stop) of the mode block placed in rows lo ... hi-1, rows
+    start ... stop-1: the longest run of at least two rows that share one
+    level and one laser coefficient (the lowest of equal runs), its top
+    lowered to the highest stop whose sine transform length
+    2(stop - start + 1) (ModeBlock._dst) numpy's FFT plans directly;
+    (lo, lo) when no two adjacent rows share both.
 
-    At 2J = 21 734 = 2 x 10 867 (prime), the tall grid's old cut, the FFT
-    took Bluestein's algorithm: ~4x the time of 21 730 points and ~2 MB of
-    cached plan. Any cut inside the flat run gives the same result up to
-    rounding, so the rows between the two cuts are stepped instead."""
-    flat = (vstat[1:watched - 1] == vstat[1]) & (zcoef[1:watched - 1] == 0.0)
-    cut = 1 + int(np.argmin(np.append(flat, False)))
-    while not _direct_fft(2 * cut):
-        cut -= 1
-    return cut
-
-
-def _sample_block(vstat, zcoef, first):
-    """(start, stop) of the sample block, rows start ... stop-1: the
-    longest run of rows at or above row first, below the last interior
-    row, that share one level and one laser coefficient; (first, first)
-    when no two such rows are adjacent."""
-    v, z = vstat[first:-2], zcoef[first:-2]
-    same = np.concatenate(([0], (v[1:] == v[:-1]) & (z[1:] == z[:-1]), [0]))
-    edges = np.flatnonzero(np.diff(same.astype(np.int8)))
-    if edges.size == 0:
-        return first, first
-    k = int(np.argmax(edges[1::2] - edges[::2]))
-    return first + int(edges[2 * k]), first + int(edges[2 * k + 1]) + 1
+    At 21 734 = 2 x 10 867 (prime), the tall grid's unlowered tip block,
+    the FFT took Bluestein's algorithm: ~4x the time of 21 730 points and
+    ~2 MB of cached plan. Any block inside the run gives the same result
+    up to rounding, so the rows left out are stepped instead."""
+    v, z = vstat[lo:hi], zcoef[lo:hi]
+    change = (v[1:] != v[:-1]) | (z[1:] != z[:-1])
+    edges = np.flatnonzero(np.concatenate(([True], change, [True])))
+    k = int(np.argmax(np.diff(edges)))
+    start, stop = lo + int(edges[k]), lo + int(edges[k + 1])
+    if stop - start < 2:
+        return lo, lo
+    while not _direct_fft(2 * (stop - start + 1)):
+        stop -= 1
+    return start, stop
 
 
 def _interior_index(grid: GridSpec, z: float, what: str) -> int:
@@ -379,13 +375,15 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     warned = [False, False]
     norm_initial = WaveState.norm_squared_of(psi, dz)
 
-    cut = _tip_cut(vstat, zcoef, watched)
-    # the sample block lies above row J and above every row a probe or map
-    # point reads (top + 1)
-    start, stop = _sample_block(vstat, zcoef, max(top + 2, cut + 1))
+    # the tip block lies below every row a probe or map point reads
+    # (watched - 1), the sample block above them (top + 1) and above the
+    # tip block
+    tip = _block(vstat, zcoef, 1, watched - 1)
+    start, stop = _block(vstat, zcoef, max(top + 2, tip[1] + 1),
+                         grid.n_points - 2)
     blocks = [ModeBlock(psi[a:b], vstat[a], half_dt, koff, start=a,
                         zcoef=zcoef[a])
-              for a, b in ((1, cut), (start, stop)) if b > a]
+              for a, b in (tip, (start, stop)) if b > a]
     max_resid = 0.0
     done = 0
     while done < n_steps:
@@ -420,7 +418,7 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
                              norm_initial=norm_initial,
                              norm_final=final.norm_squared,
                              max_residual=max_resid,
-                             tip_cut_nm=float(grid.z[cut - 1]),
+                             tip_cut_nm=float(grid.z[tip[1] - 1]),
                              sample_block_nm=None if stop == start else
                              (float(grid.z[start]), float(grid.z[stop - 1])),
                              stepped_points=grid.n_points - 2

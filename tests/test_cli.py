@@ -23,7 +23,8 @@ from attostm.potential import mean_image_magnitude
 from attostm.results import ScanResult, config_hash, read_csv, write_csv
 from attostm.solver import (MapSpec, ReflectionRiskWarning, SolverError,
                             WaveState, propagate)
-from tip_cuts import cut_row, direct_length, rule_cut_nm
+from tip_cuts import (cut_row, direct_length, row, rule_cut_nm, rule_stop,
+                      rule_top_nm)
 
 
 def run_cli(*argv):
@@ -264,11 +265,13 @@ def test_propagate_records_tip_cut(tmp_path, capsys):
     # rows the FFT length rule takes off
     assert sidecar["tip_cut_nm"] == pytest.approx(
         rule_cut_nm(grid, -1.0 - 2 * dz), abs=0.5 * dz)
-    # the sample block starts two rows above the map's last point and
-    # ends below the absorber, which starts at 16 nm
+    # the sample block starts two rows above the map's last point, and its
+    # run ends where the absorber starts, above 16 nm
     lo, hi = sidecar["sample_block_nm"]
-    assert lo == pytest.approx(2.0 + dz, abs=0.5 * dz)
-    assert 16.0 - dz < hi <= 16.0
+    start = row(grid, 2.0) + 1
+    absorber = int(np.flatnonzero(grid.absorber.profile(grid))[0])
+    assert lo == grid.z[start]
+    assert hi == rule_top_nm(grid, start, absorber)
     # the solve updates the rows between the blocks and the absorber's
     assert sidecar["stepped_points"] \
         == round((lo - sidecar["tip_cut_nm"]) / dz) - 1 \
@@ -331,6 +334,14 @@ def test_recipe_tip_blocks_take_a_direct_fft(recipe, preset):
     old = cut_row(grid, first) - 2  # two rows below the first watched point
     assert direct_length(2 * cut)
     assert old - 14 <= cut <= old
+    # the sample block's run ends where the absorber starts or, without
+    # one, one row below the last interior row
+    lo, hi = res.sample_block_nm
+    start, stop = row(grid, lo), row(grid, hi) + 1
+    end = grid.n_points - 2 if grid.absorber is None \
+        else int(np.flatnonzero(grid.absorber.profile(grid))[0])
+    assert direct_length(2 * (stop - start + 1))
+    assert stop == rule_stop(start, end)
 
 
 def test_scan_delay(tmp_path):

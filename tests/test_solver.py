@@ -20,7 +20,8 @@ from attostm.solver import (CurrentRecord, InitialStateError, MapSpec,
                             propagate, transferred_charge)
 from attostm.units import (AUTIME_FS, BOHR_NM, EMASS, HARTREE_EV, HBAR_EVFS,
                            HBAR2_OVER_2M)
-from tip_cuts import largest_prime_factor, rule_cut, rule_cut_nm
+from tip_cuts import (largest_prime_factor, row, rule_cut, rule_cut_nm,
+                      rule_top_nm)
 from wavepackets import gaussian_packet
 
 
@@ -492,14 +493,17 @@ def test_tip_closure_matches_full_grid():
     # less the rows the FFT length rule takes off
     assert res.tip_cut_nm == pytest.approx(
         rule_cut_nm(grid, -0.5 - 2 * grid.dz), abs=0.5 * grid.dz)
-    # the sample block starts two rows above the map's last point and,
-    # with no absorber, ends one row below the last interior row
+    # the sample block starts two rows above the map's last point; with
+    # no absorber its run ends one row below the last interior row, less
+    # the rows the FFT length rule takes off
     lo, hi = res.sample_block_nm
-    assert lo == pytest.approx(cfg.width_d + 0.5 + grid.dz, abs=0.5 * grid.dz)
-    assert hi == pytest.approx(grid.z_max - 2 * grid.dz, abs=0.5 * grid.dz)
-    # the solve updates the rows between the two blocks and the last
-    # interior row
-    assert res.stepped_points == round((lo - res.tip_cut_nm) / grid.dz)
+    start = row(grid, cfg.width_d + 0.5) + 1
+    assert lo == grid.z[start]
+    assert hi == rule_top_nm(grid, start, grid.n_points - 2)
+    # the solve updates the rows between the two blocks and those above
+    # the sample block
+    assert res.stepped_points == round((lo - res.tip_cut_nm) / grid.dz) - 1 \
+        + round((grid.z[-2] - hi) / grid.dz)
     assert res.stepped_points < 0.1 * grid.n_points
     assert res.norm_initial == pytest.approx(st.norm_squared, rel=1e-12)
     assert_matches_full_grid(res, full_grid_run(
@@ -568,8 +572,12 @@ def test_sample_block_exact_through_the_absorber_and_back():
                         initial=packet)
         ref = full_grid_run(cfg, las, grid, t0, t1, packet, (cfg.width_d,))
     lo, hi = res.sample_block_nm
-    # the block holds the packet and ends where the absorber starts
-    assert lo < 3.0 and 12.0 - grid.dz < hi < 12.0
+    # the block starts two rows above the probe at z = d, and its run ends
+    # where the absorber starts
+    start = row(grid, cfg.width_d) + 2
+    absorber = int(np.flatnonzero(grid.absorber.profile(grid))[0])
+    assert lo == grid.z[start]
+    assert hi == rule_top_nm(grid, start, absorber)
     psi = ref[2]
     inside = (grid.z >= lo) & (grid.z <= hi)
     dens = np.abs(psi) ** 2
@@ -583,9 +591,10 @@ def test_sample_block_exact_through_the_absorber_and_back():
 
 
 def test_sample_side_warning_through_the_sample_block():
-    # without an absorber the sample block ends one row below the last
-    # interior row; the edge check still sees a packet that crosses it, because its rows are
-    # rebuilt from the modes after every chunk
+    # without an absorber the sample block's run ends one row below the
+    # last interior row; the edge check still sees a packet that crosses
+    # the block, because its rows are rebuilt from the modes after every
+    # chunk
     grid = small_grid(-15.0, 15.0)
     cfg = JunctionConfig()
     las = short_pulse()
@@ -595,7 +604,9 @@ def test_sample_side_warning_through_the_sample_block():
     with pytest.warns(ReflectionRiskWarning, match="sample-side"):
         res = propagate(cfg, las, grid, t0, t1, probes=(None,), initial=packet)
     lo, hi = res.sample_block_nm
-    assert lo < 2.5 - 1.0 and hi == pytest.approx(grid.z[-3])
+    start = row(grid, cfg.width_d) + 2
+    assert lo == grid.z[start]
+    assert hi == rule_top_nm(grid, start, grid.n_points - 2)
     assert_matches_full_grid(res, full_grid_run(
         cfg, las, grid, t0, t1, packet, (cfg.width_d,)))
 
