@@ -266,7 +266,7 @@ def cmd_propagate(data, out_dir, args, configs, snapshot) -> int:
         "config": snapshot,
         "t_start_fs": t0, "t_end_fs": t1,
         "norm_initial": res.norm_initial, "norm_final": res.norm_final,
-        "norm_deficit": abs(1.0 - res.norm_final),
+        "norm_drift": res.norm_final - res.norm_initial,
         "max_solve_residual": res.max_residual,
         "tip_cut_nm": res.tip_cut_nm, "sample_block_nm": res.sample_block_nm,
         "stepped_points": res.stepped_points,

@@ -205,7 +205,7 @@ def test_propagate_command(tmp_path):
     out = tmp_path / "prop"
     assert run_cli("propagate", "--config", path, "--out", str(out)) == EXIT_OK
     sidecar = json.loads((out / "propagation.json").read_text())
-    assert sidecar["norm_deficit"] < 1e-6
+    assert abs(sidecar["norm_drift"]) < 1e-6
     assert sidecar["max_solve_residual"] < 1e-12
     assert sidecar["backend"] == "numpy"
     assert sidecar["warnings"] == []
