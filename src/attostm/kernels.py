@@ -18,15 +18,9 @@ orthonormal DST-I, taken with numpy.fft so that stepping imports no
 scipy.fft.
 
 Each block closes the compact system of the stepped rows, the interior
-rows outside every block, at the stepped rows beside it: before the
-solve it adds its terms to the diagonal, off-diagonal and right-hand side
-there, and after it updates its modes and writes its end rows. A block
-starting at row 1 is closed by the Dirichlet end below it and couples to
-the row above it only; any other block couples to the rows on both sides,
-which are adjacent in the compact system, joined by the block's one-step
-end-to-end Green's function, so the system stays tridiagonal and stays one
-zgtsv call per step. The kernel treats every block alike; with none it is
-the plain full-grid step.
+rows outside every block, at the rows beside it, so the system stays
+tridiagonal and stays one zgtsv call per step. The kernel treats every
+block alike; with none it is the plain full-grid step.
 
 Inside the kernel the Hamiltonian is in Hartree atomic units (koff =
 1/(2 dz_au^2), half_dt = dt_au/2, potentials in hartree); the wavefunction
@@ -102,10 +96,12 @@ class ModeBlock:
 
     A block starting at row 1 is closed by the Dirichlet end below and
     couples to row Q+1 only; any other block couples to rows start-1 and
-    start+Q. coupled is the lowest row the block couples to. With zcoef =
-    0 the factors are constant and computed once; otherwise each step
-    rebuilds them in buffers allocated here. The dots and updates run over
-    slices at most DOT_BLOCK long.
+    start+Q, which are adjacent in the compact system, joined by the
+    block's one-step end-to-end Green's function. coupled is the lowest
+    row the block couples to.
+    With zcoef = 0 the factors are constant and computed once; otherwise
+    each step rebuilds them in buffers allocated here. The dots and
+    updates run over slices at most DOT_BLOCK long.
     """
 
     def __init__(self, rows, level, half_dt, koff, *, start=1, zcoef=0.0):
@@ -120,13 +116,12 @@ class ModeBlock:
             odd = (size + 1) // 2
             self.order = np.concatenate((q[::2], q[1::2])) - 1
             parts = ((0, odd), (odd, size))
-            self.coupled = start - 1
         else:
             u[1::2] *= -1.0  # coupled at row Q
             self.order = q - 1
             parts = ((0, size),)
-            self.coupled = size + 1
         self.size, self.start = size, start
+        self.coupled = start - 1 if start > 1 else size + 1
         self.a_off = -1j * half_dt * koff
         self.driven = zcoef != 0.0
         u, lam = u[self.order], lam[self.order]
@@ -221,9 +216,8 @@ class ModeBlock:
         top = self.start + self.size - 1
         if self.start == 1:
             i, g, ell, old = self.step
-            both = x.item(i) + old
-            sums = (both,)
-            psi[top] = g + ell * both
+            sums = (x.item(i) + old,)
+            psi[top] = g + ell * sums[0]
         else:
             i, g_lo, g_hi, l_same, l_cross, below, above = self.step
             sb, sa = x.item(i) + below, x.item(i + 1) + above
@@ -259,11 +253,9 @@ def cn_chunk(psi, vstat, zcoef, efield, half_dt, koff, step_off, rec, rec_row,
     The diagonals of the stepped rows are built for up to
     BATCH_ELEMENTS // (stepped rows) steps at a time.
     """
-    stepped = np.ones(psi.shape[0], dtype=bool)
-    stepped[[0, -1]] = False
+    rows = np.arange(1, psi.shape[0] - 1)
     for b in blocks:
-        stepped[b.start:b.start + b.size] = False
-    rows = np.flatnonzero(stepped)
+        rows = rows[(rows < b.start) | (rows >= b.start + b.size)]
     n = rows.size
     # each run of adjacent stepped rows, compact rows i ... j-1, sees the
     # grid rows below and above it: a block's end row or a Dirichlet end

@@ -375,9 +375,8 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     warned = [False, False]
     norm_initial = WaveState.norm_squared_of(psi, dz)
 
-    # the tip block lies below every row a probe or map point reads
-    # (watched - 1), the sample block above them (top + 1) and above the
-    # tip block
+    # the tip block lies below every row a probe or map point reads, the
+    # sample block above them and above the tip block
     tip = _block(vstat, zcoef, 1, watched - 1)
     start, stop = _block(vstat, zcoef, max(top + 2, tip[1] + 1),
                          grid.n_points - 2)
