@@ -6,22 +6,14 @@ wavefunction with the unitary Cayley form, and records the probability
 current density j = (hbar/m) Im(psi* dpsi/dz) at probe positions.
 
 Runs of homogeneous grid rows are carried as exact sine modes
-(kernels.ModeBlock) instead of being stepped, and one rule places each
-block: the longest run of rows with one level and one laser coefficient
-in the rows it may take, its top lowered by the few rows (at most 14 for
-blocks up to 30 000 rows) that give its sine transform a length numpy's
-FFT plans directly rather than by Bluestein's slower algorithm. Any block
-inside the run gives the same result up to rounding. The tip block may
-take the rows below the row before the first probe or map point: the tip
-interior below the first point that sees the laser, the junction
-potential, a probe or the map. The sample block may take the rows above
-the tip block and more than one row above every probe and map point, up
-to one row below the last interior row: on the sample side, the plateau
-from just above the gap up to the grid's absorber, driven by the uniform
-laser term E(t) d.
-`propagate` places both from the data and steps only the rows outside
-them; the result equals a full-grid run up to rounding, and z_min and
-z_max still set the box.
+(kernels.ModeBlock) instead of being stepped, each placed by one rule
+(_block). The tip block lies in the tip interior below the first point
+that sees the laser, the junction potential, a probe or the map. The
+sample block lies more than one row above every probe and map point: on
+the sample side, the plateau from just above the gap up to the grid's
+absorber, driven by the uniform laser term E(t) d. `propagate` steps only
+the rows outside them; the result equals a full-grid run up to rounding,
+and z_min and z_max still set the box.
 
 Internally the Hamiltonian is converted to Hartree atomic units; all
 public quantities stay in eV / nm / fs. Before propagation the static
@@ -375,9 +367,10 @@ def propagate(cfg: JunctionConfig, laser: LaserConfig, grid: GridSpec,
     warned = [False, False]
     norm_initial = WaveState.norm_squared_of(psi, dz)
 
-    # the tip block lies below every row a probe or map point reads, the
-    # sample block above them and above the tip block
-    tip = _block(vstat, zcoef, 1, watched - 1)
+    # the tip block lies in the tip (z <= 0) below every row a probe or
+    # map point reads, the sample block above them and above the tip block
+    tip = _block(vstat, zcoef, 1,
+                 min(watched - 1, np.count_nonzero(grid.z <= 0.0)))
     start, stop = _block(vstat, zcoef, max(top + 2, tip[1] + 1),
                          grid.n_points - 2)
     blocks = [ModeBlock(psi[a:b], vstat[a], half_dt, koff, start=a,

@@ -623,11 +623,14 @@ def test_probe_inside_the_tip_moves_the_cut():
     assert_matches_full_grid(res, full_grid_run(
         cfg, las, grid, t0, t1, st, (-5.0, cfg.width_d)))
     # with nothing recorded, the block reaches up to where the laser starts
-    # (the last row at z <= 0), less the rows the FFT length rule takes off
-    bare = propagate(cfg, las, grid, t0, t0 + 1.0, probes=(), initial=st)
-    assert bare.records == []
-    assert bare.tip_cut_nm == pytest.approx(
-        rule_cut_nm(grid, grid.z[grid.z <= 0.0][-1]), abs=0.5 * grid.dz)
+    # (the last row at z <= 0), less the rows the FFT length rule takes
+    # off, also where the sample plateau is the longer run
+    for g in (grid, small_grid(-5.0, 20.0)):
+        empty = WaveState(g, np.zeros(g.n_points), t0)
+        bare = propagate(cfg, las, g, t0, t0 + 1.0, probes=(), initial=empty)
+        assert bare.records == []
+        assert bare.tip_cut_nm == pytest.approx(
+            rule_cut_nm(g, g.z[g.z <= 0.0][-1]), abs=0.5 * g.dz)
 
 
 def test_tip_cut_below_a_bluestein_length_matches_full_grid():
