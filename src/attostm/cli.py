@@ -63,6 +63,10 @@ _LASER_KEYS = {
 }
 
 
+# JunctionConfig field -> its YAML key, as the model's refusals name it
+_JUNCTION_NAMES = {field: f"junction.{key}" for key, field in _JUNCTION_KEYS.items()}
+
+
 def _field_types(cls, keys):
     hints = get_type_hints(cls)
     return {key: hints[name] for key, name in keys.items()}
@@ -175,21 +179,6 @@ def build_grid(data, preset_override=None):
                        dz=g.get("dz_pm", grid.dz * 1e3) * 1e-3,
                        dt=g.get("dt_as", grid.dt * 1e3) * 1e-3)
     return grid
-
-
-def _refuse_asymmetry(cfg: JunctionConfig, kind: str):
-    """A net-current scan takes sample -> tip as the tip's run under the
-    flipped laser, which by parity holds only for a mirror-symmetric
-    junction at zero bias."""
-    for key, other in (("workfunction_sample_eV", "workfunction_tip_eV"),
-                       ("fermi_sample_eV", "fermi_tip_eV"), ("bias_V", None)):
-        have = getattr(cfg, _JUNCTION_KEYS[key])
-        want = 0.0 if other is None else getattr(cfg, _JUNCTION_KEYS[other])
-        if have != want:
-            raise ConfigError(
-                f"scan kind {kind!r} needs a mirror-symmetric junction at zero "
-                f"bias: junction.{key} ({have}) must equal "
-                + ("0" if other is None else f"junction.{other} ({want})"))
 
 
 def _dry_run(snapshot) -> int:
@@ -311,12 +300,11 @@ def cmd_scan(data, out_dir, args, configs, snapshot) -> int:
     if refused:
         raise ConfigError(f"scan kind {kind!r} does not take "
                           f"{', '.join(refused)}")
-    if SCAN_KINDS[kind].net:
-        _refuse_asymmetry(cfg, kind)
     # options left out keep the scan function's defaults
     options = {keyword: scan[key] for key, (keyword, _) in taken.items()
                if key in scan}
-    experiments.check_sweep(kind, cfg, laser, values, **options)
+    experiments.check_sweep(kind, cfg, laser, values, keys=_JUNCTION_NAMES,
+                            **options)
     if args.dry_run:
         return _dry_run(snapshot)
     started = time.perf_counter()
@@ -332,33 +320,17 @@ def cmd_saddle(data, out_dir, args, configs, snapshot) -> int:
     if laser.field_F1 == 0:  # the saddle model needs a field
         raise ConfigError("saddle: laser.field_V_per_nm must be > 0, got 0")
     s = data.get("saddle", {})
-    # the electron starts at the tip's Fermi level, -W_t
-    binding = cfg.workfunction_tip
-    vbar = mean_image_magnitude(cfg)
-    if binding <= vbar:
-        raise ConfigError(f"saddle: junction.workfunction_tip_eV ({binding}) "
-                          f"must exceed the junction's mean image potential "
-                          f"{vbar:.4f} eV")
-    if cfg.gap_ramp_eV != 0:  # the saddle model has no gap ramp
-        raise ConfigError(
-            f"saddle: junction.workfunction_sample_eV "
-            f"({cfg.workfunction_sample}), junction.workfunction_tip_eV "
-            f"({cfg.workfunction_tip}) and junction.bias_V ({cfg.bias_Us}) "
-            f"make a gap ramp of {cfg.gap_ramp_eV} eV; the model needs 0")
+    # the electron starts at the tip's Fermi level, -W_t, bound by W_t - Vbar
+    e0_eff = strongfield.saddle_domain(cfg, keys=_JUNCTION_NAMES)
     count = s.get("energy_count", 55)
     if count < 1:
         raise ConfigError(f"saddle.energy_count must be >= 1, got {count}")
     start = s.get("energy_start_eV", 0.5)
     stop = s.get("energy_stop_eV", 14.0)
     trajectory_energies = s.get("trajectory_energies_eV", [0.0, 4.4, 6.7])
-    # the saddle condition k(t2) = sqrt(2m(E + Vbar)) needs E > -Vbar
     for key, values in (("energy_start_eV", [start]), ("energy_stop_eV", [stop]),
                         ("trajectory_energies_eV", trajectory_energies)):
-        for e in values:
-            if e <= -vbar:
-                raise ConfigError(f"saddle.{key} ({e}) must exceed minus the "
-                                  f"junction's mean image potential, "
-                                  f"{-vbar:.4f} eV")
+        strongfield.saddle_domain(cfg, values, f"saddle.{key}")
     # trajectory CSV name -> energy: two energies must not share a file
     files = {}
     for e in trajectory_energies:
@@ -372,6 +344,7 @@ def cmd_saddle(data, out_dir, args, configs, snapshot) -> int:
     energies = np.linspace(start, stop, count)
     phases = strongfield.emission_phase_curve(energies, laser, cfg)
     cutoff = strongfield.cutoff_energy(laser, cfg)
+    vbar = mean_image_magnitude(cfg)
     trajectories = {}
     solutions = []
     for name, e in files.items():
@@ -385,8 +358,8 @@ def cmd_saddle(data, out_dir, args, configs, snapshot) -> int:
             "p_tilde": [sol.p_tilde.real, sol.p_tilde.imag],
             "mean_image_eV": vbar,
             "residuals": [r1, r2, r3]})
-    gamma_mod = effective_keldysh(laser, binding - vbar)
-    gamma_std = effective_keldysh(replace(laser, ratio_eta=0.0), binding - vbar)
+    gamma_mod = effective_keldysh(laser, e0_eff)
+    gamma_std = effective_keldysh(replace(laser, ratio_eta=0.0), e0_eff)
     write_csv(out_dir / "emission_phase.csv",
               {"final_energy_eV": energies,
                "sinh_w_im_t1": phases,
@@ -398,7 +371,7 @@ def cmd_saddle(data, out_dir, args, configs, snapshot) -> int:
                   {"final_energy_eV": repr(tr.final_energy_E)})
     write_json(out_dir / "saddle.json", {
         "config": snapshot,
-        "binding_eV": binding, "mean_image_eV": vbar,
+        "binding_eV": cfg.workfunction_tip, "mean_image_eV": vbar,
         "gamma_modified": gamma_mod, "gamma_standard_eta0": gamma_std,
         "cutoff_eV": cutoff,
         "drift_energy_bound_eV": strongfield.drift_energy_bound(laser),

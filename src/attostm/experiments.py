@@ -3,11 +3,12 @@
 Every sweep point owns its propagations; points run one after another in
 parameter order, and results are returned in that order. A net current
 pairs a waveform with its negation (LaserConfig.flipped), which by parity
-carries the sample -> tip transport. The two halves of a pair run at the
-same time, the negation in a child forked by _fork.run_pair, so this
-module needs a platform with os.fork: once per point in the TDSE scans
-(_wall_charges), once per scan in delay_scan_strongfield. ScanResult
-metadata snapshots all inputs for exact re-runs.
+carries the sample -> tip transport in the junctions check_parity admits;
+it refuses the others. The two halves of a pair run at the same time, the
+negation in a child forked by _fork.run_pair, so this module needs a
+platform with os.fork: once per point in the TDSE scans (_wall_charges),
+once per scan in delay_scan_strongfield. ScanResult metadata snapshots
+all inputs for exact re-runs.
 """
 
 from dataclasses import dataclass, replace
@@ -96,6 +97,24 @@ def default_time_span(laser: LaserConfig, *, burst_only: bool = False):
     return t0, 2.5 * max(laser.duration_tau1, laser.duration_tau2)
 
 
+def check_parity(cfg: JunctionConfig, what: str = "a net current",
+                 keys=None) -> None:
+    """ValueError unless W_s = W_t, E_F,s = E_F,t and U_s = 0: only there
+    is the sample's transport, by parity, the tip's run under the negated
+    waveform. The message names the caller as `what` and each junction
+    field as `keys` maps it (by default its own name)."""
+    key = keys or {field: field for field in vars(cfg)}
+    for field, other in (("workfunction_sample", "workfunction_tip"),
+                         ("fermi_sample", "fermi_tip"), ("bias_Us", None)):
+        have = getattr(cfg, field)
+        want = 0.0 if other is None else getattr(cfg, other)
+        if have != want:
+            raise ValueError(
+                f"{what} needs a mirror-symmetric junction at zero bias: "
+                f"{key[field]} ({have}) must equal "
+                + ("0" if other is None else f"{key[other]} ({want})"))
+
+
 def _wall_charges(cfg, laser, grid, *,
                   initial=None) -> list[tuple[float, float]]:
     """[(Q(0), Q(d)) under laser, (Q(0), Q(d)) under its negation]: each
@@ -106,8 +125,9 @@ def _wall_charges(cfg, laser, grid, *,
     under the negation steps in a child forked by _fork.run_pair while
     this process steps the run under laser; the child's exception and
     warnings reach the caller, and a child that dies without a result
-    raises SolverError.
+    raises SolverError. The junction must pass check_parity.
     """
+    check_parity(cfg)
     t0, t1 = default_time_span(laser)
     if initial is None:
         initial = initial_state(cfg, grid)
@@ -325,7 +345,9 @@ def delay_scan_strongfield(cfg: JunctionConfig, laser: LaserConfig,
     by its peak magnitude (the prefactor eta = 1 leaves absolute
     magnitudes undefined). The negated batch runs in a child forked by
     _fork.run_pair; a child that dies without a result raises LostRunError.
+    The junction must pass check_parity.
     """
+    check_parity(cfg)
     tau0_values = np.asarray(tau0_values, dtype=float)
     energies = strongfield.DEFAULT_ENERGIES if energies is None \
         else np.asarray(energies, dtype=float)
@@ -378,12 +400,15 @@ SCAN_KINDS = {
 
 
 def check_sweep(kind: str, cfg: JunctionConfig, laser: LaserConfig, values,
-                **options) -> None:
+                *, keys=None, **options) -> None:
     """The checks scan `kind` makes before it computes, with the options
-    run_scan would pass: ValueError for an unknown robustness parameter, a
-    swept value the junction or laser refuses, or a strong-field energy
-    grid directional_weight refuses (named as its scan key,
+    run_scan would pass: ValueError for a net current's junction that
+    check_parity refuses (naming fields as `keys` maps them), an unknown
+    robustness parameter, a swept value the junction or laser refuses, or
+    a strong-field energy grid directional_weight refuses (named
     scan.energies_eV)."""
+    if SCAN_KINDS[kind].net:
+        check_parity(cfg, f"scan kind {kind!r}", keys)
     parameter = options.get("parameter", SCAN_KINDS[kind].axis)
     if parameter is not None:
         _sweep_points(parameter, cfg, laser, values)

@@ -126,28 +126,10 @@ def _spline_eval(x, c, t):
     """The piecewise cubic (x, c) at times t, evaluated as PPoly does:
     interval i with x[i] <= t < x[i+1] (the ends extend the outer
     intervals), then c3 + c2 u + c1 u^2 + c0 u^3 summed in that order.
-
-    i starts as floor((t - x[0])/h), h the mean knot spacing, clipped to
-    [0, n - 2], and moves one interval at a time while x[i] > t or
-    x[i+1] <= t. That leaves it equal to searchsorted(x, t, side="right")
-    - 1 with the same clip for any increasing knots; on a DelayTrace's
-    uniform ones the start is off by rounding only, and one pass finds it
-    exact or moves it once.
     """
-    top = x.size - 2
-    i = np.floor((t - x[0]) * (top + 1) / (x[-1] - x[0])).astype(np.intp)
-    np.clip(i, 0, top, out=i)
-    while True:
-        xi = x[i]
-        down = t < xi
-        down &= i > 0
-        up = t >= x[i + 1]
-        up &= i < top
-        if not (down.any() or up.any()):
-            break
-        i -= down
-        i += up
-    u = t - xi
+    i = np.searchsorted(x, t, side="right") - 1
+    np.clip(i, 0, x.size - 2, out=i)
+    u = t - x[i]
     u2 = u * u
     out = c[3, i] + c[2, i] * u
     out += c[1, i] * u2

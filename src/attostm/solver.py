@@ -159,6 +159,11 @@ def build_hamiltonian_diagonals(profile: PotentialProfile, grid: GridSpec):
     return main, -k
 
 
+def _check_bracket(cfg: JunctionConfig, grid: GridSpec):
+    if not (grid.z_min < 0.0 < cfg.width_d < grid.z_max):
+        raise ValueError("grid must bracket the junction: z_min < 0 < d < z_max")
+
+
 def initial_state(cfg: JunctionConfig, grid: GridSpec) -> WaveState:
     """Fermi-level eigenstate of the static junction, localized on the tip.
 
@@ -172,8 +177,7 @@ def initial_state(cfg: JunctionConfig, grid: GridSpec) -> WaveState:
     Every closer eigenvalue, and any equidistant partner under the 1e-12
     tie rule, then lies inside, so the pick equals that of the full window.
     """
-    if not (grid.z_min < 0.0 < cfg.width_d < grid.z_max):
-        raise ValueError("grid must bracket the junction: z_min < 0 < d < z_max")
+    _check_bracket(cfg, grid)
     profile = sample_static_profile(cfg, grid.z)
     main, off = build_hamiltonian_diagonals(profile, grid)
     offs = np.full(main.size - 1, off)
@@ -274,8 +278,7 @@ def check_run(cfg: JunctionConfig, grid: GridSpec, t_start: float,
     to: (probe rows, map rows or None without a map)."""
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
-    if not (grid.z_min < 0.0 < cfg.width_d < grid.z_max):
-        raise ValueError("grid must bracket the junction: z_min < 0 < d < z_max")
+    _check_bracket(cfg, grid)
     probe_idx = np.array(
         [_interior_index(grid, cfg.width_d if p is None else float(p), "probe")
          for p in probes], dtype=np.int64)

@@ -6,7 +6,8 @@ two-time action; its complex
 stationary points (emission time t1, arrival time t2, canonical momentum
 p~ eliminated through the displacement condition) give one tunnelling
 amplitude contribution per field crest. The image potential enters the
-action as a junction-averaged constant.
+action as a junction-averaged constant, and the model has no gap ramp:
+saddle_domain states its domain, and every entry point refuses the rest.
 
 Natural units here: eV, nm, fs, with hbar = 0.658 eV fs.
 """
@@ -108,11 +109,38 @@ def action(t1: complex, t2: complex, E: float, laser: LaserConfig,
             + cfg.workfunction_tip * t1)
 
 
-def _seed_depth(laser, cfg, vbar, crest_time):
+def saddle_domain(cfg: JunctionConfig, energies=(),
+                  name: str = "final energy E", keys=None) -> float:
+    """W_t - Vbar, if the junction and final energies lie in the saddle
+    model's domain: W_t above the mean image potential Vbar, no gap ramp,
+    and each energy above -Vbar (k(t2) = sqrt(2m(E + Vbar)) is real);
+    otherwise ValueError, naming the energies as `name` and each junction
+    field as `keys` maps it (by default its own name)."""
+    key = keys or {field: field for field in vars(cfg)}
+    vbar = mean_image_magnitude(cfg)
+    binding = cfg.workfunction_tip - vbar
+    if binding <= 0:
+        raise ValueError(f"saddle: {key['workfunction_tip']} "
+                         f"({cfg.workfunction_tip}) must exceed the junction's "
+                         f"mean image potential {vbar:.4f} eV")
+    if cfg.gap_ramp_eV != 0:
+        raise ValueError(
+            f"saddle: {key['workfunction_sample']} ({cfg.workfunction_sample}), "
+            f"{key['workfunction_tip']} ({cfg.workfunction_tip}) and "
+            f"{key['bias_Us']} ({cfg.bias_Us}) make a gap ramp of "
+            f"{cfg.gap_ramp_eV} eV; the model needs 0")
+    energies = np.asarray(energies, dtype=float)
+    below = energies + vbar <= 0
+    if np.any(below):
+        raise ValueError(f"{name} ({energies[below][0]}) must exceed minus the "
+                         f"junction's mean image potential, {-vbar:.4f} eV")
+    return binding
+
+
+def _seed_depth(laser, e0_eff, crest_time):
     """Im t1 of the heuristic crest seed: arcsinh(gamma)/omega with the
-    Keldysh parameter of the crest's own field."""
+    Keldysh parameter of binding e0_eff in the crest's own field."""
     w = laser.omega
-    e0_eff = max(cfg.workfunction_tip - vbar, 0.05)
     ecrest = abs(complex(electric_field(laser, crest_time)))
     gamma = w * np.sqrt(2.0 * EMASS * e0_eff) / max(ecrest, 1e-12)
     return np.arcsinh(gamma) / w
@@ -130,12 +158,12 @@ class _Problems:
     @classmethod
     def build(cls, pairs, cfg):
         """Problems of the (laser, crest time) pairs, in the given order."""
-        vbar = mean_image_magnitude(cfg)
+        e0_eff = saddle_domain(cfg)
         lasers = [las for las, _ in pairs]
         return cls(_wave_tables(lasers),
                    np.array([tc for _, tc in pairs], dtype=float),
                    np.array([0.3 * 2.0 * np.pi / las.omega for las in lasers]),
-                   np.array([_seed_depth(las, cfg, vbar, tc) for las, tc in pairs]))
+                   np.array([_seed_depth(las, e0_eff, tc) for las, tc in pairs]))
 
     def __getitem__(self, idx):
         return _Problems(self.waves.rows(idx), self.crest[idx],
@@ -226,18 +254,11 @@ def _newton(problems, t1, t2, k1_target, k2_target, d):
 def _branch_targets(E, cfg):
     """The kinetic momenta of the physical branch, k(t1) = i sqrt(2m(W_t -
     Vbar)) and k(t2) = +sqrt(2m(E + Vbar)), and the travel time d/v(E);
-    k(t2) and the travel time have the shape of E."""
+    k(t2) and the travel time have the shape of E (checked by
+    saddle_domain)."""
+    e0_eff = saddle_domain(cfg, E)
     vbar = mean_image_magnitude(cfg)
-    e0_eff = cfg.workfunction_tip - vbar
-    if e0_eff <= 0:
-        raise ValueError(f"tip workfunction W_t = {cfg.workfunction_tip} eV "
-                         f"must exceed the mean image potential Vbar = "
-                         f"{vbar:.4f} eV")
     E = np.asarray(E, dtype=float)
-    below = E + vbar <= 0
-    if np.any(below):
-        raise ValueError(f"final energy E = {E[below][0]} eV must exceed -Vbar = "
-                         f"{-vbar:.4f} eV, minus the mean image potential")
     travel = cfg.width_d / np.sqrt(2.0 * np.maximum(E + vbar, 0.1) / EMASS)
     return (1j * np.sqrt(2.0 * EMASS * e0_eff),
             np.sqrt(2.0 * EMASS * (E + vbar)), travel)
@@ -383,8 +404,7 @@ def cutoff_energy(laser: LaserConfig, cfg: JunctionConfig) -> float | None:
     the upward scan for the crossing starts at the energy of closest
     agreement (sub-eV arrivals carry their own slow-electron deviation).
     """
-    gamma = effective_keldysh(laser,
-                              cfg.workfunction_tip - mean_image_magnitude(cfg))
+    gamma = effective_keldysh(laser, saddle_domain(cfg))
     de = 0.25
     energies = np.arange(de, 50.0 + de, de)
     phases = emission_phase_curve(energies, laser, cfg)
@@ -466,27 +486,18 @@ class Trajectory:
 
 
 def trajectory(sol: SaddleSolution) -> Trajectory:
-    """Displacement D(t) = int_t1^t [p~ - eA]/m dtau on the standard contour:
-    down from t1 to Re t1, then along the real axis. Positions are Re D(t)
-    on the real segment, truncated where the electron reaches the sample
-    boundary (near Re t2; exactly there when Im t2 is negligible)."""
+    """Displacement D(t) = int_t1^t [p~ - eA]/m dtau = (p~ (t - t1) +
+    int_t1^t A)/m, int A in the closed form of laser._wave_ends. Positions
+    are Re D(t) on the real axis from Re t1, truncated where the electron
+    reaches the sample boundary (near Re t2; exactly there when Im t2 is
+    negligible)."""
     d = sol.junction.width_d
-    pt = sol.p_tilde
-
-    def vel(t):
-        return (pt + vector_potential(sol.laser, t)) / EMASS
-
-    # vertical leg: t1 -> Re t1
-    s = np.linspace(0.0, 1.0, 200)
-    tau_v = sol.t1 + (sol.t1.real - sol.t1) * s
-    d_entry = np.trapezoid(vel(tau_v), tau_v)
-    # real leg: Re t1 onward, with headroom past Re t2 for the d-crossing
+    # Re t1 onward, with headroom past Re t2 for the d-crossing
     span = sol.t2.real - sol.t1.real
     t_real = np.linspace(sol.t1.real, sol.t2.real + 0.5 * span, 800)
-    v_real = vel(t_real)
-    disp = np.concatenate(([0.0], np.cumsum(
-        0.5 * (v_real[1:] + v_real[:-1]) * np.diff(t_real))))
-    positions = np.real(d_entry + disp)
+    a_int, _, _ = _wave_ends(_wave_table(sol.laser),
+                             np.full(t_real.shape, sol.t1), t_real)
+    positions = np.real((sol.p_tilde * (t_real - sol.t1) + a_int) / EMASS)
     cross = np.nonzero(positions >= d)[0]
     if cross.size and cross[0] > 0:
         i = cross[0]

@@ -19,7 +19,7 @@ from attostm.config import JunctionConfig, LaserConfig
 from attostm.grid import DESK_ABSORBER
 from attostm.lockin import (DelayTrace, ModulationSpec, forward_lockin,
                             select_beta)
-from attostm.potential import mean_image_magnitude
+from attostm.potential import laser_interaction, mean_image_magnitude
 from attostm.results import ScanResult, config_hash, read_csv, write_csv
 from attostm.solver import (MapSpec, ReflectionRiskWarning, SolverError,
                             WaveState, propagate)
@@ -176,6 +176,24 @@ def test_potential_command(tmp_path):
     assert np.all(plateau == -10.1)
     sidecar = json.loads((out / "potential_profile.json").read_text())
     assert sidecar["checks"]["tip_plateau_eV"] == pytest.approx(-10.1)
+
+
+def test_potential_snapshots_add_the_laser_term(tmp_path):
+    # each snapshot column is the static profile plus the laser's
+    # interaction energy at that time
+    times = [-1.5, 0.0, 0.7]
+    data = tiny_tdse_config(potential={"snapshot_times_fs": times})
+    path = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert run_cli("potential", "--config", path, "--out", str(out)) == EXIT_OK
+    cols, _ = read_csv(out / "potential_profile.csv")
+    cfg, laser = cli.build_junction(data), cli.build_laser(data)
+    for t in times:
+        np.testing.assert_array_equal(
+            cols[f"V_total_eV_t{t}fs"],
+            cols["V0_eV"] + laser_interaction(cfg, laser, cols["z_nm"], t))
+    # the laser term is not zero at the snapshots: the columns differ
+    assert not np.array_equal(cols["V_total_eV_t0.7fs"], cols["V0_eV"])
 
 
 def test_potential_rejects_zero_width(tmp_path):

@@ -14,7 +14,7 @@ import pytest
 
 import attostm
 from attostm.config import JunctionConfig, LaserConfig
-from attostm import experiments
+from attostm import experiments, strongfield
 from attostm.experiments import (BurstError, BurstMetrics,
                                  DirectionalityError, burst_metrics,
                                  delay_scan_strongfield, delay_scan_tdse,
@@ -323,6 +323,43 @@ def test_sweep_rejects_bad_point_before_propagating(monkeypatch, scan, values,
     with pytest.raises(ValueError, match=message):
         getattr(experiments, scan)(JunctionConfig(), tiny_laser(), tiny_grid(),
                                    values)
+
+
+# a junction field, a value that breaks the mirror symmetry at zero bias,
+# and what the refusal says that field must equal
+ASYMMETRIC_JUNCTION = [
+    ("workfunction_sample", 4.5, "workfunction_tip (5.1)"),
+    ("fermi_sample", 6.0, "fermi_tip (5.0)"),
+    ("bias_Us", 0.5, "0"),
+]
+
+
+@pytest.mark.parametrize("field, value, want", ASYMMETRIC_JUNCTION,
+                         ids=[case[0] for case in ASYMMETRIC_JUNCTION])
+@pytest.mark.parametrize("call", [
+    lambda cfg: delay_scan_tdse(cfg, tiny_laser(), tiny_grid(), [0.0, 1.5]),
+    lambda cfg: experiments.net_delay_charge(cfg, tiny_laser(), tiny_grid()),
+    lambda cfg: directionality(cfg, tiny_laser(), tiny_grid(), [0.1, 0.2]),
+    lambda cfg: delay_scan_strongfield(cfg, tiny_laser(), [0.0, 1.5]),
+], ids=["delay_scan_tdse", "net_delay_charge", "directionality",
+        "delay_scan_strongfield"])
+def test_net_currents_refuse_an_asymmetric_junction(monkeypatch, call, field,
+                                                    value, want):
+    # sample -> tip is the tip's run under the negated waveform, which
+    # parity gives only for a mirror-symmetric junction at zero bias: a
+    # library call refuses the others before it propagates, solves a
+    # saddle or forks
+    def no_compute(*args, **kwargs):
+        raise AssertionError("a computation started")
+
+    monkeypatch.setattr(experiments, "initial_state", lambda cfg, grid: None)
+    monkeypatch.setattr(experiments, "propagate", no_compute)
+    monkeypatch.setattr(experiments, "run_pair", no_compute)
+    monkeypatch.setattr(strongfield, "_solve_saddles", no_compute)
+    with pytest.raises(ValueError, match=re.escape(
+            f"a net current needs a mirror-symmetric junction at zero bias: "
+            f"{field} ({value}) must equal {want}")):
+        call(replace(JunctionConfig(), **{field: value}))
 
 
 def _assert_no_child_left():

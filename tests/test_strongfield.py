@@ -246,9 +246,36 @@ def test_final_energy_below_minus_vbar_is_refused(cfg, las8, call):
     # Newton runs on NaN
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"E = -3\.0 eV must exceed "
-                           rf"-Vbar = {-mean_image_magnitude(cfg):.4f} eV"):
+        with pytest.raises(ValueError, match=r"E \(-3\.0\) must exceed minus "
+                           r"the junction's mean image potential, "
+                           rf"{-mean_image_magnitude(cfg):.4f} eV"):
             call(las8, cfg)
+
+
+@pytest.mark.parametrize("junction", [
+    {"bias_Us": 2.0}, {"workfunction_sample": 4.0},
+], ids=["bias", "workfunction_sample"])
+@pytest.mark.parametrize("call", [
+    lambda las, cfg: solve_saddle(4.4, las, cfg),
+    lambda las, cfg: emission_phase_curve([1.0, 4.4], las, cfg),
+    lambda las, cfg: directional_weight([las], cfg, [1.0, 4.4]),
+    lambda las, cfg: cutoff_energy(las, cfg),
+], ids=["solve_saddle", "emission_phase_curve", "directional_weight",
+        "cutoff_energy"])
+def test_gap_ramp_is_refused_before_newton(monkeypatch, las8, call, junction):
+    # the model reads W_t and the mean image potential only: a junction
+    # with a gap ramp lies outside it, and a library call refuses it
+    # before any Newton step
+    def no_newton(*args, **kwargs):
+        raise AssertionError("a Newton step started")
+
+    monkeypatch.setattr(strongfield, "_newton", no_newton)
+    cfg = replace(JunctionConfig(), **junction)
+    with pytest.raises(ValueError, match=re.escape(
+            f"saddle: workfunction_sample ({cfg.workfunction_sample}), "
+            f"workfunction_tip (5.1) and bias_Us ({cfg.bias_Us}) make a gap "
+            f"ramp of {cfg.gap_ramp_eV} eV; the model needs 0")):
+        call(las8, cfg)
 
 
 def test_forward_spectrum_is_amplitude_modulus(cfg, las8):
@@ -430,8 +457,9 @@ def test_emission_phase_curve_is_a_chain_of_solve_saddle_calls():
         emission_phase_curve(energies, laser, cfg),
         _fresh_seed_phases(energies, laser, cfg))
     # at a 9 eV tip workfunction the chain down in energy breaks at 2.5 eV:
-    # the curve raises there with the chain's own message
-    deep = replace(cfg, workfunction_tip=9.0)
+    # the curve raises there with the chain's own message (the sample's
+    # workfunction follows, so that the junction has no gap ramp)
+    deep = replace(cfg, workfunction_tip=9.0, workfunction_sample=9.0)
     with pytest.raises(SaddleConvergenceError) as chain:
         _solve_saddle_chain(energies[::-1], laser, deep)
     with pytest.raises(SaddleConvergenceError) as curve:
@@ -554,8 +582,11 @@ def test_emission_phase_curve_ends_when_no_row_has_a_seed():
     # at a 9 eV tip workfunction the crest seed fails at 0.5-2.5 eV;
     # ascending, no earlier row has a root to continue from, so the curve
     # raises the crest-seed failure of the first energy instead of looping
+    # (the sample's workfunction follows, so that the junction has no gap
+    # ramp)
     data = load_config("figSK")
-    cfg = replace(build_junction(data), workfunction_tip=9.0)
+    cfg = replace(build_junction(data), workfunction_tip=9.0,
+                  workfunction_sample=9.0)
     laser = build_laser(data)
     energies = np.linspace(0.5, 14.0, 55)
 
