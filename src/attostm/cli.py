@@ -63,8 +63,11 @@ _LASER_KEYS = {
 }
 
 
-# JunctionConfig field -> its YAML key, as the model's refusals name it
-_JUNCTION_NAMES = {field: f"junction.{key}" for key, field in _JUNCTION_KEYS.items()}
+# JunctionConfig and LaserConfig field -> its YAML key, as the model's
+# refusals name it
+_FIELD_NAMES = {
+    **{field: f"junction.{key}" for key, field in _JUNCTION_KEYS.items()},
+    **{field: f"laser.{key}" for key, field in _LASER_KEYS.items()}}
 
 
 def _field_types(cls, keys):
@@ -303,7 +306,7 @@ def cmd_scan(data, out_dir, args, configs, snapshot) -> int:
     # options left out keep the scan function's defaults
     options = {keyword: scan[key] for key, (keyword, _) in taken.items()
                if key in scan}
-    experiments.check_sweep(kind, cfg, laser, values, keys=_JUNCTION_NAMES,
+    experiments.check_sweep(kind, cfg, laser, values, keys=_FIELD_NAMES,
                             **options)
     if args.dry_run:
         return _dry_run(snapshot)
@@ -317,11 +320,9 @@ def cmd_scan(data, out_dir, args, configs, snapshot) -> int:
 
 def cmd_saddle(data, out_dir, args, configs, snapshot) -> int:
     cfg, laser, _ = configs
-    if laser.field_F1 == 0:  # the saddle model needs a field
-        raise ConfigError("saddle: laser.field_V_per_nm must be > 0, got 0")
     s = data.get("saddle", {})
     # the electron starts at the tip's Fermi level, -W_t, bound by W_t - Vbar
-    e0_eff = strongfield.saddle_domain(cfg, keys=_JUNCTION_NAMES)
+    e0_eff = strongfield.saddle_domain(cfg, keys=_FIELD_NAMES, lasers=[laser])
     count = s.get("energy_count", 55)
     if count < 1:
         raise ConfigError(f"saddle.energy_count must be >= 1, got {count}")

@@ -404,16 +404,20 @@ def check_sweep(kind: str, cfg: JunctionConfig, laser: LaserConfig, values,
     """The checks scan `kind` makes before it computes, with the options
     run_scan would pass: ValueError for a net current's junction that
     check_parity refuses (naming fields as `keys` maps them), an unknown
-    robustness parameter, a swept value the junction or laser refuses, or
-    a strong-field energy grid directional_weight refuses (named
-    scan.energies_eV)."""
+    robustness parameter, a swept value the junction or laser refuses, or,
+    for the strong-field scan, an energy grid directional_weight refuses
+    (named scan.energies_eV) or a junction or energy outside
+    strongfield.saddle_domain."""
     if SCAN_KINDS[kind].net:
         check_parity(cfg, f"scan kind {kind!r}", keys)
     parameter = options.get("parameter", SCAN_KINDS[kind].axis)
     if parameter is not None:
         _sweep_points(parameter, cfg, laser, values)
-    if "energies" in options:
-        strongfield.check_energies(options["energies"], "scan.energies_eV")
+    if not SCAN_KINDS[kind].tdse:  # the strong-field scan
+        energies = strongfield.check_energies(
+            options.get("energies", strongfield.DEFAULT_ENERGIES),
+            "scan.energies_eV")
+        strongfield.saddle_domain(cfg, energies, "scan.energies_eV", keys)
 
 
 def run_scan(kind: str, cfg: JunctionConfig, laser: LaserConfig, grid,

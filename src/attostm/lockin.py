@@ -14,15 +14,18 @@ The forward model interpolates the trace with its not-a-knot cubic spline,
 computed in this module with scipy.interpolate.CubicSpline's arithmetic (the
 same banded slope system, Hermite coefficients and PPoly evaluation order),
 so the values equal CubicSpline's bit for bit without importing
-scipy.interpolate. J1 comes from scipy.special, imported on first use by
-regularized_transfer and select_beta, so the forward model alone does not
-load it. A DelayTrace refuses non-finite delays and values.
+scipy.interpolate; the slope system is one LAPACK dgtsv call, from
+attostm._lapack, which spares the import of the scipy.linalg package
+(about 0.3 s and 18 MB). J1 comes from scipy.special, imported on first
+use by regularized_transfer and select_beta, so the forward model alone
+does not load it. A DelayTrace refuses non-finite delays and values.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+
+from ._lapack import dgtsv
 
 # global maximum of |J1|, attained at x = +-1.8412
 J1_MAX = 0.5818652242574184
@@ -104,20 +107,26 @@ def _spline_coefficients(x, y):
     n = x.size
     dx = np.diff(x)
     slope = np.diff(y) / dx
-    ab = np.zeros((3, n))
-    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    ab[0, 2:] = dx[:-1]
-    ab[-1, :-2] = dx[1:]
+    # the sub-, main and super-diagonal and right-hand side that
+    # solve_banded((1, 1), ...) hands to LAPACK's dgtsv
+    lower, diag, upper = np.empty(n - 1), np.empty(n), np.empty(n - 1)
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+    upper[1:] = dx[:-1]
+    lower[:-1] = dx[1:]
     b = np.empty(n, dtype=y.dtype)
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
     d = x[2] - x[0]
-    ab[1, 0], ab[0, 1] = dx[1], d
+    diag[0], upper[0] = dx[1], d
     b[0] = ((dx[0] + 2*d) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d
     d = x[-1] - x[-3]
-    ab[1, -1], ab[-1, -2] = dx[-2], d
+    diag[-1], lower[-1] = dx[-2], d
     b[-1] = (dx[-1]**2 * slope[-2] + (2*d + dx[-1]) * dx[-2] * slope[-1]) / d
-    s = solve_banded((1, 1), ab, b[:, None], overwrite_ab=True,
-                     overwrite_b=True, check_finite=False)[:, 0]
+    s, info = dgtsv(lower, diag, upper, b[:, None], 1, 1, 1, 1)[3:]
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgtsv")
+    s = s[:, 0]
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 

@@ -110,30 +110,37 @@ def action(t1: complex, t2: complex, E: float, laser: LaserConfig,
 
 
 def saddle_domain(cfg: JunctionConfig, energies=(),
-                  name: str = "final energy E", keys=None) -> float:
-    """W_t - Vbar, if the junction and final energies lie in the saddle
-    model's domain: W_t above the mean image potential Vbar, no gap ramp,
-    and each energy above -Vbar (k(t2) = sqrt(2m(E + Vbar)) is real);
+                  name: str = "final energy E", keys=None, lasers=()) -> float:
+    """W_t - Vbar, if the junction, final energies and lasers lie in the
+    saddle model's domain: W_t above the mean image potential Vbar, no gap
+    ramp, each energy above -Vbar (k(t2) = sqrt(2m(E + Vbar)) is real) and
+    a field in each laser (the saddle equations have no root without one);
     otherwise ValueError, naming the energies as `name` and each junction
-    field as `keys` maps it (by default its own name)."""
-    key = keys or {field: field for field in vars(cfg)}
+    or laser field as `keys` maps it (by default its own name)."""
+    def key(field):
+        return (keys or {}).get(field, field)
+
     vbar = mean_image_magnitude(cfg)
     binding = cfg.workfunction_tip - vbar
     if binding <= 0:
-        raise ValueError(f"saddle: {key['workfunction_tip']} "
+        raise ValueError(f"saddle: {key('workfunction_tip')} "
                          f"({cfg.workfunction_tip}) must exceed the junction's "
                          f"mean image potential {vbar:.4f} eV")
     if cfg.gap_ramp_eV != 0:
         raise ValueError(
-            f"saddle: {key['workfunction_sample']} ({cfg.workfunction_sample}), "
-            f"{key['workfunction_tip']} ({cfg.workfunction_tip}) and "
-            f"{key['bias_Us']} ({cfg.bias_Us}) make a gap ramp of "
+            f"saddle: {key('workfunction_sample')} ({cfg.workfunction_sample}), "
+            f"{key('workfunction_tip')} ({cfg.workfunction_tip}) and "
+            f"{key('bias_Us')} ({cfg.bias_Us}) make a gap ramp of "
             f"{cfg.gap_ramp_eV} eV; the model needs 0")
     energies = np.asarray(energies, dtype=float)
     below = energies + vbar <= 0
     if np.any(below):
         raise ValueError(f"{name} ({energies[below][0]}) must exceed minus the "
                          f"junction's mean image potential, {-vbar:.4f} eV")
+    for laser in lasers:
+        if laser.field_F1 == 0:
+            raise ValueError(f"saddle: {key('field_F1')} must be > 0, got "
+                             f"{laser.field_F1}")
     return binding
 
 
@@ -158,8 +165,8 @@ class _Problems:
     @classmethod
     def build(cls, pairs, cfg):
         """Problems of the (laser, crest time) pairs, in the given order."""
-        e0_eff = saddle_domain(cfg)
         lasers = [las for las, _ in pairs]
+        e0_eff = saddle_domain(cfg, lasers=lasers)
         return cls(_wave_tables(lasers),
                    np.array([tc for _, tc in pairs], dtype=float),
                    np.array([0.3 * 2.0 * np.pi / las.omega for las in lasers]),
@@ -404,7 +411,7 @@ def cutoff_energy(laser: LaserConfig, cfg: JunctionConfig) -> float | None:
     the upward scan for the crossing starts at the energy of closest
     agreement (sub-eV arrivals carry their own slow-electron deviation).
     """
-    gamma = effective_keldysh(laser, saddle_domain(cfg))
+    gamma = effective_keldysh(laser, saddle_domain(cfg, lasers=[laser]))
     de = 0.25
     energies = np.arange(de, 50.0 + de, de)
     phases = emission_phase_curve(energies, laser, cfg)

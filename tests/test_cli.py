@@ -1112,3 +1112,51 @@ def test_lockin_select_beta(tmp_path):
                    "--out", str(out)) == EXIT_OK
     payload = json.loads((out / "lockin_beta.json").read_text())
     assert payload["beta"] == 0.02
+
+
+_DESK_MODULES = """
+import json, sys
+import attostm.cli
+from attostm.config import JunctionConfig, LaserConfig
+from attostm.grid import desk_grid
+from attostm.laser import pulse_onset
+from attostm.solver import propagate
+laser = LaserConfig()
+t0 = pulse_onset(laser)
+res = propagate(JunctionConfig(), laser, desk_grid(), t0, t0 + 0.1)
+assert res.stepped_points > 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy.linalg"
+                        or m.startswith(("scipy.linalg.", "scipy._lib._array")))))
+"""
+
+
+def test_desk_run_skips_the_scipy_linalg_package():
+    # scipy.linalg's __init__ imports scipy's array-API layer (~0.3 s and
+    # ~18 MB); a TDSE run loads only scipy's LAPACK and BLAS extensions
+    src = str(Path(attostm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", _DESK_MODULES], env=env,
+                         capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout.splitlines()[-1]) == [
+        "scipy.linalg._fblas", "scipy.linalg._flapack"]
+
+
+@pytest.mark.parametrize("dry_run", [True, False], ids=["dry_run", "run"])
+def test_scan_refuses_energies_outside_the_saddle_domain(
+        tmp_path, capsys, monkeypatch, dry_run):
+    # E = -3 eV lies below -Vbar: k(t2) is imaginary there, and the run
+    # refuses it before the strong-field scan forks
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the strong-field scan started")
+
+    monkeypatch.setattr(experiments, "delay_scan_strongfield", no_scan)
+    path = write_config(tmp_path, {"scan": {
+        "kind": "delay_sf", "start": 0.0, "stop": 1.5, "count": 2,
+        "energies_eV": [-3.0, 1.0]}})
+    out = tmp_path / "out"
+    argv = ("scan", "--config", path, "--out", str(out))
+    assert run_cli(*argv, *(("--dry-run",) if dry_run else ())) == EXIT_CONFIG
+    assert "scan.energies_eV (-3.0) must exceed minus the junction's mean " \
+        "image potential" in capsys.readouterr().err
+    assert not out.exists()

@@ -163,12 +163,13 @@ def test_initial_state_matches_the_full_window_pick(monkeypatch, grid, widens):
     cfg = JunctionConfig()
     energy, magnitude, nearest_tip_frac = one_shot_pick(cfg, grid)
     windows = []
+    window_solve = solver._eigen_window
 
-    def recording(*args, select_range, **kwargs):
-        windows.append(0.5 * (select_range[1] - select_range[0]))
-        return eigh_tridiagonal(*args, select_range=select_range, **kwargs)
+    def recording(main, offs, lo, hi):
+        windows.append(0.5 * (hi - lo))
+        return window_solve(main, offs, lo, hi)
 
-    monkeypatch.setattr(solver, "eigh_tridiagonal", recording)
+    monkeypatch.setattr(solver, "_eigen_window", recording)
     st = initial_state(cfg, grid)
     assert (nearest_tip_frac < 0.99) == widens
     assert (len(windows) > 1) == widens
@@ -678,3 +679,19 @@ def test_charges_converge_at_second_order_in_dt():
     steps = np.diff(charges, axis=0)
     ratios = steps[0] / steps[1]
     assert np.all((3.2 < ratios) & (ratios < 4.8)), ratios
+
+
+@pytest.mark.parametrize("half", [solver._FIRST_HALF_WIDTH, solver._WINDOW])
+def test_eigen_window_equals_eigh_tridiagonal_bit_for_bit(half):
+    cfg = JunctionConfig()
+    grid = desk_grid()
+    main, off = build_hamiltonian_diagonals(
+        sample_static_profile(cfg, grid.z), grid)
+    offs = np.full(main.size - 1, off)
+    lo, hi = -cfg.workfunction_tip - half, -cfg.workfunction_tip + half
+    w, v = solver._eigen_window(main, offs, lo, hi)
+    want_w, want_v = eigh_tridiagonal(main, offs, select="v",
+                                      select_range=(lo, hi))
+    assert w.size > 0
+    assert w.tobytes() == want_w.tobytes()
+    assert v.shape == want_v.shape and v.tobytes() == want_v.tobytes()

@@ -692,3 +692,21 @@ def test_wave_table_ends_match_the_public_evaluators():
         assert np.all(np.abs(a[i] - want_a) <= 2e-15 * np.abs(want_a))
         assert np.all(np.abs(da[i] - want_da) <= 2e-15 * np.abs(want_da))
         assert abs(integral[i] - want_int) <= 2e-15 * abs(want_int)
+
+
+@pytest.mark.parametrize("call", [
+    lambda laser, cfg: solve_saddle(4.4, laser, cfg),
+    lambda laser, cfg: emission_phase_curve([1.0, 2.0], laser, cfg),
+    lambda laser, cfg: cutoff_energy(laser, cfg),
+], ids=["solve_saddle", "emission_phase_curve", "cutoff_energy"])
+def test_saddle_entry_points_refuse_zero_field_before_newton(
+        cfg, monkeypatch, call):
+    # without a field the saddle equations have no root: a domain error,
+    # not a failed solve
+    def no_newton(*args, **kwargs):
+        raise AssertionError("Newton started")
+
+    monkeypatch.setattr(strongfield, "_newton", no_newton)
+    with pytest.raises(ValueError, match=r"saddle: field_F1 must be > 0, "
+                                         r"got 0\.0"):
+        call(LaserConfig(field_F1=0.0), cfg)
